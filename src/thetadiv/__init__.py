@@ -3,9 +3,9 @@
 Evaluates the pullbacks of the universal theta divisors (degrees 0 and
 g-1) under weighted point sections, re-derives them from test-curve
 intersection numbers by exact linear algebra, computes the class of the
-effective-divisor locus two independent ways, and expands the double
-ramification cycle formally in degree g.  All arithmetic is exact
-rational; no floating point anywhere.
+effective-divisor locus by two routes sharing one boundary formula, and
+expands the double ramification cycle formally in degree g.  All
+arithmetic is exact rational; no floating point anywhere.
 """
 
 from .basis import (
@@ -52,7 +52,6 @@ from .solve import (
     solve_exact,
 )
 from .theta import (
-    UNAVAILABLE,
     CorrectionLedger,
     CorrectionTerm,
     class_D_direct,

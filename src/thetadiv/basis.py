@@ -40,9 +40,11 @@ Rational = Fraction
 
 
 def _check_gn(g: int, n: int) -> None:
-    if not (isinstance(g, int) and g >= 1):
+    # type() rather than isinstance() here, in K, point_curve and
+    # check_weights: bool subclasses int but is never a count or a weight
+    if not (type(g) is int and g >= 1):
         raise ValueError(f"genus must be an integer >= 1, got {g!r}")
-    if not (isinstance(n, int) and n >= 1):
+    if not (type(n) is int and n >= 1):
         raise ValueError(f"number of marked points must be an integer >= 1, got {n!r}")
 
 
@@ -140,7 +142,7 @@ DELTA_IRR = Generator("delta_irr")
 
 
 def K(i: int) -> Generator:
-    if not (isinstance(i, int) and i >= 1):
+    if not (type(i) is int and i >= 1):
         raise ValueError(f"point index must be a positive integer, got {i!r}")
     return Generator("K", i=i)
 
@@ -162,6 +164,11 @@ def generator_sort_key(gen: Generator) -> tuple:
     return (_KIND_ORDER[gen.kind], gen.i, 0, 0, ())
 
 
+def _boundary_label(prefix: str, h: int, P: Iterable[int]) -> str:
+    """``prefix_h^{P}``, the label of a boundary class or family (h, P)."""
+    return f"{prefix}_{h}^{{{','.join(map(str, P))}}}"
+
+
 def generator_label(gen: Generator) -> str:
     if gen.kind == "lambda1":
         return "lambda1"
@@ -169,8 +176,7 @@ def generator_label(gen: Generator) -> str:
         return "delta_irr"
     if gen.kind == "K":
         return f"K{gen.i}"
-    b = gen.boundary
-    return f"delta_{b.h}^{{{','.join(map(str, b.P))}}}"
+    return _boundary_label("delta", gen.boundary.h, gen.boundary.P)
 
 
 _DELTA_LABEL = re.compile(r"delta_(\d+)\^\{((?:\d+(?:,\d+)*)?)\}")
@@ -193,21 +199,25 @@ def parse_generator_label(label: str, g: int, n: int) -> Generator:
     return delta(canonicalize_boundary(int(match.group(1)), P, g, n))
 
 
+def _check_index(obj, g: int, n: int) -> None:
+    """Index check shared by :class:`Generator` and ``curves.TestCurve``: a
+    "K" or "point" object needs its point index in 1..n, any other its
+    boundary index canonical for (g, n)."""
+    b = obj.boundary
+    if obj.kind in ("K", "point"):
+        if not 1 <= obj.i <= n:
+            raise ValueError(f"point index {obj.i} out of range 1..{n}")
+    elif canonicalize_boundary(b.h, b.P, g, n) != b:
+        raise ValueError(f"boundary index {b} is not canonical for (g={g}, n={n})")
+
+
 def _check_generator(gen: Generator, g: int, n: int) -> None:
     if not isinstance(gen, Generator):
         raise ValueError(f"expected a Generator, got {gen!r}")
-    if gen.kind in ("lambda1", "delta_irr"):
-        return
-    if gen.kind == "K":
-        if not 1 <= gen.i <= n:
-            raise ValueError(f"point index {gen.i} out of range 1..{n}")
-        return
-    if gen.kind == "delta":
-        b = gen.boundary
-        if canonicalize_boundary(b.h, b.P, g, n) != b:
-            raise ValueError(f"boundary index {b} is not canonical for (g={g}, n={n})")
-        return
-    raise ValueError(f"unknown generator kind {gen.kind!r}")
+    if gen.kind in ("K", "delta"):
+        _check_index(gen, g, n)
+    elif gen.kind not in ("lambda1", "delta_irr"):
+        raise ValueError(f"unknown generator kind {gen.kind!r}")
 
 
 def basis_generators(g: int, n: int) -> list[Generator]:
@@ -315,10 +325,21 @@ def psi_in_k_basis(i: int, g: int, n: int) -> DivisorClass:
     _check_gn(g, n)
     if not 1 <= i <= n:
         raise ValueError(f"point index {i} out of range 1..{n}")
-    coeffs: dict[Generator, Fraction] = {K(i): Fraction(1)}
-    for P in _subsets_containing(i, n):
-        coeffs[delta(canonicalize_boundary(0, P, g, n))] = Fraction(1)
-    return DivisorClass(g, n, coeffs)
+    return _substitute_psi(g, n, {K(i): Fraction(1)}, 1)
+
+
+def _substitute_psi(g: int, n: int, coeffs: Mapping[Generator, Fraction], sign: int) -> DivisorClass:
+    """Add ``sign`` times each point-slot coefficient to every delta_0^P with
+    i in P and |P| >= 2: sign -1 reads the slots as K_i, +1 as psi_i."""
+    out = dict(coeffs)
+    for i in range(1, n + 1):
+        a = sign * coeffs.get(K(i), Fraction(0))
+        if a == 0:
+            continue
+        for P in _subsets_containing(i, n):
+            gen = delta(canonicalize_boundary(0, P, g, n))
+            out[gen] = out.get(gen, Fraction(0)) + a
+    return DivisorClass(g, n, out)
 
 
 def k_to_psi(divclass: DivisorClass) -> DivisorClass:
@@ -327,28 +348,12 @@ def k_to_psi(divclass: DivisorClass) -> DivisorClass:
     The result stores the psi_i coefficient in the i-th point slot; boundary
     slots absorb the correction.  Inverse of :func:`psi_to_k`.
     """
-    coeffs = dict(divclass.coeffs)
-    for i in range(1, divclass.n + 1):
-        a = divclass.coeff(K(i))
-        if a == 0:
-            continue
-        for P in _subsets_containing(i, divclass.n):
-            gen = delta(canonicalize_boundary(0, P, divclass.g, divclass.n))
-            coeffs[gen] = coeffs.get(gen, Fraction(0)) - a
-    return DivisorClass(divclass.g, divclass.n, coeffs)
+    return _substitute_psi(divclass.g, divclass.n, divclass.coeffs, -1)
 
 
 def psi_to_k(divclass: DivisorClass) -> DivisorClass:
     """Substitute psi_i = K_i + sum delta_0^P; inverse of :func:`k_to_psi`."""
-    coeffs = dict(divclass.coeffs)
-    for i in range(1, divclass.n + 1):
-        a = divclass.coeff(K(i))
-        if a == 0:
-            continue
-        for P in _subsets_containing(i, divclass.n):
-            gen = delta(canonicalize_boundary(0, P, divclass.g, divclass.n))
-            coeffs[gen] = coeffs.get(gen, Fraction(0)) + a
-    return DivisorClass(divclass.g, divclass.n, coeffs)
+    return _substitute_psi(divclass.g, divclass.n, divclass.coeffs, 1)
 
 
 def _check_permutation(sigma: tuple[int, ...], n: int) -> None:

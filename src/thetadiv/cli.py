@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import random
 import sys
 from typing import Sequence
 
-from .basis import basis_generators, generator_label
+from .basis import _boundary_label, basis_generators, generator_label
 from .curves import build_matrix, curve_label, enumerate_test_curves
 from .drcycle import dr_expansion, monomial_label
 from .solve import certify_basis, reconstruct_T, reconstruct_Theta
@@ -79,6 +78,8 @@ def verify_rank(g: int, n: int) -> dict:
 
 
 def _sweep(g: int, n: int, trials: int, seed: int, check: str, draw, compare) -> dict:
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
@@ -130,17 +131,18 @@ def _emit_json(obj) -> int:
     return 0
 
 
+def _emit_csv(header: list[str], rows) -> int:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return 0
+
+
 def _emit_labels(labels: list[str], fmt: str, header: str) -> int:
     if fmt == "json":
         return _emit_json({header: labels})
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([header])
-        for lab in labels:
-            writer.writerow([lab])
-        print(buf.getvalue(), end="")
-        return 0
+        return _emit_csv([header], ([lab] for lab in labels))
     for lab in labels:
         print(lab)
     return 0
@@ -151,13 +153,8 @@ def _emit_class(divclass, fmt: str) -> int:
         return _emit_json(divclass.to_json_dict())
     gens = basis_generators(divclass.g, divclass.n)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["generator", "coefficient"])
-        for gen in gens:
-            writer.writerow([generator_label(gen), str(divclass.coeff(gen))])
-        print(buf.getvalue(), end="")
-        return 0
+        rows = ([generator_label(gen), str(divclass.coeff(gen))] for gen in gens)
+        return _emit_csv(["generator", "coefficient"], rows)
     for gen in gens:
         print(f"{generator_label(gen)} = {divclass.coeff(gen)}")
     return 0
@@ -212,15 +209,10 @@ def _cmd_ledger(args) -> int:
             }
         )
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["h", "P", "mult"])
-        for t in ledger.terms:
-            writer.writerow([t.h, " ".join(map(str, t.P)), t.mult])
-        print(buf.getvalue(), end="")
-        return 0
+        rows = ([t.h, " ".join(map(str, t.P)), t.mult] for t in ledger.terms)
+        return _emit_csv(["h", "P", "mult"], rows)
     for t in ledger.terms:
-        print(f"{t.mult} * delta_{t.h}^{{{','.join(map(str, t.P))}}}")
+        print(f"{t.mult} * {_boundary_label('delta', t.h, t.P)}")
     print(f"delta_irr order = {ledger.delta_irr_order}")
     return 0
 

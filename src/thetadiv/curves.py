@@ -35,8 +35,10 @@ from .basis import (
     BoundaryIndex,
     DivisorClass,
     Generator,
+    _boundary_label,
     _check_generator,
     _check_gn,
+    _check_index,
     basis_generators,
     canonicalize_boundary,
     enumerate_boundary,
@@ -61,7 +63,7 @@ IRREDUCIBLE_NODE = TestCurve("irreducible")
 
 
 def point_curve(i: int) -> TestCurve:
-    if not (isinstance(i, int) and i >= 1):
+    if not (type(i) is int and i >= 1):
         raise ValueError(f"point index must be a positive integer, got {i!r}")
     return TestCurve("point", i=i)
 
@@ -76,8 +78,7 @@ def curve_label(curve: TestCurve) -> str:
     if curve.kind == "point":
         return f"point{curve.i}"
     if curve.kind == "node":
-        b = curve.boundary
-        return f"node_{b.h}^{{{','.join(map(str, b.P))}}}"
+        return _boundary_label("node", curve.boundary.h, curve.boundary.P)
     if curve.kind == "elliptic_tail":
         return "elliptic_tail"
     return "irreducible_node"
@@ -86,13 +87,8 @@ def curve_label(curve: TestCurve) -> str:
 def _check_curve(curve: TestCurve, g: int, n: int) -> None:
     if not isinstance(curve, TestCurve):
         raise ValueError(f"expected a TestCurve, got {curve!r}")
-    if curve.kind == "point":
-        if not 1 <= curve.i <= n:
-            raise ValueError(f"point index {curve.i} out of range 1..{n}")
-    elif curve.kind == "node":
-        b = curve.boundary
-        if canonicalize_boundary(b.h, b.P, g, n) != b:
-            raise ValueError(f"boundary index {b} is not canonical for (g={g}, n={n})")
+    if curve.kind in ("point", "node"):
+        _check_index(curve, g, n)
     elif curve.kind not in ("elliptic_tail", "irreducible"):
         raise ValueError(f"unknown curve kind {curve.kind!r}")
 

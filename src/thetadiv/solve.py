@@ -14,10 +14,12 @@ On top of the solver sit the divisor-class reconstructions:
 full rank (nonzero determinant), and :func:`reconstruct_T` /
 :func:`reconstruct_Theta` recover the theta pullback classes from the
 intersection numbers alone, independently of the closed formulas in
-:mod:`thetadiv.theta`.  The degree-(g-1) system cannot use the
-elliptic-tail and irreducible-node rows (those intersection numbers are
-unavailable), so it pins the two remaining coefficients instead:
-``lambda1 = -1`` and ``lambda1 + 12 delta_irr = 1/2``.
+:mod:`thetadiv.theta`.  Both read their rows from
+:func:`thetadiv.curves.build_matrix`.  The degree-(g-1) system keeps only
+the point and node rows (:func:`thetadiv.theta.theta_intersection` raises
+``ValueError`` for the elliptic-tail and irreducible-node families), so it
+pins the two remaining coefficients instead: ``lambda1 = -1`` and
+``lambda1 + 12 delta_irr = 1/2``.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .basis import DELTA_IRR, LAMBDA1, DivisorClass, basis_generators, generator_label
-from .curves import build_matrix, curve_label, enumerate_test_curves, intersect
-from .theta import UNAVAILABLE, check_weights, theta_intersection
+from .basis import DELTA_IRR, LAMBDA1, DivisorClass, generator_label
+from .curves import IntersectionMatrix, build_matrix, curve_label
+from .theta import check_weights, theta_intersection
 
 
 class SingularMatrixError(ValueError):
@@ -154,6 +156,22 @@ def solve_exact(system: LinearSystem) -> list[Fraction]:
     return x
 
 
+def _rank_det(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, Fraction, list[int]]:
+    """One Bareiss elimination of a nonempty square rational matrix: its
+    rank, its exact determinant (0 below full rank) and the row order the
+    pivoting left behind."""
+    m = len(matrix)
+    int_rows, scales = _integerize(matrix)
+    pivot_cols, row_of, sign = _bareiss_echelon(int_rows, pivot_cols_limit=m)
+    rank = len(pivot_cols)
+    det = Fraction(0)
+    if rank == m:
+        det = Fraction(sign * int_rows[m - 1][m - 1])
+        for s in scales:
+            det /= s
+    return rank, det, row_of
+
+
 def det_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a square rational matrix (Bareiss)."""
     m = len(matrix)
@@ -161,14 +179,7 @@ def det_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
         raise ValueError("determinant requires a square matrix")
     if m == 0:
         return Fraction(1)
-    int_rows, scales = _integerize(matrix)
-    pivot_cols, _, sign = _bareiss_echelon(int_rows, pivot_cols_limit=m)
-    if len(pivot_cols) < m:
-        return Fraction(0)
-    det = Fraction(sign * int_rows[m - 1][m - 1])
-    for s in scales:
-        det /= s
-    return det
+    return _rank_det(matrix)[1]
 
 
 def certify_basis(g: int, n: int) -> dict:
@@ -179,76 +190,51 @@ def certify_basis(g: int, n: int) -> dict:
     rows left without a pivot (empty when the certificate holds).
     """
     mat = build_matrix(g, n)
-    m = mat.size
-    int_rows, scales = _integerize(mat.entries)
-    pivot_cols, row_of, sign = _bareiss_echelon(int_rows, pivot_cols_limit=m)
-    rank = len(pivot_cols)
-    if rank == m:
-        det = Fraction(sign * int_rows[m - 1][m - 1])
-        for s in scales:
-            det /= s
-    else:
-        det = Fraction(0)
-    failed = [curve_label(mat.rows[row_of[r]]) for r in range(rank, m)]
+    rank, det, row_of = _rank_det(mat.entries)
+    failed = [curve_label(mat.rows[row_of[r]]) for r in range(rank, mat.size)]
     return {
         "g": g,
         "n": n,
         "rank": rank,
-        "expected": m,
+        "expected": mat.size,
         "det_nonzero": det != 0,
         "det": str(det),
         "failed_rows": failed,
     }
 
 
-def _solution_class(g: int, n: int, values: Sequence[Fraction]) -> DivisorClass:
-    gens = basis_generators(g, n)
-    return DivisorClass(g, n, dict(zip(gens, values)))
+def _solve_class(mat: IntersectionMatrix, curves, d, kind: str, pins=()) -> DivisorClass:
+    """The class whose pairings with ``curves`` (rows of ``mat``) are their
+    theta intersection numbers of the given kind and whose coefficients
+    satisfy each pin (label, {generator: coefficient}, right side)."""
+    entries_of = dict(zip(mat.rows, mat.entries))
+    matrix = [entries_of[c] for c in curves]
+    rhs = [theta_intersection(c, d, kind, mat.g, mat.n) for c in curves]
+    labels = [curve_label(c) for c in curves]
+    for label, row, value in pins:
+        matrix.append([Fraction(row.get(gen, 0)) for gen in mat.cols])
+        rhs.append(value)
+        labels.append(label)
+    system = LinearSystem(matrix, rhs, labels, [generator_label(gen) for gen in mat.cols])
+    return DivisorClass(mat.g, mat.n, dict(zip(mat.cols, solve_exact(system))))
 
 
 def reconstruct_T(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     """Recover the degree-0 theta pullback class by solving the full
     test-curve system (every family contributes a row)."""
     d = check_weights(g, n, d, degree=0)
-    curves = enumerate_test_curves(g, n)
-    gens = basis_generators(g, n)
-    matrix = [[intersect(c, gen, g, n) for gen in gens] for c in curves]
-    rhs = [theta_intersection(c, d, "T", g, n) for c in curves]
-    system = LinearSystem(
-        matrix,
-        rhs,
-        [curve_label(c) for c in curves],
-        [generator_label(gen) for gen in gens],
-    )
-    return _solution_class(g, n, solve_exact(system))
+    mat = build_matrix(g, n)
+    return _solve_class(mat, mat.rows, d, "T")
 
 
 def reconstruct_Theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     """Recover the degree-(g-1) theta pullback class from the point and
     node rows plus the two pinned coefficient constraints."""
     d = check_weights(g, n, d, degree=g - 1)
-    curves = [c for c in enumerate_test_curves(g, n) if c.kind in ("point", "node")]
-    gens = basis_generators(g, n)
-    matrix = [[intersect(c, gen, g, n) for gen in gens] for c in curves]
-    rhs = []
-    for c in curves:
-        value = theta_intersection(c, d, "Theta", g, n)
-        assert value is not UNAVAILABLE
-        rhs.append(value)
-    labels = [curve_label(c) for c in curves]
-
-    lambda_col = gens.index(LAMBDA1)
-    matrix.append([Fraction(1) if j == lambda_col else Fraction(0) for j in range(len(gens))])
-    rhs.append(Fraction(-1))
-    labels.append("pin: lambda1 = -1")
-
-    irr_col = gens.index(DELTA_IRR)
-    row = [Fraction(0)] * len(gens)
-    row[lambda_col] = Fraction(1)
-    row[irr_col] = Fraction(12)
-    matrix.append(row)
-    rhs.append(Fraction(1, 2))
-    labels.append("pin: lambda1 + 12*delta_irr = 1/2")
-
-    system = LinearSystem(matrix, rhs, labels, [generator_label(gen) for gen in gens])
-    return _solution_class(g, n, solve_exact(system))
+    mat = build_matrix(g, n)
+    curves = [c for c in mat.rows if c.kind in ("point", "node")]
+    pins = [
+        ("pin: lambda1 = -1", {LAMBDA1: 1}, Fraction(-1)),
+        ("pin: lambda1 + 12*delta_irr = 1/2", {LAMBDA1: 1, DELTA_IRR: 12}, Fraction(1, 2)),
+    ]
+    return _solve_class(mat, curves, d, "Theta", pins)

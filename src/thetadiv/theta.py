@@ -20,8 +20,14 @@ Fix integer weights ``d = (d_1, .., d_n)`` at the marked points and let
   irreducible boundary is 1/8.  :func:`correction_ledger` enumerates those
   multiplicities, :func:`class_D_from_theta` subtracts them from
   :func:`class_Theta`, and :func:`class_D_direct` evaluates the same locus
-  class by its own closed formula.  The two agree, which is the package's
-  main cross-check.
+  class by its own closed formula.  Both routes share the boundary
+  coefficients and the ledger, so their agreement checks only the
+  ``-lambda1`` and ``delta_irr`` terms.
+
+:func:`theta_intersection` gives the intersection numbers of the test
+curves with these pullbacks.  For degree g-1 it raises ``ValueError`` on
+the elliptic-tail and irreducible-node families, whose numbers the theory
+does not supply.
 
 Boundary sums run over canonical class representatives: classes whose
 canonical form has h = 0 take the ``-(d_P^2 - sum_{i in P} d_i^2)/2``
@@ -39,7 +45,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .basis import (
     DELTA_IRR,
@@ -53,26 +59,9 @@ from .basis import (
     delta,
     enumerate_boundary,
 )
-from .curves import TestCurve, _check_curve
+from .curves import TestCurve, _check_curve, curve_label
 
 PLUS_CONVENTIONS = ("nonneg", "strict")
-
-
-class Unavailable:
-    """Typed outcome for intersection numbers the theory does not supply."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNAVAILABLE"
-
-
-UNAVAILABLE = Unavailable()
 
 
 def _warn_small_genus(g: int) -> None:
@@ -91,7 +80,7 @@ def check_weights(g: int, n: int, d: Sequence[int], degree: int) -> tuple[int, .
     d = tuple(d)
     if len(d) != n:
         raise ValueError(f"expected {n} weights, got {len(d)}")
-    if not all(isinstance(w, int) for w in d):
+    if not all(type(w) is int for w in d):
         raise ValueError(f"weights must be integers, got {d!r}")
     if sum(d) != degree:
         raise ValueError(f"weights {d} have total degree {sum(d)}, expected {degree}")
@@ -112,22 +101,29 @@ def plus_set(d: Sequence[int], plus_convention: str = "nonneg") -> frozenset[int
     return frozenset(i for i, w in enumerate(d, start=1) if w > 0)
 
 
-def class_T(g: int, n: int, d: Sequence[int]) -> DivisorClass:
-    """Pullback of the degree-0 symmetric theta divisor (trivialized along
-    the zero section) under s_d, for weights of total degree 0."""
-    d = check_weights(g, n, d, degree=0)
-    _warn_small_genus(g)
-    coeffs: dict[Generator, Fraction] = {}
-    for i in range(1, n + 1):
-        coeffs[K(i)] = Fraction(d[i - 1] ** 2, 2)
+def _pullback(g: int, n: int, d: tuple[int, ...], shift: int) -> dict[Generator, Fraction]:
+    """Point and boundary coefficients of the theta pullback: shift 0 for
+    degree 0 (K_i: d_i^2/2, delta_h^P: -d_P^2/2), shift 1 for degree g-1
+    (K_i: d_i(d_i+1)/2, delta_h^P: -(d_P-h)(d_P-h+1)/2).  Genus-0 classes
+    take -(d_P^2 - sum_{i in P} d_i^2)/2 either way."""
+    coeffs = {K(i): Fraction(w * (w + shift), 2) for i, w in enumerate(d, start=1)}
     for b in enumerate_boundary(g, n):
         dP = weight_sum(d, b.P)
         if b.h == 0:
             c = -Fraction(dP * dP - sum(d[i - 1] ** 2 for i in b.P), 2)
         else:
-            c = -Fraction(dP * dP, 2)
+            e = dP - shift * b.h
+            c = -Fraction(e * (e + shift), 2)
         coeffs[delta(b)] = c
-    return DivisorClass(g, n, coeffs)
+    return coeffs
+
+
+def class_T(g: int, n: int, d: Sequence[int]) -> DivisorClass:
+    """Pullback of the degree-0 symmetric theta divisor (trivialized along
+    the zero section) under s_d, for weights of total degree 0."""
+    d = check_weights(g, n, d, degree=0)
+    _warn_small_genus(g)
+    return DivisorClass(g, n, _pullback(g, n, d, shift=0))
 
 
 def class_Theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
@@ -135,17 +131,7 @@ def class_Theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     weights of total degree g-1."""
     d = check_weights(g, n, d, degree=g - 1)
     _warn_small_genus(g)
-    coeffs: dict[Generator, Fraction] = {LAMBDA1: Fraction(-1), DELTA_IRR: Fraction(1, 8)}
-    for i in range(1, n + 1):
-        w = d[i - 1]
-        coeffs[K(i)] = Fraction(w * (w + 1), 2)
-    for b in enumerate_boundary(g, n):
-        dP = weight_sum(d, b.P)
-        if b.h == 0:
-            c = -Fraction(dP * dP - sum(d[i - 1] ** 2 for i in b.P), 2)
-        else:
-            c = -Fraction((dP - b.h) * (dP - b.h + 1), 2)
-        coeffs[delta(b)] = c
+    coeffs = {LAMBDA1: Fraction(-1), DELTA_IRR: Fraction(1, 8), **_pullback(g, n, d, shift=1)}
     return DivisorClass(g, n, coeffs)
 
 
@@ -202,6 +188,15 @@ def correction_ledger(
     return CorrectionLedger(g, n, tuple(terms))
 
 
+def _subtract_ledger(coeffs: dict[Generator, Fraction], ledger: CorrectionLedger) -> DivisorClass:
+    """The class with coefficients ``coeffs`` minus each ledger multiplicity
+    on its boundary class."""
+    for term in ledger.terms:
+        gen = delta(term.boundary_class(ledger.g, ledger.n))
+        coeffs[gen] = coeffs.get(gen, Fraction(0)) - term.mult
+    return DivisorClass(ledger.g, ledger.n, coeffs)
+
+
 def class_D_from_theta(
     g: int, n: int, d: Sequence[int], plus_convention: str = "nonneg"
 ) -> DivisorClass:
@@ -210,11 +205,8 @@ def class_D_from_theta(
     the irreducible boundary) off :func:`class_Theta`."""
     ledger = correction_ledger(g, n, d, plus_convention)
     coeffs = dict(class_Theta(g, n, d).coeffs)
-    for term in ledger.terms:
-        gen = delta(term.boundary_class(g, n))
-        coeffs[gen] = coeffs.get(gen, Fraction(0)) - term.mult
-    coeffs[DELTA_IRR] = coeffs.get(DELTA_IRR, Fraction(0)) - ledger.delta_irr_order
-    return DivisorClass(g, n, coeffs)
+    coeffs[DELTA_IRR] -= ledger.delta_irr_order
+    return _subtract_ledger(coeffs, ledger)
 
 
 def class_D_direct(
@@ -225,28 +217,14 @@ def class_D_direct(
     classes, the usual boundary coefficients, minus the vanishing
     corrections.  Agrees with :func:`class_D_from_theta`."""
     ledger = correction_ledger(g, n, d, plus_convention)
-    d = tuple(d)
     _warn_small_genus(g)
-    coeffs: dict[Generator, Fraction] = {LAMBDA1: Fraction(-1)}
-    for i in range(1, n + 1):
-        w = d[i - 1]
-        coeffs[K(i)] = Fraction(w * (w + 1), 2)
-    for b in enumerate_boundary(g, n):
-        dP = weight_sum(d, b.P)
-        if b.h == 0:
-            c = -Fraction(dP * dP - sum(d[i - 1] ** 2 for i in b.P), 2)
-        else:
-            c = -Fraction((dP - b.h) * (dP - b.h + 1), 2)
-        coeffs[delta(b)] = c
-    for term in ledger.terms:
-        gen = delta(term.boundary_class(g, n))
-        coeffs[gen] = coeffs.get(gen, Fraction(0)) - term.mult
-    return DivisorClass(g, n, coeffs)
+    coeffs = {LAMBDA1: Fraction(-1), **_pullback(g, n, tuple(d), shift=1)}
+    return _subtract_ledger(coeffs, ledger)
 
 
 def theta_intersection(
     curve: TestCurve, d: Sequence[int], kind: str, g: int, n: int
-) -> Union[Fraction, Unavailable]:
+) -> Fraction:
     """Intersection number of a test curve with the theta pullback of the
     given kind ("T" for degree 0, "Theta" for degree g-1).
 
@@ -254,21 +232,20 @@ def theta_intersection(
     Abel-Jacobi embedding.  For kind "T" the elliptic-tail and
     irreducible-node families meet the pullback trivially (the trivialized
     theta value is constant along them).  For kind "Theta" those two
-    numbers are not supplied; :data:`UNAVAILABLE` is returned and the
+    numbers are not supplied and ``ValueError`` is raised; the
     reconstruction uses pinned coefficient constraints instead.
     """
     if kind not in ("T", "Theta"):
         raise ValueError(f'kind must be "T" or "Theta", got {kind!r}')
-    d = check_weights(g, n, d, degree=0 if kind == "T" else g - 1)
+    shift = 0 if kind == "T" else 1
+    d = check_weights(g, n, d, degree=shift * (g - 1))
     _check_curve(curve, g, n)
     if curve.kind == "point":
         return Fraction(d[curve.i - 1] ** 2 * g)
     if curve.kind == "node":
         b = curve.boundary
-        dP = weight_sum(d, b.P)
-        if kind == "T":
-            return Fraction(dP * dP * (g - b.h))
-        return Fraction((dP - b.h) ** 2 * (g - b.h))
+        e = weight_sum(d, b.P) - shift * b.h
+        return Fraction(e * e * (g - b.h))
     if kind == "T":
         return Fraction(0)
-    return UNAVAILABLE
+    raise ValueError(f"no degree-(g-1) theta intersection number for the {curve_label(curve)} family")

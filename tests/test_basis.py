@@ -151,6 +151,16 @@ def test_class_rejects_bad_generators():
         DivisorClass(3, 2, {delta(BoundaryIndex(2, (2,))): 1})
 
 
+def test_bool_is_not_an_integer():
+    # bool subclasses int, but True is neither a genus, a count nor an index
+    with pytest.raises(ValueError, match="marked points"):
+        enumerate_boundary(3, True)
+    with pytest.raises(ValueError, match="genus"):
+        DivisorClass(True, 2, {})
+    with pytest.raises(ValueError, match="point index"):
+        K(True)
+
+
 def test_zero_coefficients_dropped():
     assert DivisorClass(3, 2, {K(1): 0, LAMBDA1: Fraction(0)}) == DivisorClass.zero(3, 2)
     assert DELTA_IRR not in DivisorClass(3, 2, {DELTA_IRR: Fraction(0)}).coeffs

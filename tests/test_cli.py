@@ -69,6 +69,14 @@ def test_verify_t_and_theta(capsys):
         assert json.loads(out)["ok"] is True
 
 
+def test_verify_rejects_nonpositive_trials(capsys):
+    for trials in ("0", "-5"):
+        code, out, err = run(capsys, "verify", "T", "--g", "3", "--n", "2", "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert "--trials must be at least 1" in err
+
+
 def test_byte_identical_output(capsys):
     argv = ["verify", "T", "--g", "3", "--n", "2", "--trials", "3", "--seed", "99"]
     _, first, _ = run(capsys, *argv)

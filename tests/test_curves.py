@@ -45,6 +45,11 @@ def test_enumeration_requires_genus_three():
         enumerate_test_curves(2, 1)
 
 
+def test_point_curve_rejects_bool():
+    with pytest.raises(ValueError, match="point index"):
+        point_curve(True)
+
+
 def test_point_curve_pairings():
     assert intersect(point_curve(1), K(1), 3, 2) == 4  # 2g - 2
     assert intersect(point_curve(1), K(2), 3, 2) == 0

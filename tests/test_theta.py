@@ -25,7 +25,6 @@ from thetadiv.curves import (
     point_curve,
 )
 from thetadiv.theta import (
-    UNAVAILABLE,
     class_D_direct,
     class_D_from_theta,
     class_T,
@@ -86,6 +85,14 @@ def test_class_T_degree_validation():
         class_T(3, 2, (1, 0))
     with pytest.raises(ValueError, match="expected 2 weights"):
         class_T(3, 2, (0,))
+
+
+def test_bool_genus_and_weights_rejected():
+    # bool subclasses int but is neither a genus nor a weight
+    with pytest.raises(ValueError, match="genus"):
+        class_T(True, 2, (1, -1))
+    with pytest.raises(ValueError, match="integers"):
+        class_T(3, 2, (True, -1))
 
 
 def test_class_Theta_frozen_example():
@@ -231,8 +238,10 @@ def test_theta_intersection_values():
     assert theta_intersection(z, (3, -1), "Theta", 3, 2) == (3 - 1) ** 2 * 2
     assert theta_intersection(ELLIPTIC_TAIL, (1, -1), "T", 3, 2) == 0
     assert theta_intersection(IRREDUCIBLE_NODE, (1, -1), "T", 3, 2) == 0
-    assert theta_intersection(ELLIPTIC_TAIL, (3, -1), "Theta", 3, 2) is UNAVAILABLE
-    assert theta_intersection(IRREDUCIBLE_NODE, (3, -1), "Theta", 3, 2) is UNAVAILABLE
+    with pytest.raises(ValueError, match="elliptic_tail"):
+        theta_intersection(ELLIPTIC_TAIL, (3, -1), "Theta", 3, 2)
+    with pytest.raises(ValueError, match="irreducible_node"):
+        theta_intersection(IRREDUCIBLE_NODE, (3, -1), "Theta", 3, 2)
     with pytest.raises(ValueError, match="kind"):
         theta_intersection(point_curve(1), (1, -1), "theta", 3, 2)
 
@@ -252,6 +261,37 @@ def test_intersection_numbers_match_pairing_against_classes():
                 if curve.kind not in ("point", "node"):
                     continue
                 assert pair(curve, cTh) == theta_intersection(curve, d, "Theta", g, n)
+
+
+def forget_pullback(c):
+    """pi^* along the map forgetting a new marking n+1 (Arbarello-Cornalba):
+    lambda1, delta_irr and K_i stay, delta_h^P becomes
+    delta_h^P + delta_h^{P u {n+1}}."""
+    g, n = c.g, c.n
+    coeffs = {}
+    for gen, v in c.coeffs.items():
+        if gen.kind != "delta":
+            coeffs[gen] = v
+            continue
+        b = gen.boundary
+        for P in (b.P, b.P + (n + 1,)):
+            moved = bgen(g, n + 1, b.h, P)
+            coeffs[moved] = coeffs.get(moved, 0) + v
+    return DivisorClass(g, n + 1, coeffs)
+
+
+def test_forgetful_pullback_compatibility():
+    # s_{(d, 0)} = s_d o pi, so appending a zero weight must pull back along
+    # pi; this is a derivation the closed formulas do not share
+    rng = random.Random(41)
+    for _ in range(100):
+        g, n = rng.randint(3, 5), rng.randint(2, 4)
+        d0 = random_weights(rng, n, 0)
+        d1 = random_weights(rng, n, g - 1)
+        dD = random_negative_weights(rng, n, g - 1)
+        cases = [(class_T, d0), (class_Theta, d1), (class_D_direct, dD), (class_D_from_theta, dD)]
+        for f, d in cases:
+            assert f(g, n + 1, d + (0,)) == forget_pullback(f(g, n, d)), (f.__name__, g, d)
 
 
 def test_permutation_equivariance():
