@@ -91,8 +91,8 @@ def canonicalize_boundary(h: int, P: Iterable[int], g: int, n: int) -> BoundaryI
     """
     _check_gn(g, n)
     pts = tuple(sorted(set(P)))
-    if not 0 <= h <= g:
-        raise ValueError(f"genus part {h} out of range for genus {g}")
+    if not (type(h) is int and 0 <= h <= g):
+        raise ValueError(f"genus part {h!r} out of range for genus {g}")
     if pts and (pts[0] < 1 or pts[-1] > n):
         raise ValueError(f"marking set {pts} not contained in 1..{n}")
     comp = tuple(i for i in range(1, n + 1) if i not in set(pts))
@@ -110,10 +110,24 @@ def canonicalize_boundary(h: int, P: Iterable[int], g: int, n: int) -> BoundaryI
     return rep
 
 
+_MAX_BOUNDARY_CLASSES = 2**20
+
+
+def _boundary_count(g: int, n: int) -> int:
+    """B(g, n): 2^n - n - 1 genus-0 classes, 2^n for each genus part
+    0 < h < g/2, and 2^(n-1) for h = g/2 when g is even."""
+    return 2**n - n - 1 + (g - 1) // 2 * 2**n + (1 - g % 2) * 2 ** (n - 1)
+
+
 def enumerate_boundary(g: int, n: int) -> list[BoundaryIndex]:
     """All boundary classes, one canonical representative each, ordered by
-    genus part, then size of the marking set, then lexicographically."""
+    genus part, then size of the marking set, then lexicographically.
+    Refused, before any enumeration, above 2^20 classes."""
     _check_gn(g, n)
+    # the 2^n - n - 1 genus-0 classes alone exceed the cap from this n on,
+    # so a huge n never reaches 2**n
+    if n >= _MAX_BOUNDARY_CLASSES.bit_length() or _boundary_count(g, n) > _MAX_BOUNDARY_CLASSES:
+        raise ValueError(f"(g={g}, n={n}) has more than {_MAX_BOUNDARY_CLASSES} boundary classes")
     classes: list[BoundaryIndex] = []
     for h in range(0, g // 2 + 1):
         if h == 0:
@@ -222,9 +236,10 @@ def _check_generator(gen: Generator, g: int, n: int) -> None:
 
 def basis_generators(g: int, n: int) -> list[Generator]:
     """The ordered divisor basis: lambda1, delta_irr, K_1..K_n, boundary classes."""
+    boundary = enumerate_boundary(g, n)
     gens = [LAMBDA1, DELTA_IRR]
     gens.extend(K(i) for i in range(1, n + 1))
-    gens.extend(delta(b) for b in enumerate_boundary(g, n))
+    gens.extend(delta(b) for b in boundary)
     return gens
 
 
@@ -243,7 +258,10 @@ class DivisorClass:
         clean: dict[Generator, Fraction] = {}
         for gen, c in self.coeffs.items():
             _check_generator(gen, self.g, self.n)
-            c = Fraction(c)
+            if type(c) is int:
+                c = Fraction(c)
+            elif not isinstance(c, Fraction):
+                raise ValueError(f"coefficients must be int or Fraction, got {c!r}")
             if c != 0:
                 clean[gen] = c
         object.__setattr__(self, "coeffs", clean)
@@ -279,7 +297,6 @@ class DivisorClass:
         return self + (-other)
 
     def scale(self, c) -> "DivisorClass":
-        c = Fraction(c)
         return DivisorClass(self.g, self.n, {gen: c * v for gen, v in self.coeffs.items()})
 
     def __rmul__(self, c) -> "DivisorClass":

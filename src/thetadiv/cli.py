@@ -35,14 +35,7 @@ from .basis import _boundary_label, basis_generators, generator_label
 from .curves import build_matrix, curve_label, enumerate_test_curves
 from .drcycle import dr_expansion, monomial_label
 from .solve import certify_basis, reconstruct_T, reconstruct_Theta
-from .theta import (
-    PLUS_CONVENTIONS,
-    class_D_direct,
-    class_D_from_theta,
-    class_T,
-    class_Theta,
-    correction_ledger,
-)
+from .theta import class_D_direct, class_D_from_theta, class_T, class_Theta, correction_ledger
 
 FORMATS = ("pretty", "json", "csv")
 
@@ -115,12 +108,14 @@ def verify_theta(g: int, n: int, trials: int, seed: int) -> dict:
     )
 
 
-def verify_mueller(g: int, n: int, trials: int, seed: int, plus_convention: str) -> dict:
+def verify_mueller(g: int, n: int, trials: int, seed: int, plus_convention: str = "nonneg") -> dict:
+    # plus_convention stays for positional callers; "nonneg" is the only one
+    if plus_convention != "nonneg":
+        raise ValueError(f'plus_convention must be "nonneg", got {plus_convention!r}')
     report = _sweep(
         g, n, trials, seed, "mueller",
         lambda rng: sample_negative_weights(rng, n, g - 1),
-        lambda d: class_D_direct(g, n, d, plus_convention)
-        == class_D_from_theta(g, n, d, plus_convention),
+        lambda d: class_D_direct(g, n, d) == class_D_from_theta(g, n, d),
     )
     report["plus_convention"] = plus_convention
     return report
@@ -191,19 +186,19 @@ def _cmd_class(args) -> int:
     elif args.kind == "theta":
         divclass = class_Theta(args.g, args.n, d)
     else:
-        divclass = class_D_direct(args.g, args.n, d, args.plus)
+        divclass = class_D_direct(args.g, args.n, d)
     return _emit_class(divclass, args.format)
 
 
 def _cmd_ledger(args) -> int:
-    ledger = correction_ledger(args.g, args.n, _parse_weights(args.d), args.plus)
+    ledger = correction_ledger(args.g, args.n, _parse_weights(args.d))
     terms = [{"h": t.h, "P": list(t.P), "mult": t.mult} for t in ledger.terms]
     if args.format == "json":
         return _emit_json(
             {
                 "g": ledger.g,
                 "n": ledger.n,
-                "plus_convention": args.plus,
+                "plus_convention": "nonneg",
                 "terms": terms,
                 "delta_irr_order": str(ledger.delta_irr_order),
             }
@@ -237,7 +232,7 @@ def _cmd_verify(args) -> int:
     elif args.target == "theta":
         report = verify_theta(args.g, args.n, args.trials, args.seed)
     else:
-        report = verify_mueller(args.g, args.n, args.trials, args.seed, args.plus)
+        report = verify_mueller(args.g, args.n, args.trials, args.seed)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
 
@@ -277,14 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("T", "theta", "mueller"))
     _add_gn(p)
     p.add_argument("--d", required=True, help="comma-separated integer weights")
-    p.add_argument("--plus", choices=PLUS_CONVENTIONS, default="nonneg")
     _add_format(p)
     p.set_defaults(func=_cmd_class)
 
     p = sub.add_parser("ledger", help="boundary vanishing corrections")
     _add_gn(p)
     p.add_argument("--d", required=True, help="comma-separated integer weights")
-    p.add_argument("--plus", choices=PLUS_CONVENTIONS, default="nonneg")
     _add_format(p)
     p.set_defaults(func=_cmd_ledger)
 
@@ -299,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gn(p)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--plus", choices=PLUS_CONVENTIONS, default="nonneg")
     p.set_defaults(func=_cmd_verify)
 
     return parser

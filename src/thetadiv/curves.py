@@ -99,8 +99,9 @@ def enumerate_test_curves(g: int, n: int) -> list[TestCurve]:
     _check_gn(g, n)
     if g < 3:
         raise ValueError("the test-curve families span the dual basis only for genus >= 3")
+    boundary = enumerate_boundary(g, n)
     curves = [point_curve(i) for i in range(1, n + 1)]
-    curves.extend(boundary_curve(b) for b in enumerate_boundary(g, n))
+    curves.extend(boundary_curve(b) for b in boundary)
     curves.append(ELLIPTIC_TAIL)
     curves.append(IRREDUCIBLE_NODE)
     return curves

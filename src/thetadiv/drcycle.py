@@ -13,7 +13,7 @@ evaluating the expansion at any assignment equals
 
 Monomial counts grow as C(k + g - 1, g) for k nonzero generators; the
 expansion refuses inputs above a cap (default 10**6, overridable via the
-``THETADIV_MONOMIAL_CAP`` environment variable or per call).
+``THETADIV_MONOMIAL_CAP`` environment variable).
 """
 
 from __future__ import annotations
@@ -150,16 +150,14 @@ def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-def dr_expansion(
-    g: int, n: int, d: Sequence[int], max_monomials: int | None = None
-) -> FormalCycle:
+def dr_expansion(g: int, n: int, d: Sequence[int]) -> FormalCycle:
     """Formal expansion of (trivialized theta pullback)^g / g! for weights
     of total degree 0; the coefficient of a monomial with exponents e_j is
     the product of class-coefficient powers divided by the e_j factorials."""
     base = restrict_to_compact_type(class_T(g, n, d))
     gens = sorted(base.coeffs, key=generator_sort_key)
     k = len(gens)
-    cap = monomial_cap() if max_monomials is None else max_monomials
+    cap = monomial_cap()
     count = math.comb(k + g - 1, g) if k else 0
     if count > cap:
         raise ValueError(

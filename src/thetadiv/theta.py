@@ -35,9 +35,12 @@ coefficient, all others the genus-split coefficient.  Both coefficient
 shapes are invariant under swapping a representative with its mirror, so
 the split is well defined.
 
-``plus_convention`` selects which markings count as nonnegative when a
-weight is exactly 0: "nonneg" (d_i >= 0, the default) or "strict"
-(d_i > 0).  The conventions differ only for weight vectors with zeros.
+The effective-divisor locus (Mueller, *The pullback of a theta divisor
+to M_{g,n}-bar*, Math. Nachr. 286 (2013)) depends only on the line bundle
+``O(sum d_i p_i)``.  A weight-0 marking leaves that bundle unchanged, so
+it counts as nonnegative (the plus set is ``d_i >= 0``): the locus for
+``(d, 0)`` is then the pullback of the locus for ``d`` along the map
+forgetting that marking (Arbarello-Cornalba), as it must be.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .basis import (
     DELTA_IRR,
@@ -60,8 +63,6 @@ from .basis import (
     enumerate_boundary,
 )
 from .curves import TestCurve, _check_curve, curve_label
-
-PLUS_CONVENTIONS = ("nonneg", "strict")
 
 
 def _warn_small_genus(g: int) -> None:
@@ -92,13 +93,9 @@ def weight_sum(d: Sequence[int], P: Iterable[int]) -> int:
     return sum(d[i - 1] for i in P)
 
 
-def plus_set(d: Sequence[int], plus_convention: str = "nonneg") -> frozenset[int]:
-    """Markings with nonnegative weight ("nonneg") or positive weight ("strict")."""
-    if plus_convention not in PLUS_CONVENTIONS:
-        raise ValueError(f"plus_convention must be one of {PLUS_CONVENTIONS}")
-    if plus_convention == "nonneg":
-        return frozenset(i for i, w in enumerate(d, start=1) if w >= 0)
-    return frozenset(i for i, w in enumerate(d, start=1) if w > 0)
+def plus_set(d: Sequence[int]) -> frozenset[int]:
+    """Markings with nonnegative weight; a weight-0 marking counts."""
+    return frozenset(i for i, w in enumerate(d, start=1) if w >= 0)
 
 
 def _pullback(g: int, n: int, d: tuple[int, ...], shift: int) -> dict[Generator, Fraction]:
@@ -158,12 +155,10 @@ class CorrectionLedger:
     g: int
     n: int
     terms: tuple[CorrectionTerm, ...]
-    delta_irr_order: Fraction = Fraction(1, 8)
+    delta_irr_order: ClassVar[Fraction] = Fraction(1, 8)
 
 
-def correction_ledger(
-    g: int, n: int, d: Sequence[int], plus_convention: str = "nonneg"
-) -> CorrectionLedger:
+def correction_ledger(g: int, n: int, d: Sequence[int]) -> CorrectionLedger:
     """Scan both representatives of every boundary class and record the
     vanishing multiplicity h - d_P wherever P lies inside the plus set and
     h > d_P.  At most one representative per class can qualify because some
@@ -172,7 +167,7 @@ def correction_ledger(
     d = check_weights(g, n, d, degree=g - 1)
     if min(d) >= 0:
         raise ValueError("the effective-divisor locus needs at least one negative weight")
-    plus = plus_set(d, plus_convention)
+    plus = plus_set(d)
     terms: list[CorrectionTerm] = []
     for b in enumerate_boundary(g, n):
         hits = []
@@ -197,26 +192,22 @@ def _subtract_ledger(coeffs: dict[Generator, Fraction], ledger: CorrectionLedger
     return DivisorClass(ledger.g, ledger.n, coeffs)
 
 
-def class_D_from_theta(
-    g: int, n: int, d: Sequence[int], plus_convention: str = "nonneg"
-) -> DivisorClass:
+def class_D_from_theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     """Class of the closed effective-divisor locus, computed by stripping
     the identically-vanishing boundary multiplicities (and the 1/8 along
     the irreducible boundary) off :func:`class_Theta`."""
-    ledger = correction_ledger(g, n, d, plus_convention)
+    ledger = correction_ledger(g, n, d)
     coeffs = dict(class_Theta(g, n, d).coeffs)
     coeffs[DELTA_IRR] -= ledger.delta_irr_order
     return _subtract_ledger(coeffs, ledger)
 
 
-def class_D_direct(
-    g: int, n: int, d: Sequence[int], plus_convention: str = "nonneg"
-) -> DivisorClass:
+def class_D_direct(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     """Class of the closed effective-divisor locus, evaluated by its own
     closed formula: -lambda1, zero delta_irr, d_i(d_i+1)/2 on the point
     classes, the usual boundary coefficients, minus the vanishing
     corrections.  Agrees with :func:`class_D_from_theta`."""
-    ledger = correction_ledger(g, n, d, plus_convention)
+    ledger = correction_ledger(g, n, d)
     _warn_small_genus(g)
     coeffs = {LAMBDA1: Fraction(-1), **_pullback(g, n, tuple(d), shift=1)}
     return _subtract_ledger(coeffs, ledger)

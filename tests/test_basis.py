@@ -161,6 +161,35 @@ def test_bool_is_not_an_integer():
         K(True)
 
 
+def test_canonicalize_rejects_non_int_genus_part():
+    # True and 1.0 compare equal to 1 but are no genus part
+    for h in (True, 1.0):
+        with pytest.raises(ValueError, match="genus part"):
+            canonicalize_boundary(h, (1,), 3, 2)
+
+
+def test_class_coefficients_must_be_exact():
+    # a float converts exactly but silently (0.1 -> 3602879701896397/2^55),
+    # and a string parses: neither is an exact rational the caller chose
+    for c in (0.1, 0.5, "1/2", True):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            DivisorClass(3, 2, {K(1): c})
+    with pytest.raises(ValueError, match="int or Fraction"):
+        DivisorClass(3, 2, {K(1): 1}).scale(0.5)
+    assert DivisorClass(3, 2, {K(1): 2, LAMBDA1: Fraction(1, 2)}).coeffs == {
+        K(1): Fraction(2),
+        LAMBDA1: Fraction(1, 2),
+    }
+
+
+def test_boundary_count_matches_enumeration():
+    from thetadiv.basis import _boundary_count
+
+    for g in range(1, 9):
+        for n in range(1, 10):
+            assert _boundary_count(g, n) == len(enumerate_boundary(g, n)), (g, n)
+
+
 def test_zero_coefficients_dropped():
     assert DivisorClass(3, 2, {K(1): 0, LAMBDA1: Fraction(0)}) == DivisorClass.zero(3, 2)
     assert DELTA_IRR not in DivisorClass(3, 2, {DELTA_IRR: Fraction(0)}).coeffs

@@ -1,10 +1,20 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
 
 import json
+import shlex
+import time
+from pathlib import Path
 
 import pytest
 
-from thetadiv.cli import main
+from thetadiv.cli import main, verify_mueller
+
+
+def readme_commands():
+    """The ``thetadiv ...`` lines of the sh block under "## Command line"."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("thetadiv ")]
 
 
 def run(capsys, *argv):
@@ -196,3 +206,43 @@ def test_class_json_round_trips_through_schema(capsys):
     )
     assert code == 0
     assert DivisorClass.from_json_dict(json.loads(out)) == class_Theta(4, 2, (4, -1))
+
+
+def test_oversized_basis_exits_fast(capsys, monkeypatch):
+    import thetadiv.basis as basis
+
+    def no_subsets(*args, **kwargs):
+        raise AssertionError("enumerated subsets")
+
+    monkeypatch.setattr(basis, "_subsets", no_subsets)
+    # (3, 20) is the first n past the cap of 2^20 boundary classes at g = 3
+    for g, n in [("3", "40"), ("3", "1000000000"), ("1000000000", "1"), ("3", "20")]:
+        for command in ("basis", "curves", "matrix"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, "--g", g, "--n", n)
+            assert time.perf_counter() - start < 0.5
+            assert code == 2
+            assert out == ""
+            assert "boundary classes" in err
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_examples(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out
+
+
+def test_plus_option_is_gone(capsys):
+    for argv in (
+        ["class", "mueller", "--g", "3", "--n", "2", "--d", "3,-1", "--plus", "nonneg"],
+        ["ledger", "--g", "3", "--n", "2", "--d", "3,-1", "--plus", "strict"],
+        ["verify", "mueller", "--g", "3", "--n", "2", "--plus", "nonneg"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert verify_mueller(3, 2, 3, 7, "nonneg") == verify_mueller(3, 2, 3, 7)
+    with pytest.raises(ValueError, match="nonneg"):
+        verify_mueller(3, 2, 3, 7, "strict")

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from thetadiv.basis import (
     DELTA_IRR,
@@ -175,24 +177,6 @@ def test_correction_ledger_preconditions():
         correction_ledger(3, 2, (1, 1))
     with pytest.raises(ValueError, match="degree"):
         correction_ledger(3, 2, (1, -1))
-    with pytest.raises(ValueError, match="plus_convention"):
-        correction_ledger(3, 2, (3, -1), "positive")
-
-
-def test_plus_conventions_differ_only_with_zero_weights():
-    d = (3, 0, -1)  # degree 2 = g - 1 at g = 3
-    nonneg = correction_ledger(3, 3, d, "nonneg")
-    strict = correction_ledger(3, 3, d, "strict")
-    assert {(t.h, t.P) for t in nonneg.terms} != {(t.h, t.P) for t in strict.terms}
-
-    rng = random.Random(23)
-    for _ in range(20):
-        d = random_negative_weights(rng, 3, 2)
-        if 0 in d:
-            continue
-        a = correction_ledger(3, 3, d, "nonneg")
-        b = correction_ledger(3, 3, d, "strict")
-        assert a.terms == b.terms
 
 
 def test_mueller_class_frozen_example():
@@ -226,9 +210,8 @@ def test_mueller_class_invariants():
 
 
 def test_mueller_conventions_match_when_consistent():
-    for conv in ("nonneg", "strict"):
-        d = (3, 0, -1)
-        assert class_D_direct(3, 3, d, conv) == class_D_from_theta(3, 3, d, conv)
+    d = (3, 0, -1)
+    assert class_D_direct(3, 3, d) == class_D_from_theta(3, 3, d)
 
 
 def test_theta_intersection_values():
@@ -292,6 +275,33 @@ def test_forgetful_pullback_compatibility():
         cases = [(class_T, d0), (class_Theta, d1), (class_D_direct, dD), (class_D_from_theta, dD)]
         for f, d in cases:
             assert f(g, n + 1, d + (0,)) == forget_pullback(f(g, n, d)), (f.__name__, g, d)
+
+
+@st.composite
+def zero_insertions(draw):
+    """(g, n, the first n-1 weights, a position 1..n+1 for a new weight 0)."""
+    g = draw(st.integers(3, 5))
+    n = draw(st.integers(2, 4))
+    head = draw(st.lists(st.integers(-6, 6), min_size=n - 1, max_size=n - 1))
+    return g, n, tuple(head), draw(st.integers(1, n + 1))
+
+
+@pytest.mark.parametrize(
+    "f, shift",
+    [(class_T, 0), (class_Theta, 1), (class_D_direct, 1), (class_D_from_theta, 1)],
+    ids=["T", "Theta", "D_direct", "D_from_theta"],
+)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=zero_insertions())
+def test_forgetful_pullback_with_zero_anywhere(f, shift, case):
+    # a weight 0 at position i is the zero appended at n+1, then moved to i
+    g, n, head, i = case
+    d = head + (shift * (g - 1) - sum(head),)
+    if f in (class_D_direct, class_D_from_theta):
+        assume(min(d) < 0)
+    sigma = tuple(range(1, i)) + tuple(range(i + 1, n + 2)) + (i,)
+    inserted = d[: i - 1] + (0,) + d[i - 1 :]
+    assert f(g, n + 1, inserted) == relabel_class(forget_pullback(f(g, n, d)), sigma)
 
 
 def test_permutation_equivariance():
