@@ -81,36 +81,9 @@ class BoundaryIndex:
         return g - self.h, self.complement(n)
 
 
-def canonicalize_boundary(h: int, P: Iterable[int], g: int, n: int) -> BoundaryIndex:
-    """Return the canonical representative of the boundary class (h, P).
-
-    (h, P) and (g-h, P complement) map to the same value.  Raises
-    ``ValueError`` for out-of-range input and for unstable classes (a
-    genus-0 side with fewer than two markings, checked on both
-    representatives).
-    """
-    _check_gn(g, n)
-    pts = tuple(sorted(set(P)))
-    if not (type(h) is int and 0 <= h <= g):
-        raise ValueError(f"genus part {h!r} out of range for genus {g}")
-    if pts and (pts[0] < 1 or pts[-1] > n):
-        raise ValueError(f"marking set {pts} not contained in 1..{n}")
-    comp = tuple(i for i in range(1, n + 1) if i not in set(pts))
-    if h < g - h:
-        rep = BoundaryIndex(h, pts)
-    elif h > g - h:
-        rep = BoundaryIndex(g - h, comp)
-    else:
-        rep = BoundaryIndex(h, pts if 1 in pts else comp)
-    if rep.h == 0 and len(rep.P) < 2:
-        raise ValueError(
-            f"unstable boundary class: ({h}, {pts}) has a genus-0 side "
-            "with fewer than two marked points"
-        )
-    return rep
-
-
 _MAX_BOUNDARY_CLASSES = 2**20
+# the 2^n - n - 1 genus-0 classes alone exceed the cap from this n on
+_MAX_MARKINGS = _MAX_BOUNDARY_CLASSES.bit_length()
 
 
 def _boundary_count(g: int, n: int) -> int:
@@ -119,15 +92,47 @@ def _boundary_count(g: int, n: int) -> int:
     return 2**n - n - 1 + (g - 1) // 2 * 2**n + (1 - g % 2) * 2 ** (n - 1)
 
 
+def _check_boundary_count(g: int, n: int) -> None:
+    """Refuse a (g, n) with more than 2^20 boundary classes; a huge n is
+    refused before 2**n is formed."""
+    if n >= _MAX_MARKINGS or _boundary_count(g, n) > _MAX_BOUNDARY_CLASSES:
+        raise ValueError(f"(g={g}, n={n}) has more than {_MAX_BOUNDARY_CLASSES} boundary classes")
+
+
+def canonicalize_boundary(h: int, P: Iterable[int], g: int, n: int) -> BoundaryIndex:
+    """Return the canonical representative of the boundary class (h, P).
+
+    (h, P) and (g-h, P complement) map to the same value.  Raises
+    ``ValueError`` for out-of-range input, for unstable classes (a
+    genus-0 side with fewer than two markings, checked on both
+    representatives) and, in O(1), for an n that no boundary enumeration
+    accepts.
+    """
+    _check_gn(g, n)
+    if n >= _MAX_MARKINGS:  # refuse before any O(n) work
+        _check_boundary_count(g, n)
+    pts = tuple(sorted(set(P)))
+    if not (type(h) is int and 0 <= h <= g):
+        raise ValueError(f"genus part {h!r} out of range for genus {g}")
+    if pts and (pts[0] < 1 or pts[-1] > n):
+        raise ValueError(f"marking set {pts} not contained in 1..{n}")
+    rep = BoundaryIndex(h, pts)
+    if h > g - h or (h == g - h and 1 not in pts):
+        rep = BoundaryIndex(g - h, rep.complement(n))
+    if rep.h == 0 and len(rep.P) < 2:
+        raise ValueError(
+            f"unstable boundary class: ({h}, {pts}) has a genus-0 side "
+            "with fewer than two marked points"
+        )
+    return rep
+
+
 def enumerate_boundary(g: int, n: int) -> list[BoundaryIndex]:
     """All boundary classes, one canonical representative each, ordered by
     genus part, then size of the marking set, then lexicographically.
     Refused, before any enumeration, above 2^20 classes."""
     _check_gn(g, n)
-    # the 2^n - n - 1 genus-0 classes alone exceed the cap from this n on,
-    # so a huge n never reaches 2**n
-    if n >= _MAX_BOUNDARY_CLASSES.bit_length() or _boundary_count(g, n) > _MAX_BOUNDARY_CLASSES:
-        raise ValueError(f"(g={g}, n={n}) has more than {_MAX_BOUNDARY_CLASSES} boundary classes")
+    _check_boundary_count(g, n)
     classes: list[BoundaryIndex] = []
     for h in range(0, g // 2 + 1):
         if h == 0:
@@ -347,7 +352,9 @@ def psi_in_k_basis(i: int, g: int, n: int) -> DivisorClass:
 
 def _substitute_psi(g: int, n: int, coeffs: Mapping[Generator, Fraction], sign: int) -> DivisorClass:
     """Add ``sign`` times each point-slot coefficient to every delta_0^P with
-    i in P and |P| >= 2: sign -1 reads the slots as K_i, +1 as psi_i."""
+    i in P and |P| >= 2: sign -1 reads the slots as K_i, +1 as psi_i.
+    Refused, as :func:`enumerate_boundary` is, above 2^20 boundary classes."""
+    _check_boundary_count(g, n)
     out = dict(coeffs)
     for i in range(1, n + 1):
         a = sign * coeffs.get(K(i), Fraction(0))

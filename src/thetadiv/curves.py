@@ -14,13 +14,14 @@ Four kinds of one-parameter families pair against the divisor basis:
 * ``IRREDUCIBLE_NODE``: a rational bridge with one leg moving along a fixed
   elliptic curve, glued so the generic member has a non-separating node.
 
-:func:`intersect` hardcodes the intersection numbers these families have
-with each basis divisor (they follow from the standard boundary-restriction
-computations; the elliptic-tail values already account for the 1/2
-weighting).  Matching of a boundary divisor against a degeneration is done
-by comparing canonical class representatives, so mirrored queries agree.
-:func:`build_matrix` assembles the full pairing matrix, which is invertible
-for g >= 3: the families span the dual of the divisor basis.
+Each family's intersection numbers with the basis divisors are stated
+once, as its sparse row of nonzero entries (they follow from the standard
+boundary-restriction computations; the elliptic-tail values already account
+for the 1/2 weighting).  Boundary entries are keyed by canonical class
+representatives, so mirrored queries agree.  :func:`intersect` and
+:func:`pair` validate once and read one row; :func:`build_matrix` reads
+every row once to assemble the full pairing matrix, which is invertible for
+g >= 3: the families span the dual of the divisor basis.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from .basis import (
+    DELTA_IRR,
+    K,
+    LAMBDA1,
     BoundaryIndex,
     DivisorClass,
     Generator,
@@ -41,6 +45,7 @@ from .basis import (
     _check_index,
     basis_generators,
     canonicalize_boundary,
+    delta,
     enumerate_boundary,
     generator_label,
     relabel_boundary,
@@ -107,60 +112,40 @@ def enumerate_test_curves(g: int, n: int) -> list[TestCurve]:
     return curves
 
 
-def _point_pairing(i: int, gen: Generator, g: int, n: int) -> Fraction:
-    if gen.kind == "K":
-        return Fraction(2 * g - 2) if gen.i == i else Fraction(0)
-    if gen.kind == "delta":
-        b = gen.boundary
-        # the moving point collides with another marking: a rational tail
-        if b.h == 0 and len(b.P) == 2 and i in b.P:
-            return Fraction(1)
-        return Fraction(0)
-    return Fraction(0)  # lambda1 and delta_irr restrict trivially
-
-
-def _node_pairing(b: BoundaryIndex, gen: Generator, g: int, n: int) -> Fraction:
-    h, P = b.h, b.P
-    comp = b.complement(n)
-    if gen.kind == "K":
-        if h == 0 and gen.i in P:
-            return Fraction(2 * g - 2)
-        if h > 0 and gen.i not in P:
-            return Fraction(1)
-        return Fraction(0)
-    if gen.kind == "delta":
-        total = Fraction(0)
-        if gen.boundary == b:
-            # self-intersection: minus the degree of the normal direction
-            total += 2 - 2 * (g - h) - len(comp)
+def _row(curve: TestCurve, g: int, n: int) -> dict[Generator, Fraction]:
+    """The pairings of a valid test curve with the basis for (g, n) that can
+    be nonzero, keyed by generator; every generator absent pairs to 0."""
+    if curve.kind == "point":
+        i = curve.i
+        row = {K(i): Fraction(2 * g - 2)}
+        for j in range(1, n + 1):
+            if j != i:
+                # the moving point collides with another marking: a rational tail
+                row[delta(canonicalize_boundary(0, (i, j), g, n))] = Fraction(1)
+        return row  # lambda1 and delta_irr restrict trivially
+    if curve.kind == "node":
+        b = curve.boundary
+        comp = b.complement(n)
+        if b.h == 0:
+            row = {K(i): Fraction(2 * g - 2) for i in b.P}
+        else:
+            row = {K(i): Fraction(1) for i in comp}
+        # self-intersection: minus the degree of the normal direction
+        row[delta(b)] = Fraction(2 - 2 * (g - b.h) - len(comp))
         for j in comp:
             # moving attach point hits the marking j: one transverse point
-            if canonicalize_boundary(h, P + (j,), g, n) == gen.boundary:
-                total += 1
-        return total
-    return Fraction(0)  # lambda1 and delta_irr restrict trivially
-
-
-def _elliptic_tail_pairing(gen: Generator, g: int, n: int) -> Fraction:
-    if gen.kind == "lambda1":
-        return Fraction(1, 24)
-    if gen.kind == "delta_irr":
-        return Fraction(1, 2)
-    if gen.kind == "delta":
-        if gen.boundary == canonicalize_boundary(1, (), g, n):
-            return Fraction(-1, 24)
-        return Fraction(0)
-    return Fraction(0)  # K_i: all markings sit on the fixed component
-
-
-def _irreducible_node_pairing(gen: Generator, g: int, n: int) -> Fraction:
-    if gen.kind == "delta_irr":
-        return Fraction(-1)
-    if gen.kind == "delta":
-        if gen.boundary == canonicalize_boundary(1, (), g, n):
-            return Fraction(1)
-        return Fraction(0)
-    return Fraction(0)
+            gen = delta(canonicalize_boundary(b.h, b.P + (j,), g, n))
+            row[gen] = row.get(gen, Fraction(0)) + 1
+        return row  # lambda1 and delta_irr restrict trivially
+    if curve.kind == "elliptic_tail":
+        # K_i: all markings sit on the fixed component
+        row, tail = {LAMBDA1: Fraction(1, 24), DELTA_IRR: Fraction(1, 2)}, Fraction(-1, 24)
+    else:
+        row, tail = {DELTA_IRR: Fraction(-1)}, Fraction(1)
+    # delta_1^{} is unstable, so no generator, only at (g, n) = (1, 1)
+    if (g, n) != (1, 1):
+        row[delta(canonicalize_boundary(1, (), g, n))] = tail
+    return row
 
 
 def intersect(curve: TestCurve, gen: Generator, g: int, n: int) -> Fraction:
@@ -168,21 +153,14 @@ def intersect(curve: TestCurve, gen: Generator, g: int, n: int) -> Fraction:
     _check_gn(g, n)
     _check_curve(curve, g, n)
     _check_generator(gen, g, n)
-    if curve.kind == "point":
-        return _point_pairing(curve.i, gen, g, n)
-    if curve.kind == "node":
-        return _node_pairing(curve.boundary, gen, g, n)
-    if curve.kind == "elliptic_tail":
-        return _elliptic_tail_pairing(gen, g, n)
-    return _irreducible_node_pairing(gen, g, n)
+    return _row(curve, g, n).get(gen, Fraction(0))
 
 
 def pair(curve: TestCurve, divclass: DivisorClass) -> Fraction:
     """Intersection number of a test curve with an arbitrary divisor class."""
-    total = Fraction(0)
-    for gen, c in divclass.coeffs.items():
-        total += c * intersect(curve, gen, divclass.g, divclass.n)
-    return total
+    _check_curve(curve, divclass.g, divclass.n)
+    row = _row(curve, divclass.g, divclass.n)
+    return sum((c * row.get(gen, 0) for gen, c in divclass.coeffs.items()), Fraction(0))
 
 
 def relabel_curve(curve: TestCurve, sigma: tuple[int, ...], g: int, n: int) -> TestCurve:
@@ -244,7 +222,7 @@ def build_matrix(g: int, n: int) -> IntersectionMatrix:
     """Assemble the full test-curve / divisor-basis intersection matrix."""
     curves = enumerate_test_curves(g, n)
     gens = basis_generators(g, n)
-    entries = tuple(
-        tuple(intersect(curve, gen, g, n) for gen in gens) for curve in curves
-    )
+    rows = [_row(curve, g, n) for curve in curves]
+    zero = Fraction(0)
+    entries = tuple(tuple(row.get(gen, zero) for gen in gens) for row in rows)
     return IntersectionMatrix(g, n, tuple(curves), tuple(gens), entries)

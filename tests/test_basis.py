@@ -1,5 +1,6 @@
 """Tests for the divisor basis: canonicalization, enumeration, arithmetic."""
 
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -16,6 +17,7 @@ from thetadiv.basis import (
     delta,
     enumerate_boundary,
     k_to_psi,
+    parse_generator_label,
     psi_in_k_basis,
     psi_to_k,
     relabel_boundary,
@@ -188,6 +190,22 @@ def test_boundary_count_matches_enumeration():
     for g in range(1, 9):
         for n in range(1, 10):
             assert _boundary_count(g, n) == len(enumerate_boundary(g, n)), (g, n)
+
+
+def test_huge_marking_count_refused_before_any_work():
+    # the psi/K change of basis loops over 2^(n-1) subsets per point, and a
+    # mirrored canonical form is a complement of 1..n
+    for call in (
+        lambda: psi_in_k_basis(1, 3, 40),
+        lambda: k_to_psi(DivisorClass(3, 40, {K(1): 1})),
+        lambda: psi_to_k(DivisorClass.zero(3, 40)),
+        lambda: parse_generator_label("delta_1^{1}", 3, 10**9),
+        lambda: canonicalize_boundary(2, (1,), 3, 10**9),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="boundary classes"):
+            call()
+        assert time.perf_counter() - start < 0.5
 
 
 def test_zero_coefficients_dropped():

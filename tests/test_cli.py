@@ -1,13 +1,16 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
 
+import hashlib
 import json
+import random
 import shlex
 import time
 from pathlib import Path
 
 import pytest
 
-from thetadiv.cli import main, verify_mueller
+from thetadiv.cli import main, sample_degree_weights, verify_mueller
+from thetadiv.solve import InconsistentSystemError, SingularMatrixError
 
 
 def readme_commands():
@@ -182,6 +185,52 @@ def test_verify_failure_exit_code_and_report(capsys, monkeypatch):
     assert report["failed"] == 4
     assert len(report["failures"]) == 4
     assert all(len(f["d"]) == 2 for f in report["failures"])
+
+
+@pytest.mark.parametrize(
+    "target, name, error",
+    [
+        ("T", "reconstruct_T", SingularMatrixError("K1")),
+        ("theta", "reconstruct_Theta", InconsistentSystemError(["point1"])),
+    ],
+)
+def test_unsolvable_system_is_a_failed_trial(capsys, monkeypatch, target, name, error):
+    import thetadiv.cli as cli
+
+    def unsolvable(g, n, d):
+        raise error
+
+    monkeypatch.setattr(cli, name, unsolvable)
+    code, out, err = run(capsys, "verify", target, "--g", "3", "--n", "2", "--trials", "3", "--seed", "5")
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)
+    assert (report["ok"], report["passed"], report["failed"]) == (False, 0, 3)
+    rng = random.Random(5)
+    degree = 0 if target == "T" else 2
+    assert report["failures"] == [{"d": list(sample_degree_weights(rng, 2, degree))} for _ in range(3)]
+
+
+# sha256 of the stdout of `thetadiv matrix`, taken before the pairing table
+# was generated row by row
+MATRIX_DIGESTS = {
+    (3, 2, "pretty"): "5db7c4e57eededb50380ff369e440f66a120960da106055ceae611f7c093b79d",
+    (3, 2, "json"): "66b1c9db3f6da0c64bcea21c71f74126b34792aa8b148e45797cbc174812c343",
+    (3, 2, "csv"): "5c95a475919969a5f8b0d1ee8a3983b35d6c0c4afbfa754e2fac7347d5fcb649",
+    (4, 3, "pretty"): "6f6d0586b235d51d1706847288edad53ce18e40f943589b71756f0b4817e58c6",
+    (4, 3, "json"): "623daccc31d7f0040e66c96b1edd636bd0dc1eb7d893b8c58788ae49f3d62603",
+    (4, 3, "csv"): "9a3fe907a630fac66c0a7e58b0e1d1d1bc60f6630f9721d4921b51f6101b5aff",
+    (5, 4, "pretty"): "2fa4892c5ea575c58960bd34d9ae4abb289f25c8917071f41f6bec6e5ddadd14",
+    (5, 4, "json"): "e08a1aaa7e70e147ee485a2eff081b4a542750bb14ce528660667bc330fa8a8e",
+    (5, 4, "csv"): "dd7f38e144f815f10b7d1cfc4cbc0d9ba1e0f7ea66a1063dbe1e96ecc78dbc88",
+}
+
+
+@pytest.mark.parametrize("g, n, fmt", sorted(MATRIX_DIGESTS))
+def test_matrix_output_bytes(capsys, g, n, fmt):
+    code, out, err = run(capsys, "matrix", "--g", str(g), "--n", str(n), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_DIGESTS[g, n, fmt]
 
 
 def test_mueller_verify_impossible_at_one_marking(capsys):

@@ -9,6 +9,7 @@ import pytest
 from thetadiv.basis import (
     DELTA_IRR,
     LAMBDA1,
+    DivisorClass,
     K,
     basis_generators,
     canonicalize_boundary,
@@ -24,6 +25,7 @@ from thetadiv.curves import (
     curve_label,
     enumerate_test_curves,
     intersect,
+    pair,
     point_curve,
     relabel_curve,
 )
@@ -94,6 +96,27 @@ def test_irreducible_node_pairings():
         assert intersect(IRREDUCIBLE_NODE, DELTA_IRR, g, n) == -1
         assert intersect(IRREDUCIBLE_NODE, LAMBDA1, g, n) == 0
         assert intersect(IRREDUCIBLE_NODE, K(1), g, n) == 0
+
+
+def test_pairings_where_delta_1_empty_is_unstable():
+    # at (g, n) = (1, 1) delta_1^{} is no class, yet the other entries stand
+    for gen, tail, irreducible in [
+        (LAMBDA1, Fraction(1, 24), 0),
+        (DELTA_IRR, Fraction(1, 2), -1),
+        (K(1), 0, 0),
+    ]:
+        assert intersect(ELLIPTIC_TAIL, gen, 1, 1) == tail
+        assert intersect(IRREDUCIBLE_NODE, gen, 1, 1) == irreducible
+
+
+def test_pair_validates_curve_for_every_class():
+    for divclass in (DivisorClass.zero(3, 3), DivisorClass(3, 3, {LAMBDA1: 1})):
+        with pytest.raises(ValueError, match="point index 9 out of range"):
+            pair(point_curve(9), divclass)
+        with pytest.raises(ValueError, match="not contained in 1..3"):
+            pair(boundary_curve(canonicalize_boundary(1, (4,), 3, 4)), divclass)
+    assert pair(point_curve(1), DivisorClass.zero(3, 3)) == 0
+    assert pair(point_curve(1), DivisorClass(3, 3, {K(1): 2, bgen(3, 3, 0, (1, 3)): 5})) == 8 + 5
 
 
 def test_matching_is_class_equality():
