@@ -41,16 +41,7 @@ from .curves import (
     point_curve,
 )
 from .drcycle import FormalCycle, dr_expansion, evaluate, restrict_to_compact_type
-from .solve import (
-    InconsistentSystemError,
-    LinearSystem,
-    SingularMatrixError,
-    certify_basis,
-    det_exact,
-    reconstruct_T,
-    reconstruct_Theta,
-    solve_exact,
-)
+from .solve import SingularMatrixError, certify_basis, reconstruct_T, reconstruct_Theta
 from .theta import (
     CorrectionLedger,
     CorrectionTerm,

@@ -34,8 +34,7 @@ from typing import Sequence
 from .basis import _boundary_label, basis_generators, generator_label
 from .curves import build_matrix, curve_label, enumerate_test_curves
 from .drcycle import dr_expansion, monomial_label
-from .solve import InconsistentSystemError, SingularMatrixError
-from .solve import certify_basis, reconstruct_T, reconstruct_Theta
+from .solve import SingularMatrixError, certify_basis, reconstruct_T, reconstruct_Theta
 from .theta import class_D_direct, class_D_from_theta, class_T, class_Theta, correction_ledger
 
 FORMATS = ("pretty", "json", "csv")
@@ -80,7 +79,7 @@ def _sweep(g: int, n: int, trials: int, seed: int, check: str, draw, compare) ->
         d = draw(rng)
         try:
             ok = compare(d)
-        except (SingularMatrixError, InconsistentSystemError):
+        except SingularMatrixError:
             ok = False  # a system the test curves cannot solve fails the trial
         if not ok:
             failures.append({"d": list(d)})

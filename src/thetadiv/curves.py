@@ -21,7 +21,8 @@ for the 1/2 weighting).  Boundary entries are keyed by canonical class
 representatives, so mirrored queries agree.  :func:`intersect` and
 :func:`pair` validate once and read one row; :func:`build_matrix` reads
 every row once to assemble the full pairing matrix, which is invertible for
-g >= 3: the families span the dual of the divisor basis.
+g >= 3: the families span the dual of the divisor basis.  The solver in
+:mod:`thetadiv.solve` reads the sparse rows directly.
 """
 
 from __future__ import annotations
@@ -222,7 +223,11 @@ def build_matrix(g: int, n: int) -> IntersectionMatrix:
     """Assemble the full test-curve / divisor-basis intersection matrix."""
     curves = enumerate_test_curves(g, n)
     gens = basis_generators(g, n)
-    rows = [_row(curve, g, n) for curve in curves]
-    zero = Fraction(0)
-    entries = tuple(tuple(row.get(gen, zero) for gen in gens) for row in rows)
-    return IntersectionMatrix(g, n, tuple(curves), tuple(gens), entries)
+    column = {gen: j for j, gen in enumerate(gens)}
+    entries = []
+    for curve in curves:
+        entry = [Fraction(0)] * len(gens)
+        for gen, value in _row(curve, g, n).items():
+            entry[column[gen]] = value
+        entries.append(tuple(entry))
+    return IntersectionMatrix(g, n, tuple(curves), tuple(gens), tuple(entries))

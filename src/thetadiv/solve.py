@@ -1,36 +1,41 @@
-"""Exact rational linear algebra and divisor-class reconstruction.
+"""Rank certificates and divisor-class reconstruction from test-curve data.
 
-:func:`solve_exact` runs fraction-free (Bareiss) elimination: rows are
-scaled to integers, the forward pass keeps every entry an exact minor of
-the scaled matrix (each two-term update divides exactly by the previous
-pivot), and back substitution happens over Fractions.  Pivots are always
-the first nonzero entry in column order, so failures are reproducible.
-Overdetermined systems are solved on their leading square part and every
-extra row is checked for consistency; redundant data is verified, never
-discarded silently.
+The test-curve system is solved in the shape of its pairing matrix, with
+no dense elimination.  Rows come in basis order (point curves, one node
+curve per boundary class, two last rows), columns too (``lambda1``,
+``delta_irr``, ``K_1 .. K_n``, the boundary classes).
 
-On top of the solver sit the divisor-class reconstructions:
-:func:`certify_basis` certifies that the test-curve pairing matrix has
-full rank (nonzero determinant), and :func:`reconstruct_T` /
-:func:`reconstruct_Theta` recover the theta pullback classes from the
-intersection numbers alone, independently of the closed formulas in
-:mod:`thetadiv.theta`.  Both read their rows from
-:func:`thetadiv.curves.build_matrix`.  The degree-(g-1) system keeps only
-the point and node rows (:func:`thetadiv.theta.theta_intersection` raises
-``ValueError`` for the elliptic-tail and irreducible-node families), so it
-pins the two remaining coefficients instead: ``lambda1 = -1`` and
-``lambda1 + 12 delta_irr = 1/2``.
+* Node rows, last to first, give each boundary coefficient as an affine
+  form in the K's.  The node family (h, P) meets the boundary only in its
+  own class, with diagonal 2 - 2(g-h) - |P complement| <= -2 (g >= 3 and
+  h <= g/2 give g-h >= 2), and in the classes (h, P + {j}), j not in P.
+  Those come later in the order: h < g-h is never mirrored, and at
+  h = g/2 the set P already contains 1.
+* The point rows then leave an n x n system in the K's, and the last two
+  rows a 2 x 2 system in ``lambda1`` and ``delta_irr``; both are solved by
+  Fraction Gauss-Jordan elimination pivoting on the first nonzero entry.
+* No point or node row meets ``lambda1`` or ``delta_irr``, and moving
+  those two columns last is an even permutation, so
+
+      det = (product of the node diagonals) * det(n x n) * det(2 x 2).
+
+:func:`certify_basis` reports rank and determinant with the elliptic-tail
+and irreducible-node rows last.  :func:`reconstruct_T` and
+:func:`reconstruct_Theta` read every right side from
+:func:`thetadiv.theta.theta_intersection`, independently of the closed
+formulas.  That has no degree-(g-1) numbers for the elliptic-tail and
+irreducible-node families, so ``reconstruct_Theta`` ends with the pins
+``lambda1 = -1`` and ``lambda1 + 12 delta_irr = 1/2`` instead.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
-from .basis import DELTA_IRR, LAMBDA1, DivisorClass, generator_label
-from .curves import IntersectionMatrix, build_matrix, curve_label
+from .basis import DELTA_IRR, LAMBDA1, DivisorClass, K, _boundary_count, delta, generator_label
+from .curves import _row, curve_label, enumerate_test_curves
 from .theta import check_weights, theta_intersection
 
 
@@ -42,144 +47,94 @@ class SingularMatrixError(ValueError):
         super().__init__(f"singular system: no pivot available for column {column_label!r}")
 
 
-class InconsistentSystemError(ValueError):
-    """An overdetermined system has contradictory rows."""
-
-    def __init__(self, row_labels: list[str]):
-        self.row_labels = list(row_labels)
-        super().__init__(f"inconsistent system: rows {self.row_labels} contradict the solution")
-
-
-@dataclass
-class LinearSystem:
-    """An exact linear system with labelled rows (test curves or named
-    constraints) and labelled columns (basis generators)."""
-
-    matrix: list[list[Fraction]]
-    rhs: list[Fraction]
-    row_labels: list[str]
-    col_labels: list[str]
-
-    def __post_init__(self) -> None:
-        m = len(self.matrix)
-        if not (len(self.rhs) == len(self.row_labels) == m):
-            raise ValueError("matrix, rhs and row_labels must have matching lengths")
-        widths = {len(row) for row in self.matrix}
-        if widths and widths != {len(self.col_labels)}:
-            raise ValueError("all matrix rows must match the number of column labels")
+def _fraction_str(q: Fraction) -> str:
+    """``str(q)`` for any size: ``Decimal`` turns an int into digits without
+    the interpreter's int-to-str limit, a process-wide setting left alone."""
+    num, den = (str(Decimal(x)) for x in (q.numerator, q.denominator))
+    return num if den == "1" else f"{num}/{den}"
 
 
-def _integerize(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Scale each row by the lcm of its denominators; returns rows and scales."""
-    out: list[list[int]] = []
-    scales: list[int] = []
-    for row in rows:
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in row])
-        scales.append(scale)
-    return out, scales
+def _reduce(row: dict, value: Fraction, solved: dict, n: int) -> list[Fraction]:
+    """A sparse row over K_1..K_n and solved boundary columns, with right
+    side ``value``, as [K coefficients, right side] once every boundary
+    entry is eliminated by the solved row of its column."""
+    vec = [Fraction(0)] * n + [value]
+    for gen, a in row.items():
+        if gen.kind == "K":
+            vec[gen.i - 1] += a
+        else:
+            vec = [x - a * y for x, y in zip(vec, solved[gen])]
+    return vec
 
 
-def _bareiss_echelon(rows: list[list[int]], pivot_cols_limit: int) -> tuple[list[int], list[int], int]:
-    """Fraction-free forward elimination in place.
-
-    Only the first ``pivot_cols_limit`` columns are eligible as pivots
-    (trailing columns are carried along, e.g. an augmented right side).
-    Returns (pivot column list, row permutation, sign of the permutation).
-    """
-    nrows = len(rows)
-    width = len(rows[0]) if rows else 0
-    row_of = list(range(nrows))
-    sign = 1
-    prev = 1
-    piv = 0
-    pivot_cols: list[int] = []
-    for col in range(pivot_cols_limit):
-        if piv == nrows:
-            break
-        pivot_row = None
-        for r in range(piv, nrows):
-            if rows[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
+def _gauss(rows: list[list[Fraction]]) -> tuple[Fraction, list[int], list[int]]:
+    """Gauss-Jordan elimination in place on a square block whose rows end
+    with their right side, pivoting on the first row with a nonzero entry.
+    Returns the determinant (0 when singular), the original indices of the
+    rows left without a pivot, and the columns left without one."""
+    order, det, missing = list(range(len(rows))), Fraction(1), []
+    for col in range(len(rows)):
+        done = col - len(missing)
+        r = next((r for r in range(done, len(rows)) if rows[r][col]), None)
+        if r is None:
+            missing.append(col)
             continue
-        if pivot_row != piv:
-            rows[piv], rows[pivot_row] = rows[pivot_row], rows[piv]
-            row_of[piv], row_of[pivot_row] = row_of[pivot_row], row_of[piv]
-            sign = -sign
-        p = rows[piv][col]
-        for r in range(piv + 1, nrows):
-            factor = rows[r][col]
-            target = rows[r]
-            source = rows[piv]
-            for c in range(col, width):
-                q, rem = divmod(target[c] * p - factor * source[c], prev)
-                if rem:
-                    raise AssertionError("fraction-free elimination lost exact divisibility")
-                target[c] = q
-        prev = p
-        pivot_cols.append(col)
-        piv += 1
-    return pivot_cols, row_of, sign
+        if r != done:
+            rows[done], rows[r], order[done], order[r] = rows[r], rows[done], order[r], order[done]
+            det = -det
+        pivot = rows[done]
+        det *= pivot[col]
+        for i, other in enumerate(rows):
+            if i != done and other[col]:
+                f = other[col] / pivot[col]
+                rows[i] = [x - f * y for x, y in zip(other, pivot)]
+    return (Fraction(0) if missing else det), order[len(rows) - len(missing) :], missing
 
 
-def solve_exact(system: LinearSystem) -> list[Fraction]:
-    """Solve a square or overdetermined-consistent labelled system exactly.
+def _eliminate(g: int, n: int, rhs, pins=None) -> tuple[Fraction, list[str], list, dict | None]:
+    """Solve the test-curve system for (g, n) whose rows have right sides
+    ``rhs(curve)``; the last two rows are the elliptic-tail and
+    irreducible-node rows, or the ``pins``, each (label, sparse row, right
+    side).  Returns the determinant, the labels of the rows and the
+    generators of the columns left without a pivot, and the solution (None
+    when a column has no pivot)."""
+    curves = enumerate_test_curves(g, n)
+    points, nodes = curves[:n], curves[n:-2]
+    last = pins or [(curve_label(c), _row(c, g, n), rhs(c)) for c in curves[-2:]]
+    det = Fraction(1)
+    # boundary generator -> its node row over [K_1..K_n, right side], scaled
+    # to 1 on its own column and with every other boundary column eliminated
+    solved = {}
+    for curve in reversed(nodes):
+        row = _row(curve, g, n)
+        own = delta(curve.boundary)
+        diagonal = row.pop(own)
+        det *= diagonal
+        solved[own] = [x / diagonal for x in _reduce(row, rhs(curve), solved, n)]
 
-    Raises :class:`SingularMatrixError` when some column gets no pivot and
-    :class:`InconsistentSystemError` when extra rows contradict the unique
-    solution of the pivoted part.
-    """
-    m = len(system.matrix)
-    ncols = len(system.col_labels)
-    if m < ncols:
-        raise ValueError(f"underdetermined system: {m} rows for {ncols} unknowns")
-    aug = [list(row) + [b] for row, b in zip(system.matrix, system.rhs)]
-    int_rows, _ = _integerize(aug)
-    pivot_cols, row_of, _ = _bareiss_echelon(int_rows, pivot_cols_limit=ncols)
-    if len(pivot_cols) < ncols:
-        missing = next(c for c in range(ncols) if c not in pivot_cols)
-        raise SingularMatrixError(system.col_labels[missing])
-    bad = [system.row_labels[row_of[r]] for r in range(ncols, m) if int_rows[r][ncols] != 0]
-    if bad:
-        raise InconsistentSystemError(bad)
-    x = [Fraction(0)] * ncols
-    for k in reversed(range(ncols)):
-        row = int_rows[k]
-        s = Fraction(row[ncols])
-        for j in range(k + 1, ncols):
-            s -= row[j] * x[j]
-        x[k] = s / row[k]
-    return x
+    k_block = [_reduce(_row(c, g, n), rhs(c), solved, n) for c in points]
+    det_k, failed_k, missing_k = _gauss(k_block)
+    # the right sides below only matter when the n x n block is regular
+    x_k = [Fraction(0)] * n if missing_k else [r[n] / r[k] for k, r in enumerate(k_block)]
+    last_block = []
+    for _, row, value in last:
+        row = dict(row)
+        head = [Fraction(row.pop(LAMBDA1, 0)), Fraction(row.pop(DELTA_IRR, 0))]
+        vec = _reduce(row, value, solved, n)
+        last_block.append(head + [vec[n] - sum(a * x for a, x in zip(vec, x_k))])
+    det_l, failed_l, missing_l = _gauss(last_block)
 
-
-def _rank_det(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, Fraction, list[int]]:
-    """One Bareiss elimination of a nonempty square rational matrix: its
-    rank, its exact determinant (0 below full rank) and the row order the
-    pivoting left behind."""
-    m = len(matrix)
-    int_rows, scales = _integerize(matrix)
-    pivot_cols, row_of, sign = _bareiss_echelon(int_rows, pivot_cols_limit=m)
-    rank = len(pivot_cols)
-    det = Fraction(0)
-    if rank == m:
-        det = Fraction(sign * int_rows[m - 1][m - 1])
-        for s in scales:
-            det /= s
-    return rank, det, row_of
-
-
-def det_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a square rational matrix (Bareiss)."""
-    m = len(matrix)
-    if any(len(row) != m for row in matrix):
-        raise ValueError("determinant requires a square matrix")
-    if m == 0:
-        return Fraction(1)
-    return _rank_det(matrix)[1]
+    det *= det_k * det_l
+    failed = [curve_label(points[i]) for i in failed_k] + [last[i][0] for i in failed_l]
+    missing = [K(k + 1) for k in missing_k] + [(LAMBDA1, DELTA_IRR)[k] for k in missing_l]
+    if missing:
+        return det, failed, missing, None
+    (lam, _, lam_value), (_, irr, irr_value) = last_block
+    values = {LAMBDA1: lam_value / lam, DELTA_IRR: irr_value / irr}
+    values.update((K(k + 1), x) for k, x in enumerate(x_k))
+    for gen, form in reversed(solved.items()):
+        values[gen] = form[n] - sum(a * x for a, x in zip(form, x_k))
+    return det, failed, missing, values
 
 
 def certify_basis(g: int, n: int) -> dict:
@@ -189,52 +144,41 @@ def certify_basis(g: int, n: int) -> dict:
     n + B + 2, a nonzero-determinant certificate, and the labels of any
     rows left without a pivot (empty when the certificate holds).
     """
-    mat = build_matrix(g, n)
-    rank, det, row_of = _rank_det(mat.entries)
-    failed = [curve_label(mat.rows[row_of[r]]) for r in range(rank, mat.size)]
+    det, failed, _, _ = _eliminate(g, n, lambda curve: Fraction(0))
+    size = n + _boundary_count(g, n) + 2
     return {
         "g": g,
         "n": n,
-        "rank": rank,
-        "expected": mat.size,
+        "rank": size - len(failed),
+        "expected": size,
         "det_nonzero": det != 0,
-        "det": str(det),
+        "det": _fraction_str(det),
         "failed_rows": failed,
     }
 
 
-def _solve_class(mat: IntersectionMatrix, curves, d, kind: str, pins=()) -> DivisorClass:
-    """The class whose pairings with ``curves`` (rows of ``mat``) are their
-    theta intersection numbers of the given kind and whose coefficients
-    satisfy each pin (label, {generator: coefficient}, right side)."""
-    entries_of = dict(zip(mat.rows, mat.entries))
-    matrix = [entries_of[c] for c in curves]
-    rhs = [theta_intersection(c, d, kind, mat.g, mat.n) for c in curves]
-    labels = [curve_label(c) for c in curves]
-    for label, row, value in pins:
-        matrix.append([Fraction(row.get(gen, 0)) for gen in mat.cols])
-        rhs.append(value)
-        labels.append(label)
-    system = LinearSystem(matrix, rhs, labels, [generator_label(gen) for gen in mat.cols])
-    return DivisorClass(mat.g, mat.n, dict(zip(mat.cols, solve_exact(system))))
+def _solve_class(g: int, n: int, rhs, pins=None) -> DivisorClass:
+    """The class with the given pairings, or :class:`SingularMatrixError`
+    naming the first column without a pivot."""
+    _, _, missing, values = _eliminate(g, n, rhs, pins)
+    if missing:
+        raise SingularMatrixError(generator_label(missing[0]))
+    return DivisorClass(g, n, values)
 
 
 def reconstruct_T(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     """Recover the degree-0 theta pullback class by solving the full
     test-curve system (every family contributes a row)."""
     d = check_weights(g, n, d, degree=0)
-    mat = build_matrix(g, n)
-    return _solve_class(mat, mat.rows, d, "T")
+    return _solve_class(g, n, lambda curve: theta_intersection(curve, d, "T", g, n))
 
 
 def reconstruct_Theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     """Recover the degree-(g-1) theta pullback class from the point and
     node rows plus the two pinned coefficient constraints."""
     d = check_weights(g, n, d, degree=g - 1)
-    mat = build_matrix(g, n)
-    curves = [c for c in mat.rows if c.kind in ("point", "node")]
     pins = [
         ("pin: lambda1 = -1", {LAMBDA1: 1}, Fraction(-1)),
         ("pin: lambda1 + 12*delta_irr = 1/2", {LAMBDA1: 1, DELTA_IRR: 12}, Fraction(1, 2)),
     ]
-    return _solve_class(mat, curves, d, "Theta", pins)
+    return _solve_class(g, n, lambda curve: theta_intersection(curve, d, "Theta", g, n), pins)

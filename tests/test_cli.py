@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from thetadiv.cli import main, sample_degree_weights, verify_mueller
-from thetadiv.solve import InconsistentSystemError, SingularMatrixError
+from thetadiv.solve import SingularMatrixError
 
 
 def readme_commands():
@@ -191,7 +191,7 @@ def test_verify_failure_exit_code_and_report(capsys, monkeypatch):
     "target, name, error",
     [
         ("T", "reconstruct_T", SingularMatrixError("K1")),
-        ("theta", "reconstruct_Theta", InconsistentSystemError(["point1"])),
+        ("theta", "reconstruct_Theta", SingularMatrixError("delta_irr")),
     ],
 )
 def test_unsolvable_system_is_a_failed_trial(capsys, monkeypatch, target, name, error):

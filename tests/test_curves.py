@@ -20,6 +20,7 @@ from thetadiv.basis import (
 from thetadiv.curves import (
     ELLIPTIC_TAIL,
     IRREDUCIBLE_NODE,
+    _row,
     boundary_curve,
     build_matrix,
     curve_label,
@@ -150,6 +151,22 @@ def test_build_matrix_shape_and_rows():
             }
             nonzero = {gens[j] for j, x in enumerate(row) if x != 0}
             assert nonzero <= allowed
+
+
+def test_node_rows_are_triangular():
+    # the shape thetadiv.solve relies on, in basis order
+    for g in range(3, 8):
+        for n in range(1, 7):
+            column = {gen: j for j, gen in enumerate(basis_generators(g, n))}
+            for curve in enumerate_test_curves(g, n)[:-2]:
+                row = _row(curve, g, n)
+                assert LAMBDA1 not in row and DELTA_IRR not in row
+                if curve.kind == "node":
+                    b = curve.boundary
+                    own = delta(b)
+                    assert row[own] == 2 - 2 * (g - b.h) - len(b.complement(n)) != 0
+                    later = [gen for gen in row if gen.kind == "delta" and gen != own]
+                    assert all(column[gen] > column[own] for gen in later)
 
 
 def test_permutation_equivariance():

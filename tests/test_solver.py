@@ -1,34 +1,21 @@
-"""Tests for exact elimination, rank certificates, and class reconstruction."""
+"""Tests for rank certificates and class reconstruction, against dense
+oracles run on the full pairing matrix."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from thetadiv.basis import DELTA_IRR, LAMBDA1, DivisorClass, basis_generators
-from thetadiv.curves import curve_label, enumerate_test_curves, intersect
-from thetadiv.solve import (
-    InconsistentSystemError,
-    LinearSystem,
-    SingularMatrixError,
-    certify_basis,
-    det_exact,
-    reconstruct_T,
-    reconstruct_Theta,
-    solve_exact,
-)
+import thetadiv.solve as solve
+from thetadiv.basis import DELTA_IRR, LAMBDA1, DivisorClass, K
+from thetadiv.cli import main
+from thetadiv.curves import _row, build_matrix, point_curve
+from thetadiv.solve import SingularMatrixError, certify_basis, reconstruct_T, reconstruct_Theta
 from thetadiv.theta import class_T, class_Theta, theta_intersection
 
-
-def make_system(rows, rhs):
-    m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    return LinearSystem(
-        [[Fraction(x) for x in row] for row in rows],
-        [Fraction(b) for b in rhs],
-        [f"row{i}" for i in range(m)],
-        [f"col{j}" for j in range(ncols)],
-    )
+ORACLE_SIZES = [(g, n) for g in (3, 4, 5) for n in (1, 2, 3)] + [(4, 4)]
 
 
 def naive_gauss(rows, rhs):
@@ -43,96 +30,6 @@ def naive_gauss(rows, rhs):
                 f = a[r][k] / a[k][k]
                 a[r] = [x - f * y for x, y in zip(a[r], a[k])]
     return [a[k][m] / a[k][k] for k in range(m)]
-
-
-def test_identity_system():
-    assert solve_exact(make_system([[1, 0], [0, 1]], [5, Fraction(-2, 3)])) == [
-        Fraction(5),
-        Fraction(-2, 3),
-    ]
-
-
-def test_frozen_two_by_two():
-    # pinning rows of the degree-(g-1) reconstruction, solved in isolation
-    x = solve_exact(make_system([[1, 12], [1, 0]], [Fraction(1, 2), -1]))
-    assert x == [Fraction(-1), Fraction(1, 8)]
-
-
-def test_singular_matrix_reported():
-    with pytest.raises(SingularMatrixError, match="col1"):
-        solve_exact(make_system([[1, 1], [2, 2]], [1, 2]))
-
-
-def test_inconsistent_overdetermined_reported():
-    system = make_system([[1, 0], [0, 1], [1, 1]], [1, 2, 4])
-    with pytest.raises(InconsistentSystemError, match="row2"):
-        solve_exact(system)
-
-
-def test_redundant_rows_verified_not_dropped():
-    system = make_system([[1, 0], [0, 1], [1, 1]], [1, 2, 3])
-    assert solve_exact(system) == [Fraction(1), Fraction(2)]
-
-
-def test_underdetermined_rejected():
-    with pytest.raises(ValueError, match="underdetermined"):
-        solve_exact(make_system([[1, 2]], [1]))
-
-
-def test_matches_naive_gauss_on_random_systems():
-    rng = random.Random(41)
-    for size in (2, 3, 5, 8):
-        for _ in range(10):
-            rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
-            x = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(size)]
-            rhs = [sum(Fraction(a) * v for a, v in zip(row, x)) for row in rows]
-            try:
-                got = solve_exact(make_system(rows, rhs))
-            except SingularMatrixError:
-                continue
-            assert got == x == naive_gauss(rows, rhs)
-
-
-def test_column_permutation_sanity():
-    rng = random.Random(43)
-    size = 5
-    rows = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
-    x = [Fraction(rng.randint(-9, 9)) for _ in range(size)]
-    rhs = [sum(Fraction(a) * v for a, v in zip(row, x)) for row in rows]
-    base = solve_exact(make_system(rows, rhs))
-    perm = [3, 0, 4, 1, 2]
-    permuted_rows = [[row[j] for j in perm] for row in rows]
-    permuted = solve_exact(make_system(permuted_rows, rhs))
-    assert permuted == [base[j] for j in perm]
-
-
-def test_det_exact():
-    assert det_exact([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]) == -2
-    assert det_exact([[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]) == 0
-    assert det_exact([[Fraction(1, 2)]]) == Fraction(1, 2)
-
-
-def naive_det(m):
-    """Independent oracle: cofactor expansion along the first row."""
-    size = len(m)
-    if size == 1:
-        return m[0][0]
-    total = Fraction(0)
-    for j in range(size):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * naive_det(minor)
-    return total
-
-
-def test_det_matches_cofactor_expansion():
-    rng = random.Random(59)
-    for _ in range(60):
-        size = rng.randint(1, 5)
-        m = [
-            [Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(size)]
-            for _ in range(size)
-        ]
-        assert det_exact(m) == naive_det(m)
 
 
 def test_certify_basis_small_cases():
@@ -160,8 +57,6 @@ def test_reconstruct_Theta_examples():
     sol = reconstruct_Theta(3, 2, (3, -1))
     assert sol == class_Theta(3, 2, (3, -1))
     assert sol.coeff(DELTA_IRR) == Fraction(1, 8)
-    from thetadiv.basis import K
-
     assert sol.coeff(K(2)) == 0  # d_i(d_i+1)/2 vanishes at d_i = -1
 
 
@@ -176,25 +71,106 @@ def test_reconstruction_sweep():
             assert reconstruct_Theta(g, n, d1) == class_Theta(g, n, d1)
 
 
-def test_reconstruct_T_with_redundant_rows():
-    g, n, d = 3, 2, (2, -2)
-    curves = enumerate_test_curves(g, n)
-    gens = basis_generators(g, n)
-    matrix = [[intersect(c, gen, g, n) for gen in gens] for c in curves]
-    rhs = [theta_intersection(c, d, "T", g, n) for c in curves]
-    labels = [curve_label(c) for c in curves]
-    # duplicate a few rows: the solver must verify them, not choke
-    for idx in (0, 3, len(curves) - 1):
-        matrix.append(list(matrix[idx]))
-        rhs.append(rhs[idx])
-        labels.append(labels[idx] + " (again)")
-    system = LinearSystem(matrix, rhs, labels, [str(j) for j in range(len(gens))])
-    sol = solve_exact(system)
-    assert DivisorClass(g, n, dict(zip(gens, sol))) == class_T(g, n, d)
 
 
-def test_dimension_validation():
-    with pytest.raises(ValueError, match="matching lengths"):
-        LinearSystem([[Fraction(1)]], [], ["r"], ["c"])
-    with pytest.raises(ValueError, match="column labels"):
-        LinearSystem([[Fraction(1), Fraction(2)]], [Fraction(0)], ["r"], ["c"])
+def random_weights(rng, n, degree):
+    head = [rng.randint(-10, 10) for _ in range(n - 1)]
+    return tuple(head + [degree - sum(head)])
+
+
+@pytest.mark.parametrize("g, n", ORACLE_SIZES)
+def test_reconstruction_matches_dense_oracle(g, n):
+    mat = build_matrix(g, n)
+    rng = random.Random(1000 * g + n)
+    d = random_weights(rng, n, 0)
+    rhs = [theta_intersection(c, d, "T", g, n) for c in mat.rows]
+    expected = DivisorClass(g, n, dict(zip(mat.cols, naive_gauss(mat.entries, rhs))))
+    assert reconstruct_T(g, n, d) == expected
+
+    d = random_weights(rng, n, g - 1)
+    kept = [(row, c) for row, c in zip(mat.entries, mat.rows) if c.kind in ("point", "node")]
+    pins = [
+        ([Fraction(gen == LAMBDA1) for gen in mat.cols], Fraction(-1)),
+        ([Fraction({LAMBDA1: 1, DELTA_IRR: 12}.get(gen, 0)) for gen in mat.cols], Fraction(1, 2)),
+    ]
+    rows = [row for row, _ in kept] + [row for row, _ in pins]
+    rhs = [theta_intersection(c, d, "Theta", g, n) for _, c in kept] + [value for _, value in pins]
+    expected = DivisorClass(g, n, dict(zip(mat.cols, naive_gauss(rows, rhs))))
+    assert reconstruct_Theta(g, n, d) == expected
+
+
+@pytest.mark.parametrize("g, n", ORACLE_SIZES)
+def test_certificate_det_matches_sympy(g, n):
+    entries = build_matrix(g, n).entries
+    det = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in entries]).det()
+    report = certify_basis(g, n)
+    assert Fraction(report["det"]) == Fraction(int(det.p), int(det.q)) != 0
+    assert report["rank"] == report["expected"] == len(entries)
+
+
+# sha256 of the `det` string, taken when dense Bareiss elimination of the
+# whole pairing matrix computed it
+DET_DIGESTS = {
+    (6, 7): "e76eff5a24a6798ee051792eb895179dc62476b0ee9287dd5018076278586a56",
+    (5, 8): "a29cc70ed31a049d17c04e3704b044cc296386e91c86af40e62072b773880e00",
+}
+
+
+@pytest.mark.parametrize("g, n", sorted(DET_DIGESTS))
+def test_certificate_det_pinned(g, n):
+    report = certify_basis(g, n)
+    assert report["rank"] == report["expected"]
+    assert hashlib.sha256(report["det"].encode()).hexdigest() == DET_DIGESTS[g, n]
+
+
+def test_certificate_full_rank_at_7_8():
+    report = certify_basis(7, 8)
+    assert report["rank"] == report["expected"] == 1025
+    assert report["det_nonzero"] and report["failed_rows"] == []
+
+
+def test_decimal_string_beyond_the_int_str_limit():
+    rng = random.Random(5)
+    digits = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(8999))
+    x = 0
+    for i in range(0, len(digits), 100):  # int() of short strings stays under the limit
+        piece = digits[i : i + 100]
+        x = x * 10 ** len(piece) + int(piece)
+    assert x > 10**4300
+    assert solve._fraction_str(Fraction(x)) == digits
+    assert solve._fraction_str(Fraction(-x, 10**4400 + 1)) == f"-{digits}/1{'0' * 4399}1"
+    for q in (Fraction(0), Fraction(-7), Fraction(-3, 4), Fraction(10**600 - 1, 2), Fraction(-(10**1200) - 5)):
+        assert solve._fraction_str(q) == str(q)
+
+
+def test_verify_rank_beyond_the_int_str_limit(capsys):
+    # m = 7169; the determinant has about 7,900 digits
+    assert main(["verify", "rank", "--g", "6", "--n", "11"]) == 0
+    out = capsys.readouterr().out
+    assert '"rank": 7169' in out and '"ok": true' in out
+
+
+@pytest.fixture
+def point_row_2_duplicates_point_row_1(monkeypatch):
+    def rows(curve, g, n):
+        return _row(point_curve(1) if curve == point_curve(2) else curve, g, n)
+
+    monkeypatch.setattr(solve, "_row", rows)
+
+
+@pytest.mark.usefixtures("point_row_2_duplicates_point_row_1")
+def test_certificate_can_fail(capsys):
+    report = certify_basis(3, 2)
+    assert (report["rank"], report["expected"]) == (8, 9)
+    assert (report["det"], report["det_nonzero"]) == ("0", False)
+    assert report["failed_rows"] == ["point2"]
+    with pytest.raises(SingularMatrixError, match="K2"):
+        reconstruct_T(3, 2, (1, -1))
+    assert main(["verify", "rank", "--g", "3", "--n", "2"]) == 1
+    assert '"ok": false' in capsys.readouterr().out
+
+
+def test_gauss_row_swap_flips_the_determinant():
+    rows = [[Fraction(0), Fraction(2), Fraction(4)], [Fraction(3), Fraction(1), Fraction(5)]]
+    assert solve._gauss(rows) == (-6, [], [])
+    assert [r[2] / r[k] for k, r in enumerate(rows)] == [1, 2]
