@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .basis import _boundary_label, basis_generators, generator_label
 from .curves import build_matrix, curve_label, enumerate_test_curves
-from .drcycle import dr_expansion, monomial_label
+from .drcycle import dr_expansion
 from .solve import SingularMatrixError, certify_basis, reconstruct_T, reconstruct_Theta
 from .theta import class_D_direct, class_D_from_theta, class_T, class_Theta, correction_ledger
 
@@ -223,8 +223,8 @@ def _cmd_dr(args) -> int:
     if args.format == "csv":
         print(cycle.to_csv(), end="")
         return 0
-    for mono, c in cycle.sorted_terms():
-        print(f"{monomial_label(mono)}: {c}")
+    for label, c in cycle._labelled_terms():
+        print(f"{label}: {c}")
     return 0
 
 

@@ -233,6 +233,34 @@ def test_matrix_output_bytes(capsys, g, n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_DIGESTS[g, n, fmt]
 
 
+# sha256 of the stdout of `thetadiv dr`, taken before the expansion walked
+# multisets of generators
+DR_WEIGHTS = {(3, 3): "1,2,-3", (5, 2): "2,-2", (4, 3): "1,-3,2", (3, 4): "1,-2,3,-2"}
+DR_DIGESTS = {
+    (3, 3, "pretty"): "be15edf899e76aa4ffda75690c2b1a1f966e017f9f7b8fa0809f6f168af2b99c",
+    (3, 3, "json"): "25615701cf9d31e122defd6def27d4c18f33fd4e9f6a2b3b7430ec3e47d04ab5",
+    (3, 3, "csv"): "6274a26da5e2dacdaaa095961bb1e5d886738c85cac5a7b4a74292501b3d1f45",
+    (5, 2, "pretty"): "5f85bfa306fbd923a57a014c277cede104668fb8a10f8429a6ad0cc95ff9f5f8",
+    (5, 2, "json"): "22d5591ab408531de4b7ccf410e5c6d634f420e604b7cca6b459b10b1e4d98d0",
+    (5, 2, "csv"): "0f03915b5298d7ecf0c3790f34b6cb7a67a0907aaf464ad993efb0891dc2a6e4",
+    (4, 3, "pretty"): "8560da6d833af4dbb591560592b36c3bead3d79e160a03fad15562baa13b2355",
+    (4, 3, "json"): "8f3706609c2a2562e9d27acb92a446add232041bf3a769f9abc3122720e6f158",
+    (4, 3, "csv"): "6a73919758fd108abce76790eb4eb68da5949bb5769b94a3e084bbb58bbbf24d",
+    (3, 4, "pretty"): "6182ccca34eec488e50e6e529b9da660e9594365906918fd3aab37ec8641cdf2",
+    (3, 4, "json"): "4a831aa74e8e21269aa41d4f60c330787aa182fcb8235aef94754009c1846987",
+    (3, 4, "csv"): "c78d507f4b0c582af00c91178efbcfd063758ccb4a4c6c5f9730321cb1e75f2f",
+}
+
+
+@pytest.mark.parametrize("g, n, fmt", sorted(DR_DIGESTS))
+def test_dr_output_bytes(capsys, g, n, fmt):
+    code, out, err = run(
+        capsys, "dr", "--g", str(g), "--n", str(n), "--d", DR_WEIGHTS[g, n], "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DR_DIGESTS[g, n, fmt]
+
+
 def test_mueller_verify_impossible_at_one_marking(capsys):
     # g - 1 >= 0 forces the single weight nonnegative: no admissible vectors
     code, _, err = run(capsys, "verify", "mueller", "--g", "3", "--n", "1")

@@ -1,12 +1,15 @@
 """Tests for the formal double-ramification-cycle expansion."""
 
-import random
+import math
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from thetadiv.basis import DELTA_IRR, K, basis_generators
+from thetadiv.basis import DELTA_IRR, BoundaryIndex, K, basis_generators, delta
+from thetadiv.cli import main
 from thetadiv.drcycle import (
     FormalCycle,
     dr_expansion,
@@ -70,35 +73,56 @@ def test_frozen_all_ones_value():
     assert evaluate(cycle, all_ones(3, 2)) == Fraction(1, 6)
 
 
-def test_matches_brute_force_product():
-    g, n, d = 3, 2, (1, -1)
-    cycle = dr_expansion(g, n, d)
-    base = restrict_to_compact_type(class_T(g, n, d))
-    oracle = brute_force_power(base.coeffs, g)
-    scaled = {}
-    for mono, c in cycle.terms.items():
-        key = tuple(sorted(mono, key=str))
-        scaled[key] = c * 6  # common factor g! = 6
-    assert {k: v for k, v in oracle.items() if v != 0} == scaled
+MAX_TERMS = 500
 
 
-def test_multinomial_identity():
-    rng = random.Random(53)
-    for g, n, d in [(3, 2, (1, -1)), (4, 2, (2, -2)), (3, 3, (1, 2, -3))]:
-        cycle = dr_expansion(g, n, d)
-        base = restrict_to_compact_type(class_T(g, n, d))
-        fact = 1
-        for i in range(1, g + 1):
-            fact *= i
-        for _ in range(10):
-            assignment = {
-                gen: Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-                for gen in basis_generators(g, n)
-            }
-            linear = sum(
-                (c * assignment[gen] for gen, c in base.coeffs.items()), Fraction(0)
-            )
-            assert evaluate(cycle, assignment) == linear**g / fact
+def compact_T(g, n, d):
+    return restrict_to_compact_type(class_T(g, n, d))
+
+
+@st.composite
+def dr_cases(draw):
+    """(g, n, degree-0 weights) whose expansion has at most MAX_TERMS monomials."""
+    g = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 4))
+    head = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+    d = tuple(head) + (-sum(head),)
+    assume(math.comb(len(compact_T(g, n, d).coeffs) + g - 1, g) <= MAX_TERMS)
+    return g, n, d
+
+
+# genus 2 warns that the basis claims need g >= 3
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=dr_cases())
+def test_matches_brute_force_product(case):
+    # every coefficient against (sum c_j X_j)^g multiplied out factor by factor
+    g, n, d = case
+    oracle = brute_force_power(compact_T(g, n, d).coeffs, g)
+    scaled = {
+        tuple(sorted(mono, key=str)): c * math.factorial(g)
+        for mono, c in dr_expansion(g, n, d).terms.items()
+    }
+    assert scaled == {k: v for k, v in oracle.items() if v != 0}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=dr_cases(), data=st.data())
+def test_multinomial_identity(case, data):
+    g, n, d = case
+    value = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+    assignment = {gen: data.draw(value) for gen in basis_generators(g, n)}
+    linear = sum(
+        (c * assignment[gen] for gen, c in compact_T(g, n, d).coeffs.items()), Fraction(0)
+    )
+    assert evaluate(dr_expansion(g, n, d), assignment) == linear**g / math.factorial(g)
+
+
+def test_terms_start_with_the_last_generator_cubed():
+    # terms run through the multisets of generators in reverse lexicographic order
+    first = next(iter(dr_expansion(3, 2, (1, -1)).terms))
+    assert first == ((delta(BoundaryIndex(1, (2,))), 3),)
 
 
 def test_single_generator_power():
@@ -174,3 +198,74 @@ def test_permutation_equivariance():
 def test_json_round_trip():
     cycle = dr_expansion(3, 2, (1, -1))
     assert FormalCycle.from_json_dict(cycle.to_json_dict()) == cycle
+
+
+def refusal(g, n, terms):
+    with pytest.raises(ValueError) as info:
+        FormalCycle(g, n, terms)
+    return str(info.value)
+
+
+def test_refusal_messages():
+    K1, K2 = "Generator(kind='K', i=1, boundary=None)", "Generator(kind='K', i=2, boundary=None)"
+    assert refusal(3, 2, {((delta(BoundaryIndex(2, (1,))), 3),): 1}) == (
+        "boundary index BoundaryIndex(h=2, P=(1,)) is not canonical for (g=3, n=2)"
+    )
+    assert refusal(3, 2, {((DELTA_IRR, 3),): 1}) == "delta_irr cannot appear in a compact-type cycle"
+    assert refusal(3, 2, {((K(1), 0), (K(2), 3)): 1}) == (
+        f"monomial exponents must be >= 1, got (({K1}, 0), ({K2}, 3))"
+    )
+    assert refusal(3, 2, {((K(1), 2),): 1}) == f"monomial (({K1}, 2),) has degree 2, expected 3"
+    assert refusal(3, 2, {((K(2), 1), (K(1), 2)): 1}) == (
+        f"monomial (({K2}, 1), ({K1}, 2)) is not in basis order"
+    )
+
+
+def test_refuses_inexact_coefficients():
+    # a float was stored as its binary value, 3602879701896397/36028797018963968
+    assert refusal(3, 2, {((K(1), 3),): 0.1}) == "coefficients must be int or Fraction, got 0.1"
+    assert refusal(3, 2, {((K(1), 3),): True}) == "coefficients must be int or Fraction, got True"
+    assert refusal(3, 2, {((K(1), 3),): "1/2"}) == "coefficients must be int or Fraction, got '1/2'"
+    assert FormalCycle(3, 2, {((K(1), 3),): 2}).terms == {((K(1), 3),): Fraction(2)}
+
+
+@pytest.mark.parametrize(
+    "mono", [((K(1), 1.5), (K(2), 1.5)), ((K(1), True), (K(2), 2)), ((K(1), Fraction(3)),)]
+)
+def test_refuses_non_integer_exponents(mono):
+    assert refusal(3, 2, {mono: 1}) == f"monomial exponents must be integers, got {mono!r}"
+
+
+def test_refuses_a_repeated_generator():
+    # it was stored, and compared unequal to the same monomial written once
+    mono = ((K(1), 1), (K(1), 2))
+    assert refusal(3, 2, {mono: 1}) == f"monomial {mono!r} repeats generator K1"
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True])
+def test_evaluate_refuses_inexact_values(value):
+    cycle = FormalCycle(3, 2, {((K(1), 3),): Fraction(1)})
+    with pytest.raises(ValueError) as info:
+        evaluate(cycle, {K(1): value})
+    assert str(info.value) == f"assignment value of K1 must be int or Fraction, got {value!r}"
+
+
+@pytest.mark.parametrize("value", ["abc", "1e3", "2.5", "-1"])
+def test_monomial_cap_must_be_a_nonnegative_integer(monkeypatch, capsys, value):
+    monkeypatch.setenv("THETADIV_MONOMIAL_CAP", value)
+    message = f"THETADIV_MONOMIAL_CAP must be a nonnegative integer, got {value!r}"
+    with pytest.raises(ValueError) as info:
+        dr_expansion(3, 2, (1, -1))
+    assert str(info.value) == message
+    assert main(["dr", "--g", "3", "--n", "2", "--d", "1,-1"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_monomial_cap_bounds_the_count(monkeypatch):
+    # dr(3, 2, (1, -1)) has 35 monomials
+    monkeypatch.setenv("THETADIV_MONOMIAL_CAP", "35")
+    assert len(dr_expansion(3, 2, (1, -1)).terms) == 35
+    monkeypatch.setenv("THETADIV_MONOMIAL_CAP", "0")
+    assert dr_expansion(3, 2, (0, 0)).terms == {}
+    with pytest.raises(ValueError, match="35 monomials, above the cap of 0"):
+        dr_expansion(3, 2, (1, -1))
