@@ -15,7 +15,6 @@ from .basis import (
     DivisorClass,
     Generator,
     K,
-    Rational,
     basis_generators,
     canonicalize_boundary,
     delta,

@@ -15,6 +15,16 @@ Conventions, for a fixed genus ``g >= 1`` and marking set ``I = {1, .., n}``:
   classes.  These form a basis for ``g >= 3``; all formulas evaluate for
   ``g in {1, 2}`` as well, but basis-dependent guarantees are only claimed
   for ``g >= 3``.
+* The test curves of :mod:`thetadiv.curves` are dual to this basis, one
+  family per generator, so :func:`basis_generators` is the one enumeration
+  of both rows and columns of the pairing matrix.
+* A :class:`DivisorClass` is validated once, where input enters: its
+  constructor, :meth:`DivisorClass.from_json_dict`, :meth:`DivisorClass.scale`,
+  :meth:`DivisorClass.zero` and the index of :func:`psi_in_k_basis`.  Classes
+  built only from enumerated or canonicalized generators and Fraction
+  coefficients (``+``, the psi/K change of basis, the closed formulas, the
+  solver, relabelling, the compact-type restriction) go through
+  :meth:`DivisorClass._trusted`, which only drops zeros.
 * All coefficients are :class:`fractions.Fraction`; no floating point is
   used anywhere.  Every value is immutable and every function is pure, so
   concurrent use needs no locking.
@@ -36,8 +46,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-Rational = Fraction
-
 
 def _check_gn(g: int, n: int) -> None:
     # type() rather than isinstance() here, in K, point_curve and
@@ -52,13 +60,6 @@ def _subsets(n: int, min_size: int = 0) -> Iterator[tuple[int, ...]]:
     """Subsets of {1..n} as sorted tuples, ordered by size then lexicographically."""
     for size in range(min_size, n + 1):
         yield from itertools.combinations(range(1, n + 1), size)
-
-
-def _subsets_containing(i: int, n: int, min_size: int = 2) -> Iterator[tuple[int, ...]]:
-    others = [j for j in range(1, n + 1) if j != i]
-    for size in range(max(min_size - 1, 0), n):
-        for rest in itertools.combinations(others, size):
-            yield tuple(sorted((i,) + rest))
 
 
 @dataclass(frozen=True)
@@ -218,23 +219,18 @@ def parse_generator_label(label: str, g: int, n: int) -> Generator:
     return delta(canonicalize_boundary(int(match.group(1)), P, g, n))
 
 
-def _check_index(obj, g: int, n: int) -> None:
-    """Index check shared by :class:`Generator` and ``curves.TestCurve``: a
-    "K" or "point" object needs its point index in 1..n, any other its
-    boundary index canonical for (g, n)."""
-    b = obj.boundary
-    if obj.kind in ("K", "point"):
-        if not 1 <= obj.i <= n:
-            raise ValueError(f"point index {obj.i} out of range 1..{n}")
-    elif canonicalize_boundary(b.h, b.P, g, n) != b:
-        raise ValueError(f"boundary index {b} is not canonical for (g={g}, n={n})")
-
-
 def _check_generator(gen: Generator, g: int, n: int) -> None:
+    """A generator of the basis for (g, n): a point index in 1..n, or a
+    boundary index canonical for (g, n)."""
     if not isinstance(gen, Generator):
         raise ValueError(f"expected a Generator, got {gen!r}")
-    if gen.kind in ("K", "delta"):
-        _check_index(gen, g, n)
+    if gen.kind == "K":
+        if not 1 <= gen.i <= n:
+            raise ValueError(f"point index {gen.i} out of range 1..{n}")
+    elif gen.kind == "delta":
+        b = gen.boundary
+        if canonicalize_boundary(b.h, b.P, g, n) != b:
+            raise ValueError(f"boundary index {b} is not canonical for (g={g}, n={n})")
     elif gen.kind not in ("lambda1", "delta_irr"):
         raise ValueError(f"unknown generator kind {gen.kind!r}")
 
@@ -252,7 +248,8 @@ def basis_generators(g: int, n: int) -> list[Generator]:
 class DivisorClass:
     """A rational divisor class, stored as a sparse exact coefficient vector
     over the ordered basis.  Zero coefficients are dropped on construction,
-    so ``==`` is exact coefficient-wise equality."""
+    so ``==`` is exact coefficient-wise equality.  The constructor validates;
+    the package's own producers use :meth:`_trusted` (see the module notes)."""
 
     g: int
     n: int
@@ -270,6 +267,14 @@ class DivisorClass:
             if c != 0:
                 clean[gen] = c
         object.__setattr__(self, "coeffs", clean)
+
+    @classmethod
+    def _trusted(cls, g: int, n: int, coeffs: Mapping[Generator, Fraction]) -> "DivisorClass":
+        """A class whose generators belong to the basis for (g, n) and whose
+        coefficients are Fractions; zeros are dropped, nothing is checked."""
+        divclass = object.__new__(cls)  # frozen: fill the fields without __init__
+        vars(divclass).update(g=g, n=n, coeffs={gen: c for gen, c in coeffs.items() if c})
+        return divclass
 
     @classmethod
     def zero(cls, g: int, n: int) -> "DivisorClass":
@@ -291,7 +296,7 @@ class DivisorClass:
         coeffs = dict(self.coeffs)
         for gen, c in other.coeffs.items():
             coeffs[gen] = coeffs.get(gen, Fraction(0)) + c
-        return DivisorClass(self.g, self.n, coeffs)
+        return DivisorClass._trusted(self.g, self.n, coeffs)
 
     def __neg__(self) -> "DivisorClass":
         return self.scale(-1)
@@ -336,8 +341,10 @@ class DivisorClass:
         for i, c in enumerate(raw["K"], start=1):
             coeffs[K(i)] = Fraction(c)
         for entry in raw["boundary"]:
-            b = canonicalize_boundary(entry["h"], tuple(entry["P"]), g, n)
-            coeffs[delta(b)] = Fraction(entry["c"])
+            gen = delta(canonicalize_boundary(entry["h"], tuple(entry["P"]), g, n))
+            if gen in coeffs:
+                raise ValueError(f"boundary class {generator_label(gen)} given twice")
+            coeffs[gen] = Fraction(entry["c"])
         return cls(g, n, coeffs)
 
 
@@ -351,19 +358,17 @@ def psi_in_k_basis(i: int, g: int, n: int) -> DivisorClass:
 
 
 def _substitute_psi(g: int, n: int, coeffs: Mapping[Generator, Fraction], sign: int) -> DivisorClass:
-    """Add ``sign`` times each point-slot coefficient to every delta_0^P with
-    i in P and |P| >= 2: sign -1 reads the slots as K_i, +1 as psi_i.
-    Refused, as :func:`enumerate_boundary` is, above 2^20 boundary classes."""
+    """Add ``sign`` times the sum of the point-slot coefficients over P to
+    each genus-0 class delta_0^P, |P| >= 2 (all canonical as they stand):
+    sign -1 reads the slots as K_i, +1 as psi_i.  Refused, as
+    :func:`enumerate_boundary` is, above 2^20 boundary classes."""
     _check_boundary_count(g, n)
+    a = [sign * coeffs.get(K(i), Fraction(0)) for i in range(1, n + 1)]
     out = dict(coeffs)
-    for i in range(1, n + 1):
-        a = sign * coeffs.get(K(i), Fraction(0))
-        if a == 0:
-            continue
-        for P in _subsets_containing(i, n):
-            gen = delta(canonicalize_boundary(0, P, g, n))
-            out[gen] = out.get(gen, Fraction(0)) + a
-    return DivisorClass(g, n, out)
+    for P in _subsets(n, min_size=2):
+        gen = delta(BoundaryIndex(0, P))
+        out[gen] = out.get(gen, Fraction(0)) + sum(a[i - 1] for i in P)
+    return DivisorClass._trusted(g, n, out)
 
 
 def k_to_psi(divclass: DivisorClass) -> DivisorClass:
@@ -391,19 +396,26 @@ def relabel_boundary(b: BoundaryIndex, sigma: tuple[int, ...], g: int, n: int) -
     return canonicalize_boundary(b.h, tuple(sigma[i - 1] for i in b.P), g, n)
 
 
-def relabel_generator(gen: Generator, sigma: tuple[int, ...], g: int, n: int) -> Generator:
+def _relabel(gen: Generator, sigma: tuple[int, ...], g: int, n: int) -> Generator:
+    """:func:`relabel_generator` for a generator of the basis for (g, n)
+    and a permutation, both already checked."""
     if gen.kind == "K":
-        _check_permutation(sigma, n)
         return K(sigma[gen.i - 1])
     if gen.kind == "delta":
         return delta(relabel_boundary(gen.boundary, sigma, g, n))
     return gen
 
 
+def relabel_generator(gen: Generator, sigma: tuple[int, ...], g: int, n: int) -> Generator:
+    """Image of a generator of the basis for (g, n) under i -> sigma[i-1]."""
+    _check_permutation(sigma, n)
+    _check_generator(gen, g, n)
+    return _relabel(gen, sigma, g, n)
+
+
 def relabel_class(divclass: DivisorClass, sigma: tuple[int, ...]) -> DivisorClass:
     """Push a divisor class forward along a permutation of the markings."""
-    coeffs = {
-        relabel_generator(gen, sigma, divclass.g, divclass.n): c
-        for gen, c in divclass.coeffs.items()
-    }
-    return DivisorClass(divclass.g, divclass.n, coeffs)
+    g, n = divclass.g, divclass.n
+    _check_permutation(sigma, n)
+    coeffs = {_relabel(gen, sigma, g, n): c for gen, c in divclass.coeffs.items()}
+    return DivisorClass._trusted(g, n, coeffs)

@@ -1,28 +1,35 @@
 """Test-curve families and their intersection numbers with the divisor basis.
 
-Four kinds of one-parameter families pair against the divisor basis:
+There is one one-parameter family per basis generator, and family j is
+dual to generator j: its row of the pairing matrix meets column j in a
+nonzero diagonal entry, and :mod:`thetadiv.solve` eliminates each boundary
+column through its node row.  A :class:`TestCurve` is named by its dual
+generator; its label, validation and relabelling are read off that
+generator:
 
-* ``point_curve(i)``: a fixed smooth curve with the i-th marked point
-  sweeping along it.
-* ``boundary_curve(b)`` for a canonical boundary index ``b = (h, P)``: a
-  fixed genus-h component carrying the markings in P, attached at a moving
-  point of a fixed genus-(g-h) component carrying the remaining markings.
-  Instantiating one family per canonical class gives exactly one row per
-  boundary column.
-* ``ELLIPTIC_TAIL``: an elliptic tail varying over the j-line attached to a
-  fixed pointed curve, weighted 1/2 for the elliptic involution.
-* ``IRREDUCIBLE_NODE``: a rational bridge with one leg moving along a fixed
-  elliptic curve, glued so the generic member has a non-separating node.
+* ``point_curve(i)``, dual to ``K_i``: a fixed smooth curve with the i-th
+  marked point sweeping along it.
+* ``boundary_curve(b)``, dual to ``delta_b`` for a canonical boundary index
+  ``b = (h, P)``: a fixed genus-h component carrying the markings in P,
+  attached at a moving point of a fixed genus-(g-h) component carrying the
+  remaining markings.
+* ``ELLIPTIC_TAIL``, dual to ``lambda1``: an elliptic tail varying over the
+  j-line attached to a fixed pointed curve, weighted 1/2 for the elliptic
+  involution.
+* ``IRREDUCIBLE_NODE``, dual to ``delta_irr``: a rational bridge with one
+  leg moving along a fixed elliptic curve, glued so the generic member has
+  a non-separating node.
 
-Each family's intersection numbers with the basis divisors are stated
-once, as its sparse row of nonzero entries (they follow from the standard
-boundary-restriction computations; the elliptic-tail values already account
-for the 1/2 weighting).  Boundary entries are keyed by canonical class
-representatives, so mirrored queries agree.  :func:`intersect` and
-:func:`pair` validate once and read one row; :func:`build_matrix` reads
-every row once to assemble the full pairing matrix, which is invertible for
-g >= 3: the families span the dual of the divisor basis.  The solver in
-:mod:`thetadiv.solve` reads the sparse rows directly.
+:func:`enumerate_test_curves` is :func:`thetadiv.basis.basis_generators`
+rotated by two.  Each family's intersection numbers with the basis
+divisors are stated once, as its sparse row of nonzero entries (they
+follow from the standard boundary-restriction computations; the
+elliptic-tail values already account for the 1/2 weighting).  Boundary
+entries are keyed by canonical class representatives, so mirrored queries
+agree.  :func:`intersect` and :func:`pair` validate the curve once, by the
+generator check of its dual, and read one row; :func:`build_matrix` reads
+every row once to assemble the full pairing matrix, which is invertible
+for g >= 3.
 """
 
 from __future__ import annotations
@@ -43,102 +50,89 @@ from .basis import (
     _boundary_label,
     _check_generator,
     _check_gn,
-    _check_index,
     basis_generators,
     canonicalize_boundary,
     delta,
-    enumerate_boundary,
     generator_label,
-    relabel_boundary,
+    relabel_generator,
 )
 
 
 @dataclass(frozen=True)
 class TestCurve:
-    """One test-curve family.  ``kind`` is "point" (with index ``i``),
-    "node" (with a canonical :class:`BoundaryIndex`), "elliptic_tail" or
-    "irreducible"."""
+    """One test-curve family, named by the basis generator it is dual to:
+    ``K(i)`` for the i-th point curve, ``delta(b)`` for the node curve of
+    the boundary class b, ``LAMBDA1`` for the elliptic tail and
+    ``DELTA_IRR`` for the irreducible-node family."""
 
-    kind: str
-    i: int = 0
-    boundary: BoundaryIndex | None = None
+    dual: Generator
 
 
-ELLIPTIC_TAIL = TestCurve("elliptic_tail")
-IRREDUCIBLE_NODE = TestCurve("irreducible")
+ELLIPTIC_TAIL = TestCurve(LAMBDA1)
+IRREDUCIBLE_NODE = TestCurve(DELTA_IRR)
 
 
 def point_curve(i: int) -> TestCurve:
-    if not (type(i) is int and i >= 1):
-        raise ValueError(f"point index must be a positive integer, got {i!r}")
-    return TestCurve("point", i=i)
+    return TestCurve(K(i))
 
 
 def boundary_curve(b: BoundaryIndex) -> TestCurve:
-    if not isinstance(b, BoundaryIndex):
-        raise ValueError(f"expected a BoundaryIndex, got {b!r}")
-    return TestCurve("node", boundary=b)
+    return TestCurve(delta(b))
 
 
 def curve_label(curve: TestCurve) -> str:
-    if curve.kind == "point":
-        return f"point{curve.i}"
-    if curve.kind == "node":
-        return _boundary_label("node", curve.boundary.h, curve.boundary.P)
-    if curve.kind == "elliptic_tail":
-        return "elliptic_tail"
-    return "irreducible_node"
+    gen = curve.dual
+    if gen.kind == "K":
+        return f"point{gen.i}"
+    if gen.kind == "delta":
+        return _boundary_label("node", gen.boundary.h, gen.boundary.P)
+    return "elliptic_tail" if gen == LAMBDA1 else "irreducible_node"
 
 
 def _check_curve(curve: TestCurve, g: int, n: int) -> None:
     if not isinstance(curve, TestCurve):
         raise ValueError(f"expected a TestCurve, got {curve!r}")
-    if curve.kind in ("point", "node"):
-        _check_index(curve, g, n)
-    elif curve.kind not in ("elliptic_tail", "irreducible"):
-        raise ValueError(f"unknown curve kind {curve.kind!r}")
+    _check_generator(curve.dual, g, n)
 
 
 def enumerate_test_curves(g: int, n: int) -> list[TestCurve]:
-    """The full family list: point curves, one node curve per canonical
-    boundary class, then the elliptic tail and the irreducible-node family."""
+    """The full family list, dual to :func:`basis_generators` rotated by
+    two: point curves, one node curve per canonical boundary class, then
+    the elliptic tail and the irreducible-node family."""
     _check_gn(g, n)
     if g < 3:
         raise ValueError("the test-curve families span the dual basis only for genus >= 3")
-    boundary = enumerate_boundary(g, n)
-    curves = [point_curve(i) for i in range(1, n + 1)]
-    curves.extend(boundary_curve(b) for b in boundary)
-    curves.append(ELLIPTIC_TAIL)
-    curves.append(IRREDUCIBLE_NODE)
-    return curves
+    gens = basis_generators(g, n)
+    return [TestCurve(gen) for gen in gens[2:] + gens[:2]]
 
 
 def _row(curve: TestCurve, g: int, n: int) -> dict[Generator, Fraction]:
     """The pairings of a valid test curve with the basis for (g, n) that can
     be nonzero, keyed by generator; every generator absent pairs to 0."""
-    if curve.kind == "point":
-        i = curve.i
+    dual = curve.dual
+    if dual.kind == "K":
+        i = dual.i
         row = {K(i): Fraction(2 * g - 2)}
         for j in range(1, n + 1):
             if j != i:
                 # the moving point collides with another marking: a rational tail
                 row[delta(canonicalize_boundary(0, (i, j), g, n))] = Fraction(1)
         return row  # lambda1 and delta_irr restrict trivially
-    if curve.kind == "node":
-        b = curve.boundary
+    if dual.kind == "delta":
+        b = dual.boundary
         comp = b.complement(n)
         if b.h == 0:
             row = {K(i): Fraction(2 * g - 2) for i in b.P}
         else:
             row = {K(i): Fraction(1) for i in comp}
         # self-intersection: minus the degree of the normal direction
-        row[delta(b)] = Fraction(2 - 2 * (g - b.h) - len(comp))
+        row[dual] = Fraction(2 - 2 * (g - b.h) - len(comp))
         for j in comp:
             # moving attach point hits the marking j: one transverse point
             gen = delta(canonicalize_boundary(b.h, b.P + (j,), g, n))
             row[gen] = row.get(gen, Fraction(0)) + 1
         return row  # lambda1 and delta_irr restrict trivially
-    if curve.kind == "elliptic_tail":
+    if dual == LAMBDA1:
         # K_i: all markings sit on the fixed component
         row, tail = {LAMBDA1: Fraction(1, 24), DELTA_IRR: Fraction(1, 2)}, Fraction(-1, 24)
     else:
@@ -165,11 +159,7 @@ def pair(curve: TestCurve, divclass: DivisorClass) -> Fraction:
 
 
 def relabel_curve(curve: TestCurve, sigma: tuple[int, ...], g: int, n: int) -> TestCurve:
-    if curve.kind == "point":
-        return point_curve(sigma[curve.i - 1])
-    if curve.kind == "node":
-        return boundary_curve(relabel_boundary(curve.boundary, sigma, g, n))
-    return curve
+    return TestCurve(relabel_generator(curve.dual, sigma, g, n))
 
 
 @dataclass(frozen=True)
@@ -216,6 +206,9 @@ class IntersectionMatrix:
         if list(data["cols"]) != [generator_label(gen) for gen in cols]:
             raise ValueError("column labels do not match the basis enumeration")
         entries = tuple(tuple(Fraction(x) for x in row) for row in data["entries"])
+        m = len(rows)
+        if len(entries) != m or any(len(row) != m for row in entries):
+            raise ValueError(f"entries must be {m} rows of {m} values")
         return cls(g, n, rows, cols, entries)
 
 

@@ -40,10 +40,11 @@ from .basis import (
     DivisorClass,
     Generator,
     _check_generator,
+    _check_permutation,
+    _relabel,
     generator_label,
     generator_sort_key,
     parse_generator_label,
-    relabel_generator,
 )
 from .theta import class_T
 
@@ -80,7 +81,7 @@ def restrict_to_compact_type(divclass: DivisorClass) -> DivisorClass:
     """Drop the delta_irr generator (compact-type curves never carry a
     non-separating node); all other coefficients are unchanged."""
     coeffs = {gen: c for gen, c in divclass.coeffs.items() if gen != DELTA_IRR}
-    return DivisorClass(divclass.g, divclass.n, coeffs)
+    return DivisorClass._trusted(divclass.g, divclass.n, coeffs)
 
 
 def _join_factors(mono: Monomial, labels: Mapping[int, str]) -> str:
@@ -200,11 +201,15 @@ class FormalCycle:
     def from_json_dict(cls, data: Mapping) -> "FormalCycle":
         g, n = data["g"], data["n"]
         terms: dict[Monomial, Fraction] = {}
+        # one generator object per distinct label, so __post_init__ checks it once
+        generators: dict[str, Generator] = {}
         for entry in data["terms"]:
-            mono = tuple(
-                (parse_generator_label(label, g, n), e) for label, e in entry["monomial"]
-            )
-            terms[mono] = Fraction(entry["c"])
+            mono = []
+            for label, e in entry["monomial"]:
+                if label not in generators:
+                    generators[label] = parse_generator_label(label, g, n)
+                mono.append((generators[label], e))
+            terms[tuple(mono)] = Fraction(entry["c"])
         return cls(g, n, terms)
 
 
@@ -285,12 +290,14 @@ def evaluate(cycle: FormalCycle, assignment: Mapping[Generator, Fraction]) -> Fr
 
 
 def relabel_cycle(cycle: FormalCycle, sigma: tuple[int, ...]) -> FormalCycle:
-    """Push a formal cycle forward along a permutation of the markings."""
+    """Push a formal cycle forward along a permutation of the markings;
+    each distinct generator object is relabelled once."""
+    g, n = cycle.g, cycle.n
+    _check_permutation(sigma, n)
+    image = cycle._per_generator(lambda gen: _relabel(gen, sigma, g, n))
+    key = {i: generator_sort_key(gen) for i, gen in image.items()}
     terms: dict[Monomial, Fraction] = {}
     for mono, c in cycle.terms.items():
-        relabelled = [
-            (relabel_generator(gen, sigma, cycle.g, cycle.n), e) for gen, e in mono
-        ]
-        relabelled.sort(key=lambda ge: generator_sort_key(ge[0]))
-        terms[tuple(relabelled)] = c
-    return FormalCycle(cycle.g, cycle.n, terms)
+        relabelled = sorted(mono, key=lambda ge: key[id(ge[0])])
+        terms[tuple((image[id(gen)], e) for gen, e in relabelled)] = c
+    return FormalCycle(g, n, terms)

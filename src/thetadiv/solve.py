@@ -34,7 +34,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
-from .basis import DELTA_IRR, LAMBDA1, DivisorClass, K, _boundary_count, delta, generator_label
+from .basis import DELTA_IRR, LAMBDA1, DivisorClass, K, _boundary_count, generator_label
 from .curves import _row, curve_label, enumerate_test_curves
 from .theta import check_weights, theta_intersection
 
@@ -107,7 +107,7 @@ def _eliminate(g: int, n: int, rhs, pins=None) -> tuple[Fraction, list[str], lis
     solved = {}
     for curve in reversed(nodes):
         row = _row(curve, g, n)
-        own = delta(curve.boundary)
+        own = curve.dual
         diagonal = row.pop(own)
         det *= diagonal
         solved[own] = [x / diagonal for x in _reduce(row, rhs(curve), solved, n)]
@@ -163,7 +163,7 @@ def _solve_class(g: int, n: int, rhs, pins=None) -> DivisorClass:
     _, _, missing, values = _eliminate(g, n, rhs, pins)
     if missing:
         raise SingularMatrixError(generator_label(missing[0]))
-    return DivisorClass(g, n, values)
+    return DivisorClass._trusted(g, n, values)
 
 
 def reconstruct_T(g: int, n: int, d: Sequence[int]) -> DivisorClass:

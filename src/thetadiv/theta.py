@@ -120,7 +120,7 @@ def class_T(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     the zero section) under s_d, for weights of total degree 0."""
     d = check_weights(g, n, d, degree=0)
     _warn_small_genus(g)
-    return DivisorClass(g, n, _pullback(g, n, d, shift=0))
+    return DivisorClass._trusted(g, n, _pullback(g, n, d, shift=0))
 
 
 def class_Theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
@@ -129,7 +129,7 @@ def class_Theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     d = check_weights(g, n, d, degree=g - 1)
     _warn_small_genus(g)
     coeffs = {LAMBDA1: Fraction(-1), DELTA_IRR: Fraction(1, 8), **_pullback(g, n, d, shift=1)}
-    return DivisorClass(g, n, coeffs)
+    return DivisorClass._trusted(g, n, coeffs)
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def _subtract_ledger(coeffs: dict[Generator, Fraction], ledger: CorrectionLedger
     for term in ledger.terms:
         gen = delta(term.boundary_class(ledger.g, ledger.n))
         coeffs[gen] = coeffs.get(gen, Fraction(0)) - term.mult
-    return DivisorClass(ledger.g, ledger.n, coeffs)
+    return DivisorClass._trusted(ledger.g, ledger.n, coeffs)
 
 
 def class_D_from_theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
@@ -231,10 +231,11 @@ def theta_intersection(
     shift = 0 if kind == "T" else 1
     d = check_weights(g, n, d, degree=shift * (g - 1))
     _check_curve(curve, g, n)
-    if curve.kind == "point":
-        return Fraction(d[curve.i - 1] ** 2 * g)
-    if curve.kind == "node":
-        b = curve.boundary
+    dual = curve.dual
+    if dual.kind == "K":
+        return Fraction(d[dual.i - 1] ** 2 * g)
+    if dual.kind == "delta":
+        b = dual.boundary
         e = weight_sum(d, b.P) - shift * b.h
         return Fraction(e * e * (g - b.h))
     if kind == "T":

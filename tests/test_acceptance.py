@@ -60,24 +60,24 @@ def expected_pairing_row(curve, g, n):
     """The intersection table re-encoded independently: full expected row
     for one curve, zeros included."""
     row = {gen: Fraction(0) for gen in basis_generators(g, n)}
-    if curve.kind == "point":
-        i = curve.i
+    if curve.dual.kind == "K":
+        i = curve.dual.i
         row[K(i)] = Fraction(2 * g - 2)
         for j in range(1, n + 1):
             if j != i:
                 row[bgen(g, n, 0, (i, j))] += 1
-    elif curve.kind == "node":
-        h, P = curve.boundary.h, curve.boundary.P
-        comp = curve.boundary.complement(n)
+    elif curve.dual.kind == "delta":
+        h, P = curve.dual.boundary.h, curve.dual.boundary.P
+        comp = curve.dual.boundary.complement(n)
         for i in range(1, n + 1):
             if h == 0 and i in P:
                 row[K(i)] = Fraction(2 * g - 2)
             elif h > 0 and i not in P:
                 row[K(i)] = Fraction(1)
-        row[delta(curve.boundary)] += 2 - 2 * (g - h) - len(comp)
+        row[delta(curve.dual.boundary)] += 2 - 2 * (g - h) - len(comp)
         for j in comp:
             row[bgen(g, n, h, P + (j,))] += 1
-    elif curve.kind == "elliptic_tail":
+    elif curve.dual == LAMBDA1:
         row[LAMBDA1] = Fraction(1, 24)
         row[DELTA_IRR] = Fraction(1, 2)
         row[bgen(g, n, 1, ())] = Fraction(-1, 24)
@@ -92,20 +92,20 @@ def test_criterion_1_intersection_table():
         curves = enumerate_test_curves(g, n)
         for curve in curves:
             # spot checks straight off the table
-            if curve.kind == "point":
-                assert intersect(curve, K(curve.i), g, n) == 2 * g - 2
+            if curve.dual.kind == "K":
+                assert intersect(curve, K(curve.dual.i), g, n) == 2 * g - 2
                 for j in range(1, n + 1):
-                    if j != curve.i:
-                        assert intersect(curve, bgen(g, n, 0, (curve.i, j)), g, n) == 1
-            if curve.kind == "node":
-                b = curve.boundary
+                    if j != curve.dual.i:
+                        assert intersect(curve, bgen(g, n, 0, (curve.dual.i, j)), g, n) == 1
+            if curve.dual.kind == "delta":
+                b = curve.dual.boundary
                 self_value = 2 - 2 * (g - b.h) - len(b.complement(n))
                 assert intersect(curve, delta(b), g, n) == self_value
-            if curve.kind == "elliptic_tail":
+            if curve.dual == LAMBDA1:
                 assert intersect(curve, bgen(g, n, 1, ()), g, n) == Fraction(-1, 24)
                 assert intersect(curve, DELTA_IRR, g, n) == Fraction(1, 2)
                 assert intersect(curve, LAMBDA1, g, n) == Fraction(1, 24)
-            if curve.kind == "irreducible":
+            if curve.dual == DELTA_IRR:
                 assert intersect(curve, bgen(g, n, 1, ()), g, n) == 1
                 assert intersect(curve, DELTA_IRR, g, n) == -1
             # every entry, stated zeros included

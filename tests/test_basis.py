@@ -22,6 +22,7 @@ from thetadiv.basis import (
     psi_to_k,
     relabel_boundary,
     relabel_class,
+    relabel_generator,
 )
 
 
@@ -249,3 +250,53 @@ def test_generator_labels_parse_back():
             assert parse_generator_label(generator_label(gen), g, n) == gen
     with pytest.raises(ValueError, match="unrecognized"):
         parse_generator_label("psi1", 3, 2)
+
+
+def subsets_containing(i, n):
+    """Every P in 1..n with i in P and |P| >= 2, one i at a time: the loop
+    the psi/K substitution ran before it walked the genus-0 classes once."""
+    others = [j for j in range(1, n + 1) if j != i]
+    for size in range(1, n):
+        for rest in combinations(others, size):
+            yield tuple(sorted((i,) + rest))
+
+
+def test_psi_substitution_matches_the_subset_loop():
+    for g in (1, 3, 4):
+        for n in range(1, 8):
+            weights = {K(i): Fraction(i, 3) for i in range(1, n + 1)}
+            expected = dict(weights)
+            for i in range(1, n + 1):
+                psi_i = {K(i): Fraction(1)}
+                for P in subsets_containing(i, n):
+                    gen = delta(canonicalize_boundary(0, P, g, n))
+                    psi_i[gen] = psi_i.get(gen, 0) + 1
+                    expected[gen] = expected.get(gen, 0) + weights[K(i)]
+                assert psi_in_k_basis(i, g, n) == DivisorClass(g, n, psi_i)
+            assert psi_to_k(DivisorClass(g, n, weights)) == DivisorClass(g, n, expected)
+
+
+def test_json_refuses_a_boundary_class_given_twice():
+    data = DivisorClass(3, 2, {K(1): 1}).to_json_dict()
+    data["coeffs"]["boundary"].append({"h": 0, "P": [1, 2], "c": "5"})
+    with pytest.raises(ValueError, match=r"delta_0\^\{1,2\} given twice"):
+        DivisorClass.from_json_dict(data)
+    # delta_2^{2} is the mirror of the canonical delta_1^{1}
+    data = DivisorClass(3, 2, {K(1): 1}).to_json_dict()
+    data["coeffs"]["boundary"].append({"h": 2, "P": [2], "c": "5"})
+    with pytest.raises(ValueError, match=r"delta_1\^\{1\} given twice"):
+        DivisorClass.from_json_dict(data)
+
+
+def test_every_relabel_refuses_a_non_permutation():
+    with pytest.raises(ValueError, match="not a permutation"):
+        relabel_class(DivisorClass(3, 2, {LAMBDA1: 1}), (5, 5))
+    with pytest.raises(ValueError, match="not a permutation"):
+        relabel_class(DivisorClass.zero(3, 2), (1,))
+    for gen in (LAMBDA1, DELTA_IRR, K(1), delta(canonicalize_boundary(1, (1,), 3, 2))):
+        with pytest.raises(ValueError, match="not a permutation"):
+            relabel_generator(gen, (1, 1), 3, 2)
+    with pytest.raises(ValueError, match=r"point index 3 out of range 1..2"):
+        relabel_generator(K(3), (2, 1), 3, 2)
+    with pytest.raises(ValueError, match="not canonical"):
+        relabel_generator(delta(BoundaryIndex(2, (2,))), (2, 1), 3, 2)

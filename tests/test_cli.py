@@ -233,6 +233,28 @@ def test_matrix_output_bytes(capsys, g, n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_DIGESTS[g, n, fmt]
 
 
+# sha256 of the stdout of `thetadiv curves`, taken while test curves still
+# carried their own kind strings instead of their dual generators
+CURVES_DIGESTS = {
+    (3, 2, "pretty"): "577749075f13de24a9d10c1af642fbf65396b9c3c61b83a67706a2c7ec6fea13",
+    (3, 2, "json"): "c9ea97c720261db9328f63f66a14ae2f99ad5d2ed372da09b776db6fe29d8e76",
+    (3, 2, "csv"): "c973ff44f3fb01a0bebc298866e0e41f295924424a9d536208f01484711f89a2",
+    (4, 3, "pretty"): "0df2c1a7e6f2847bb15afabe39211ce9d8a1e34d5c718185691ec0f7560578dd",
+    (4, 3, "json"): "a39f7c2912c53c30b44015643b03fa640802d07a0c76403f18f22fa6f077cb73",
+    (4, 3, "csv"): "f883caea2896a8d01aa813cd8efd8bce226395fb54abeb7e2fa170fa835a50e4",
+    (5, 4, "pretty"): "9b30ef77cef555d62bf082f6b81b2a53fbb29867ac3ae712ed1696deeb8a121e",
+    (5, 4, "json"): "969244a0d35e86f117ff9d8f0f8eca2963f8e2b8198d0aff19b6273bbe6da80d",
+    (5, 4, "csv"): "caff503a1b96bb2bc3340b078969e71ab70c69f1f31923f9bacd9a833f312b57",
+}
+
+
+@pytest.mark.parametrize("g, n, fmt", sorted(CURVES_DIGESTS))
+def test_curves_output_bytes(capsys, g, n, fmt):
+    code, out, err = run(capsys, "curves", "--g", str(g), "--n", str(n), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CURVES_DIGESTS[g, n, fmt]
+
+
 # sha256 of the stdout of `thetadiv dr`, taken before the expansion walked
 # multisets of generators
 DR_WEIGHTS = {(3, 3): "1,2,-3", (5, 2): "2,-2", (4, 3): "1,-3,2", (3, 4): "1,-2,3,-2"}

@@ -39,8 +39,8 @@ def bgen(g, n, h, P):
 def test_enumeration_counts():
     assert len(enumerate_test_curves(3, 2)) == 2 + 5 + 2
     assert len(enumerate_test_curves(3, 1)) == 1 + 2 + 2
-    node_curves = [c for c in enumerate_test_curves(4, 3) if c.kind == "node"]
-    assert [c.boundary for c in node_curves] == enumerate_boundary(4, 3)
+    node_curves = [c for c in enumerate_test_curves(4, 3) if c.dual.kind == "delta"]
+    assert [c.dual.boundary for c in node_curves] == enumerate_boundary(4, 3)
 
 
 def test_enumeration_requires_genus_three():
@@ -138,16 +138,16 @@ def test_build_matrix_shape_and_rows():
     mat = build_matrix(3, 2)
     gens = list(mat.cols)
     for curve, row in zip(mat.rows, mat.entries):
-        if curve.kind == "node":
+        if curve.dual.kind == "delta":
             # node rows never touch the lambda1 / delta_irr columns
             assert row[gens.index(LAMBDA1)] == 0
             assert row[gens.index(DELTA_IRR)] == 0
-        if curve.kind == "irreducible":
+        if curve.dual == DELTA_IRR:
             nonzero = {gens[j] for j, x in enumerate(row) if x != 0}
             assert nonzero == {bgen(3, 2, 1, ()), DELTA_IRR}
-        if curve.kind == "point":
-            allowed = {K(curve.i)} | {
-                bgen(3, 2, 0, (curve.i, j)) for j in range(1, 3) if j != curve.i
+        if curve.dual.kind == "K":
+            allowed = {K(curve.dual.i)} | {
+                bgen(3, 2, 0, (curve.dual.i, j)) for j in range(1, 3) if j != curve.dual.i
             }
             nonzero = {gens[j] for j, x in enumerate(row) if x != 0}
             assert nonzero <= allowed
@@ -161,8 +161,8 @@ def test_node_rows_are_triangular():
             for curve in enumerate_test_curves(g, n)[:-2]:
                 row = _row(curve, g, n)
                 assert LAMBDA1 not in row and DELTA_IRR not in row
-                if curve.kind == "node":
-                    b = curve.boundary
+                if curve.dual.kind == "delta":
+                    b = curve.dual.boundary
                     own = delta(b)
                     assert row[own] == 2 - 2 * (g - b.h) - len(b.complement(n)) != 0
                     later = [gen for gen in row if gen.kind == "delta" and gen != own]
@@ -214,3 +214,27 @@ def test_matrix_json_round_trip():
     bad["rows"] = list(reversed(bad["rows"]))
     with pytest.raises(ValueError, match="row labels"):
         IntersectionMatrix.from_json_dict(bad)
+
+
+def test_curves_are_the_duals_of_the_basis():
+    for g, n in [(3, 1), (4, 3), (5, 4)]:
+        gens = basis_generators(g, n)
+        assert [c.dual for c in enumerate_test_curves(g, n)] == gens[2:] + gens[:2]
+    assert (ELLIPTIC_TAIL.dual, IRREDUCIBLE_NODE.dual) == (LAMBDA1, DELTA_IRR)
+
+
+def test_relabel_curve_refuses_a_non_permutation():
+    with pytest.raises(ValueError, match="not a permutation"):
+        relabel_curve(point_curve(1), (7,), 3, 2)
+    with pytest.raises(ValueError, match="not a permutation"):
+        relabel_curve(ELLIPTIC_TAIL, (2, 2), 3, 2)
+    assert relabel_curve(point_curve(1), (2, 1), 3, 2) == point_curve(2)
+
+
+def test_matrix_json_refuses_entries_of_the_wrong_shape():
+    from thetadiv.curves import IntersectionMatrix
+
+    data = build_matrix(3, 2).to_json_dict()
+    for entries in ([["1"]], data["entries"][:-1], [row[:-1] for row in data["entries"]]):
+        with pytest.raises(ValueError, match="9 rows of 9 values"):
+            IntersectionMatrix.from_json_dict(dict(data, entries=entries))

@@ -269,3 +269,21 @@ def test_monomial_cap_bounds_the_count(monkeypatch):
     assert dr_expansion(3, 2, (0, 0)).terms == {}
     with pytest.raises(ValueError, match="35 monomials, above the cap of 0"):
         dr_expansion(3, 2, (1, -1))
+
+
+def test_relabel_cycle_refuses_a_non_permutation():
+    for cycle in (dr_expansion(3, 2, (1, -1)), FormalCycle(3, 2, {})):
+        with pytest.raises(ValueError, match="not a permutation"):
+            relabel_cycle(cycle, (1, 1))
+
+
+def test_relabel_and_json_keep_one_object_per_generator():
+    # each distinct generator is relabelled or parsed once, so the result
+    # holds one object per generator and __post_init__ checks each once
+    d = (1, -2, 3, -2)
+    cycle = dr_expansion(3, 4, d)
+    k = len(restrict_to_compact_type(class_T(3, 4, d)).coeffs)
+    for result in (relabel_cycle(cycle, (2, 1, 3, 4)), FormalCycle.from_json_dict(cycle.to_json_dict())):
+        objects = {id(gen): gen for mono in result.terms for gen, _ in mono}
+        assert len(objects) == len(set(objects.values())) == k
+    assert relabel_cycle(relabel_cycle(cycle, (2, 1, 3, 4)), (2, 1, 3, 4)) == cycle

@@ -88,7 +88,7 @@ def test_reconstruction_matches_dense_oracle(g, n):
     assert reconstruct_T(g, n, d) == expected
 
     d = random_weights(rng, n, g - 1)
-    kept = [(row, c) for row, c in zip(mat.entries, mat.rows) if c.kind in ("point", "node")]
+    kept = [(row, c) for row, c in zip(mat.entries, mat.rows) if c.dual.kind in ("K", "delta")]
     pins = [
         ([Fraction(gen == LAMBDA1) for gen in mat.cols], Fraction(-1)),
         ([Fraction({LAMBDA1: 1, DELTA_IRR: 12}.get(gen, 0)) for gen in mat.cols], Fraction(1, 2)),
