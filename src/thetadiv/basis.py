@@ -345,7 +345,12 @@ class DivisorClass:
             if gen in coeffs:
                 raise ValueError(f"boundary class {generator_label(gen)} given twice")
             coeffs[gen] = Fraction(entry["c"])
-        return cls(g, n, coeffs)
+        # generators canonical and coefficients Fractions by now: only
+        # (g, n) and the number of K entries are left to check
+        _check_gn(g, n)
+        if len(raw["K"]) > n:
+            raise ValueError(f"point index {n + 1} out of range 1..{n}")
+        return cls._trusted(g, n, coeffs)
 
 
 def psi_in_k_basis(i: int, g: int, n: int) -> DivisorClass:
@@ -365,9 +370,13 @@ def _substitute_psi(g: int, n: int, coeffs: Mapping[Generator, Fraction], sign: 
     _check_boundary_count(g, n)
     a = [sign * coeffs.get(K(i), Fraction(0)) for i in range(1, n + 1)]
     out = dict(coeffs)
+    # subset sums, one addition each: P's is that of P without its largest
+    # element, which comes earlier in the order, plus that element's slot
+    sums = {(i,): x for i, x in enumerate(a, start=1)}
     for P in _subsets(n, min_size=2):
         gen = delta(BoundaryIndex(0, P))
-        out[gen] = out.get(gen, Fraction(0)) + sum(a[i - 1] for i in P)
+        sums[P] = total = sums[P[:-1]] + a[P[-1] - 1]
+        out[gen] = out.get(gen, Fraction(0)) + total
     return DivisorClass._trusted(g, n, out)
 
 
@@ -391,9 +400,10 @@ def _check_permutation(sigma: tuple[int, ...], n: int) -> None:
 
 
 def relabel_boundary(b: BoundaryIndex, sigma: tuple[int, ...], g: int, n: int) -> BoundaryIndex:
-    """Image of a boundary class under the marking relabelling i -> sigma[i-1]."""
+    """Image of a boundary class (h, P) of (g, n), canonical or not, under
+    the marking relabelling i -> sigma[i-1]."""
     _check_permutation(sigma, n)
-    return canonicalize_boundary(b.h, tuple(sigma[i - 1] for i in b.P), g, n)
+    return _relabel(delta(canonicalize_boundary(b.h, b.P, g, n)), sigma, g, n).boundary
 
 
 def _relabel(gen: Generator, sigma: tuple[int, ...], g: int, n: int) -> Generator:
@@ -402,7 +412,8 @@ def _relabel(gen: Generator, sigma: tuple[int, ...], g: int, n: int) -> Generato
     if gen.kind == "K":
         return K(sigma[gen.i - 1])
     if gen.kind == "delta":
-        return delta(relabel_boundary(gen.boundary, sigma, g, n))
+        b = gen.boundary
+        return delta(canonicalize_boundary(b.h, tuple(sigma[i - 1] for i in b.P), g, n))
     return gen
 
 

@@ -11,9 +11,18 @@ curve per boundary class, two last rows), columns too (``lambda1``,
   h <= g/2 give g-h >= 2), and in the classes (h, P + {j}), j not in P.
   Those come later in the order: h < g-h is never mirrored, and at
   h = g/2 the set P already contains 1.
+* Node and point rows have integer entries; only right sides, the
+  elliptic tail's -1/24 on delta_1^{} and the pins are not integers.  A
+  form is n + 1 integers over one denominator, in lowest terms with the
+  denominator positive, and eliminating a column costs one pass of
+  integer multiply-subtracts over the lcm of the two denominators:
+  O(B n^2) integer operations in all, no Fraction on the way.
 * The point rows then leave an n x n system in the K's, and the last two
-  rows a 2 x 2 system in ``lambda1`` and ``delta_irr``; both are solved by
-  Fraction Gauss-Jordan elimination pivoting on the first nonzero entry.
+  rows a 2 x 2 system in ``lambda1`` and ``delta_irr``; those rows become
+  Fractions, and both blocks are solved by Fraction Gauss-Jordan
+  elimination pivoting on the first nonzero entry.  Back-substitution puts
+  the K solution over one common denominator and makes one Fraction per
+  boundary coefficient.
 * No point or node row meets ``lambda1`` or ``delta_irr``, and moving
   those two columns last is an even permutation, so
 
@@ -30,6 +39,8 @@ irreducible-node families, so ``reconstruct_Theta`` ends with the pins
 
 from __future__ import annotations
 
+import math
+import operator
 from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
@@ -54,17 +65,29 @@ def _fraction_str(q: Fraction) -> str:
     return num if den == "1" else f"{num}/{den}"
 
 
-def _reduce(row: dict, value: Fraction, solved: dict, n: int) -> list[Fraction]:
+def _reduce(row: dict, value: Fraction, solved: dict, n: int) -> tuple[list[int], int]:
     """A sparse row over K_1..K_n and solved boundary columns, with right
-    side ``value``, as [K coefficients, right side] once every boundary
-    entry is eliminated by the solved row of its column."""
-    vec = [Fraction(0)] * n + [value]
+    side ``value``, as (integers [K coefficients, right side], denominator)
+    once every boundary entry is eliminated by the solved form of its
+    column.  K entries are integers in every row; a boundary entry may not
+    be (the elliptic tail meets delta_1^{} in -1/24)."""
+    vec, den = [0] * n + [value.numerator], value.denominator
     for gen, a in row.items():
         if gen.kind == "K":
-            vec[gen.i - 1] += a
+            vec[gen.i - 1] += a.numerator * den
         else:
-            vec = [x - a * y for x, y in zip(vec, solved[gen])]
-    return vec
+            form, f = solved[gen]
+            f *= a.denominator
+            lcm = math.lcm(den, f)
+            s, t = lcm // den, a.numerator * (lcm // f)
+            vec, den = [s * x - t * y for x, y in zip(vec, form)], lcm
+    return vec, den
+
+
+def _value(form: tuple[list[int], int], xs: list[int], common: int) -> Fraction:
+    """Right side minus the K terms of a form, at x_K = xs[K] / common."""
+    vec, den = form
+    return Fraction(vec[-1] * common - sum(map(operator.mul, vec, xs)), den * common)
 
 
 def _gauss(rows: list[list[Fraction]]) -> tuple[Fraction, list[int], list[int]]:
@@ -102,26 +125,35 @@ def _eliminate(g: int, n: int, rhs, pins=None) -> tuple[Fraction, list[str], lis
     points, nodes = curves[:n], curves[n:-2]
     last = pins or [(curve_label(c), _row(c, g, n), rhs(c)) for c in curves[-2:]]
     det = Fraction(1)
-    # boundary generator -> its node row over [K_1..K_n, right side], scaled
-    # to 1 on its own column and with every other boundary column eliminated
+    # boundary generator -> its node row over [K_1..K_n, right side], divided
+    # by its own diagonal, with every other boundary column eliminated, as
+    # integers over one denominator: in lowest terms, the denominator > 0
     solved = {}
     for curve in reversed(nodes):
         row = _row(curve, g, n)
         own = curve.dual
         diagonal = row.pop(own)
         det *= diagonal
-        solved[own] = [x / diagonal for x in _reduce(row, rhs(curve), solved, n)]
+        vec, den = _reduce(row, rhs(curve), solved, n)
+        den *= diagonal.numerator  # node rows are integer
+        divisor = math.gcd(den, *vec) if den > 0 else -math.gcd(den, *vec)
+        solved[own] = [x // divisor for x in vec], den // divisor
 
-    k_block = [_reduce(_row(c, g, n), rhs(c), solved, n) for c in points]
+    k_block = []
+    for c in points:
+        vec, den = _reduce(_row(c, g, n), rhs(c), solved, n)
+        k_block.append([Fraction(x, den) for x in vec])
     det_k, failed_k, missing_k = _gauss(k_block)
-    # the right sides below only matter when the n x n block is regular
+    # the right sides below only matter when the n x n block is regular;
+    # x_K = xs[K] / common, over one common denominator
     x_k = [Fraction(0)] * n if missing_k else [r[n] / r[k] for k, r in enumerate(k_block)]
+    common = math.lcm(*(x.denominator for x in x_k))
+    xs = [x.numerator * (common // x.denominator) for x in x_k]
     last_block = []
     for _, row, value in last:
         row = dict(row)
         head = [Fraction(row.pop(LAMBDA1, 0)), Fraction(row.pop(DELTA_IRR, 0))]
-        vec = _reduce(row, value, solved, n)
-        last_block.append(head + [vec[n] - sum(a * x for a, x in zip(vec, x_k))])
+        last_block.append(head + [_value(_reduce(row, value, solved, n), xs, common)])
     det_l, failed_l, missing_l = _gauss(last_block)
 
     det *= det_k * det_l
@@ -133,7 +165,7 @@ def _eliminate(g: int, n: int, rhs, pins=None) -> tuple[Fraction, list[str], lis
     values = {LAMBDA1: lam_value / lam, DELTA_IRR: irr_value / irr}
     values.update((K(k + 1), x) for k, x in enumerate(x_k))
     for gen, form in reversed(solved.items()):
-        values[gen] = form[n] - sum(a * x for a, x in zip(form, x_k))
+        values[gen] = _value(form, xs, common)
     return det, failed, missing, values
 
 

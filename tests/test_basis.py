@@ -300,3 +300,60 @@ def test_every_relabel_refuses_a_non_permutation():
         relabel_generator(K(3), (2, 1), 3, 2)
     with pytest.raises(ValueError, match="not canonical"):
         relabel_generator(delta(BoundaryIndex(2, (2,))), (2, 1), 3, 2)
+
+
+def test_relabel_boundary_validates_against_g_n():
+    # sigma[-1] used to wrap the marking 0 onto sigma's last entry, and a
+    # marking past n raised IndexError
+    for b in (BoundaryIndex(1, (0,)), BoundaryIndex(1, (3,))):
+        with pytest.raises(ValueError, match=r"not contained in 1..2"):
+            relabel_boundary(b, (2, 1), 3, 2)
+    with pytest.raises(ValueError, match="unstable"):
+        relabel_boundary(BoundaryIndex(0, (1,)), (2, 1), 3, 2)
+    # a label need not be canonical: delta_2^{2} is delta_1^{1}
+    assert relabel_boundary(BoundaryIndex(2, (2,)), (2, 1), 3, 2) == BoundaryIndex(1, (2,))
+
+
+def test_json_read_canonicalizes_each_boundary_entry_once(monkeypatch):
+    import thetadiv.basis as basis
+    from thetadiv.basis import _boundary_count
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return canonicalize_boundary(*args)
+
+    x = psi_in_k_basis(3, 5, 8) + DivisorClass(5, 8, {LAMBDA1: Fraction(-1, 3)})
+    data = x.to_json_dict()
+    monkeypatch.setattr(basis, "canonicalize_boundary", counted)
+    assert DivisorClass.from_json_dict(data) == x
+    assert len(calls) == len(data["coeffs"]["boundary"]) == _boundary_count(5, 8) == 759
+
+
+def test_json_read_keeps_its_refusals():
+    good = DivisorClass(3, 2, {K(1): 1, LAMBDA1: Fraction(1, 2)}).to_json_dict()
+
+    def edited(**changes):
+        data = {**good, "coeffs": dict(good["coeffs"])}
+        for key, value in changes.items():
+            (data["coeffs"] if key in data["coeffs"] else data)[key] = value
+        return data
+
+    with pytest.raises(ValueError, match=r"point index 3 out of range 1..2"):
+        DivisorClass.from_json_dict(edited(K=["1", "0", "4"]))
+    for bad in ("x", "1/2/3", ""):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            DivisorClass.from_json_dict(edited(delta_irr=bad))
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        DivisorClass.from_json_dict(edited(boundary=[{"h": 1, "P": [1], "c": "one"}]))
+    with pytest.raises(ValueError, match=r"given twice"):
+        DivisorClass.from_json_dict(edited(boundary=good["coeffs"]["boundary"] * 2))
+    with pytest.raises(ValueError, match="genus must be"):
+        DivisorClass.from_json_dict(edited(g=0))
+    with pytest.raises(ValueError, match="genus must be"):
+        DivisorClass.from_json_dict(edited(g=True, boundary=[]))
+    with pytest.raises(ValueError, match="number of marked points"):
+        DivisorClass.from_json_dict(edited(n=0, K=[], boundary=[]))
+    with pytest.raises(ValueError, match="marking set"):
+        DivisorClass.from_json_dict(edited(boundary=[{"h": 1, "P": [3], "c": "1"}]))

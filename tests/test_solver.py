@@ -2,11 +2,14 @@
 oracles run on the full pairing matrix."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thetadiv.solve as solve
 from thetadiv.basis import DELTA_IRR, LAMBDA1, DivisorClass, K
@@ -60,17 +63,20 @@ def test_reconstruct_Theta_examples():
     assert sol.coeff(K(2)) == 0  # d_i(d_i+1)/2 vanishes at d_i = -1
 
 
-def test_reconstruction_sweep():
-    rng = random.Random(47)
-    for g, n in [(3, 1), (3, 3), (5, 2)]:
-        for _ in range(5):
-            head = [rng.randint(-10, 10) for _ in range(n - 1)]
-            d0 = tuple(head + [-sum(head)])
-            assert reconstruct_T(g, n, d0) == class_T(g, n, d0)
-            d1 = tuple(head + [g - 1 - sum(head)])
-            assert reconstruct_Theta(g, n, d1) == class_Theta(g, n, d1)
+@st.composite
+def weighted_sizes(draw):
+    g, n = draw(st.integers(3, 6)), draw(st.integers(1, 5))
+    return g, n, tuple(draw(st.lists(st.integers(-10, 10), min_size=n - 1, max_size=n - 1)))
 
 
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(case=weighted_sizes())
+def test_reconstruction_sweep(case):
+    g, n, head = case
+    d0 = head + (-sum(head),)
+    assert reconstruct_T(g, n, d0) == class_T(g, n, d0)
+    d1 = head + (g - 1 - sum(head),)
+    assert reconstruct_Theta(g, n, d1) == class_Theta(g, n, d1)
 
 
 def random_weights(rng, n, degree):
@@ -99,6 +105,40 @@ def test_reconstruction_matches_dense_oracle(g, n):
     assert reconstruct_Theta(g, n, d) == expected
 
 
+def fractional_right_sides(curves, seed):
+    """Right sides with denominators 1, 3, 4 and 9, so that the node forms
+    need more than their diagonals in their denominators."""
+    rng = random.Random(seed)
+    return {c: Fraction(rng.randint(-30, 30), rng.choice((1, 3, 4, 9))) for c in curves}
+
+
+@pytest.mark.parametrize("g, n", ORACLE_SIZES + [(6, 4)])
+def test_eliminate_matches_dense_oracle_on_fractional_right_sides(g, n):
+    mat = build_matrix(g, n)
+    for seed in range(3):
+        rhs = fractional_right_sides(mat.rows, 100 * seed + 10 * g + n)
+        det, failed, missing, values = solve._eliminate(g, n, rhs.__getitem__)
+        assert det != 0 and failed == missing == []
+        assert values == dict(zip(mat.cols, naive_gauss(mat.entries, [rhs[c] for c in mat.rows])))
+
+
+def test_node_forms_are_in_lowest_terms_over_a_positive_denominator(monkeypatch):
+    seen = []
+
+    def reduce(row, value, solved, n):
+        seen.append(solved)
+        return reduce_forms(row, value, solved, n)
+
+    reduce_forms = solve._reduce
+    monkeypatch.setattr(solve, "_reduce", reduce)
+    rhs = fractional_right_sides(build_matrix(5, 4).rows, 7)
+    solve._eliminate(5, 4, rhs.__getitem__)
+    forms = seen[-1].values()
+    assert len(forms) == 43 and any(den > 1 for _, den in forms)
+    for vec, den in forms:
+        assert den > 0 and math.gcd(den, *vec) == 1
+
+
 @pytest.mark.parametrize("g, n", ORACLE_SIZES)
 def test_certificate_det_matches_sympy(g, n):
     entries = build_matrix(g, n).entries
@@ -113,6 +153,8 @@ def test_certificate_det_matches_sympy(g, n):
 DET_DIGESTS = {
     (6, 7): "e76eff5a24a6798ee051792eb895179dc62476b0ee9287dd5018076278586a56",
     (5, 8): "a29cc70ed31a049d17c04e3704b044cc296386e91c86af40e62072b773880e00",
+    # taken from the Fraction node-row solver, before the integer forms
+    (7, 8): "a2bcd504315e382b621824281543e616edefec2f6742e6a3650ff138e5a9120d",
 }
 
 
