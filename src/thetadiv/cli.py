@@ -17,7 +17,7 @@ verify rank|T|theta|mueller
     Run the corresponding identity sweep and print a JSON pass/fail report.
 
 Exit codes: 0 success, 1 verification failure (report still printed),
-2 usage or validation error.  Output is byte-identical for identical
+2 usage or validation error, 3 internal error (one line on stderr).  Output is byte-identical for identical
 flags and seed.  Random sweeps draw each weight uniformly from [-10, 10]
 and then adjust the last coordinate to hit the required total degree.
 """
@@ -309,6 +309,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not a failed check: no traceback, and not exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -24,12 +24,19 @@ generator:
 rotated by two.  Each family's intersection numbers with the basis
 divisors are stated once, as its sparse row of nonzero entries (they
 follow from the standard boundary-restriction computations; the
-elliptic-tail values already account for the 1/2 weighting).  Boundary
-entries are keyed by canonical class representatives, so mirrored queries
-agree.  :func:`intersect` and :func:`pair` validate the curve once, by the
-generator check of its dual, and read one row; :func:`build_matrix` reads
-every row once to assemble the full pairing matrix, which is invertible
-for g >= 3.
+elliptic-tail values already account for the 1/2 weighting), keyed by
+column position: 0 ``lambda1``, 1 ``delta_irr``, 1 + i ``K_i``, then the
+boundary classes through one ``(h, P) -> column`` dict per (g, n).
+Entries are ints but for the elliptic tail's 1/24, 1/2 and -1/24.
+
+No entry is canonicalized: for a canonical node class (h, P) and j not in
+P, (h, P + {j}) is canonical as a sorted tuple, since h <= g-h still
+holds and at the tie h = g/2 the set P already contains 1; a point row's
+(0, {i, j}) is canonical as (min, max).  Only delta_1^{} is canonicalized,
+once per elliptic-tail or irreducible-node row.  :func:`intersect` and
+:func:`pair` validate the curve once, by the generator check of its dual,
+and read its one row with each class (h, P) keyed by itself, building no
+O(B) dict.  The pairing matrix is invertible for g >= 3.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .basis import (
     DELTA_IRR,
@@ -95,52 +102,74 @@ def _check_curve(curve: TestCurve, g: int, n: int) -> None:
     _check_generator(curve.dual, g, n)
 
 
+def _dual_basis(g: int, n: int) -> list[Generator]:
+    """:func:`basis_generators`, refused where the curves span no dual basis."""
+    _check_gn(g, n)
+    if g < 3:
+        raise ValueError("the test-curve families span the dual basis only for genus >= 3")
+    return basis_generators(g, n)
+
+
 def enumerate_test_curves(g: int, n: int) -> list[TestCurve]:
     """The full family list, dual to :func:`basis_generators` rotated by
     two: point curves, one node curve per canonical boundary class, then
     the elliptic tail and the irreducible-node family."""
-    _check_gn(g, n)
-    if g < 3:
-        raise ValueError("the test-curve families span the dual basis only for genus >= 3")
-    gens = basis_generators(g, n)
+    gens = _dual_basis(g, n)
     return [TestCurve(gen) for gen in gens[2:] + gens[:2]]
 
 
-def _row(curve: TestCurve, g: int, n: int) -> dict[Generator, Fraction]:
-    """The pairings of a valid test curve with the basis for (g, n) that can
-    be nonzero, keyed by generator; every generator absent pairs to 0."""
-    dual = curve.dual
+def _row(dual: Generator, g: int, n: int, column: Mapping) -> dict:
+    """The pairings of the family dual to a valid generator with the basis
+    for (g, n) that can be nonzero, keyed as the module notes say, with
+    the canonical class (h, P) at ``column[h, P]``; absent keys pair to 0."""
     if dual.kind == "K":
         i = dual.i
-        row = {K(i): Fraction(2 * g - 2)}
+        row = {1 + i: 2 * g - 2}
         for j in range(1, n + 1):
             if j != i:
                 # the moving point collides with another marking: a rational tail
-                row[delta(canonicalize_boundary(0, (i, j), g, n))] = Fraction(1)
+                row[column[0, (min(i, j), max(i, j))]] = 1
         return row  # lambda1 and delta_irr restrict trivially
     if dual.kind == "delta":
-        b = dual.boundary
-        comp = b.complement(n)
-        if b.h == 0:
-            row = {K(i): Fraction(2 * g - 2) for i in b.P}
-        else:
-            row = {K(i): Fraction(1) for i in comp}
+        h, P = dual.boundary.h, dual.boundary.P
+        comp = dual.boundary.complement(n)
+        row = {1 + i: 2 * g - 2 for i in P} if h == 0 else {1 + i: 1 for i in comp}
         # self-intersection: minus the degree of the normal direction
-        row[dual] = Fraction(2 - 2 * (g - b.h) - len(comp))
+        row[column[h, P]] = 2 - 2 * (g - h) - len(comp)
         for j in comp:
             # moving attach point hits the marking j: one transverse point
-            gen = delta(canonicalize_boundary(b.h, b.P + (j,), g, n))
-            row[gen] = row.get(gen, Fraction(0)) + 1
+            row[column[h, tuple(sorted(P + (j,)))]] = 1
         return row  # lambda1 and delta_irr restrict trivially
     if dual == LAMBDA1:
         # K_i: all markings sit on the fixed component
-        row, tail = {LAMBDA1: Fraction(1, 24), DELTA_IRR: Fraction(1, 2)}, Fraction(-1, 24)
+        row, tail = {0: Fraction(1, 24), 1: Fraction(1, 2)}, Fraction(-1, 24)
     else:
-        row, tail = {DELTA_IRR: Fraction(-1)}, Fraction(1)
+        row, tail = {1: -1}, 1
     # delta_1^{} is unstable, so no generator, only at (g, n) = (1, 1)
     if (g, n) != (1, 1):
-        row[delta(canonicalize_boundary(1, (), g, n))] = tail
+        b = canonicalize_boundary(1, (), g, n)
+        row[column[b.h, b.P]] = tail
     return row
+
+
+def _rows(g: int, n: int) -> tuple[list[Generator], Callable[[int], dict]]:
+    """The basis for (g, n) and its row source: ``row(c)`` is the row of
+    the family dual to column c."""
+    gens = _dual_basis(g, n)
+    column = {(gen.boundary.h, gen.boundary.P): c for c, gen in enumerate(gens) if c > n + 1}
+    return gens, lambda c: _row(gens[c], g, n, column)
+
+
+class _ByClass(dict):
+    def __missing__(self, key):  # a row read on its own: (h, P) keys itself
+        return key
+
+
+def _key(gen: Generator):
+    """Where a generator sits in a row placed by :class:`_ByClass`."""
+    if gen.kind == "delta":
+        return gen.boundary.h, gen.boundary.P
+    return 1 + gen.i if gen.kind == "K" else int(gen == DELTA_IRR)
 
 
 def intersect(curve: TestCurve, gen: Generator, g: int, n: int) -> Fraction:
@@ -148,14 +177,14 @@ def intersect(curve: TestCurve, gen: Generator, g: int, n: int) -> Fraction:
     _check_gn(g, n)
     _check_curve(curve, g, n)
     _check_generator(gen, g, n)
-    return _row(curve, g, n).get(gen, Fraction(0))
+    return Fraction(_row(curve.dual, g, n, _ByClass()).get(_key(gen), 0))
 
 
 def pair(curve: TestCurve, divclass: DivisorClass) -> Fraction:
     """Intersection number of a test curve with an arbitrary divisor class."""
     _check_curve(curve, divclass.g, divclass.n)
-    row = _row(curve, divclass.g, divclass.n)
-    return sum((c * row.get(gen, 0) for gen, c in divclass.coeffs.items()), Fraction(0))
+    row = _row(curve.dual, divclass.g, divclass.n, _ByClass())
+    return sum((c * row.get(_key(gen), 0) for gen, c in divclass.coeffs.items()), Fraction(0))
 
 
 def relabel_curve(curve: TestCurve, sigma: tuple[int, ...], g: int, n: int) -> TestCurve:
@@ -214,13 +243,14 @@ class IntersectionMatrix:
 
 def build_matrix(g: int, n: int) -> IntersectionMatrix:
     """Assemble the full test-curve / divisor-basis intersection matrix."""
-    curves = enumerate_test_curves(g, n)
-    gens = basis_generators(g, n)
-    column = {gen: j for j, gen in enumerate(gens)}
+    gens, row = _rows(g, n)
+    m = len(gens)
+    order = [*range(2, m), 0, 1]  # the test-curve order
     entries = []
-    for curve in curves:
-        entry = [Fraction(0)] * len(gens)
-        for gen, value in _row(curve, g, n).items():
-            entry[column[gen]] = value
+    for c in order:
+        entry = [Fraction(0)] * m
+        for j, value in row(c).items():
+            entry[j] = Fraction(value)
         entries.append(tuple(entry))
-    return IntersectionMatrix(g, n, tuple(curves), tuple(gens), tuple(entries))
+    curves = tuple(TestCurve(gens[c]) for c in order)
+    return IntersectionMatrix(g, n, curves, tuple(gens), tuple(entries))

@@ -1,9 +1,12 @@
 """Rank certificates and divisor-class reconstruction from test-curve data.
 
 The test-curve system is solved in the shape of its pairing matrix, with
-no dense elimination.  Rows come in basis order (point curves, one node
-curve per boundary class, two last rows), columns too (``lambda1``,
-``delta_irr``, ``K_1 .. K_n``, the boundary classes).
+no dense elimination.  Rows and columns are both indexed by column
+position in ``basis_generators(g, n)``: 0 ``lambda1`` (the elliptic-tail
+row), 1 ``delta_irr`` (the irreducible-node row), 2 .. n+1 ``K_1 .. K_n``
+(the point rows) and then the boundary classes (their node rows).  Each
+row is read once per solve from ``curves._rows``; the solved node forms
+are a list by column, and generators appear only in the result.
 
 * Node rows, last to first, give each boundary coefficient as an affine
   form in the K's.  The node family (h, P) meets the boundary only in its
@@ -11,8 +14,9 @@ curve per boundary class, two last rows), columns too (``lambda1``,
   h <= g/2 give g-h >= 2), and in the classes (h, P + {j}), j not in P.
   Those come later in the order: h < g-h is never mirrored, and at
   h = g/2 the set P already contains 1.
-* Node and point rows have integer entries; only right sides, the
-  elliptic tail's -1/24 on delta_1^{} and the pins are not integers.  A
+* Node and point rows have integer entries, and so do the right sides of
+  ``reconstruct_*``; only the elliptic tail's entries and the pins are
+  Fractions.  The product of the node diagonals stays an int.  A
   form is n + 1 integers over one denominator, in lowest terms with the
   denominator positive, and eliminating a column costs one pass of
   integer multiply-subtracts over the lcm of the two denominators:
@@ -30,11 +34,13 @@ curve per boundary class, two last rows), columns too (``lambda1``,
 
 :func:`certify_basis` reports rank and determinant with the elliptic-tail
 and irreducible-node rows last.  :func:`reconstruct_T` and
-:func:`reconstruct_Theta` read every right side from
-:func:`thetadiv.theta.theta_intersection`, independently of the closed
-formulas.  That has no degree-(g-1) numbers for the elliptic-tail and
-irreducible-node families, so ``reconstruct_Theta`` ends with the pins
-``lambda1 = -1`` and ``lambda1 + 12 delta_irr = 1/2`` instead.
+:func:`reconstruct_Theta` check the weights once and read every right
+side from ``theta._theta``, which also serves
+:func:`thetadiv.theta.theta_intersection` after its checks, independently
+of the closed formulas.  There are no degree-(g-1) numbers for the
+elliptic-tail and irreducible-node families, so ``reconstruct_Theta``
+ends with the pins ``lambda1 = -1`` and ``lambda1 + 12 delta_irr = 1/2``
+instead.
 """
 
 from __future__ import annotations
@@ -45,9 +51,9 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
-from .basis import DELTA_IRR, LAMBDA1, DivisorClass, K, _boundary_count, generator_label
-from .curves import _row, curve_label, enumerate_test_curves
-from .theta import check_weights, theta_intersection
+from .basis import DivisorClass, _boundary_count, generator_label
+from .curves import TestCurve, _rows, curve_label
+from .theta import _theta, check_weights
 
 
 class SingularMatrixError(ValueError):
@@ -65,18 +71,18 @@ def _fraction_str(q: Fraction) -> str:
     return num if den == "1" else f"{num}/{den}"
 
 
-def _reduce(row: dict, value: Fraction, solved: dict, n: int) -> tuple[list[int], int]:
-    """A sparse row over K_1..K_n and solved boundary columns, with right
-    side ``value``, as (integers [K coefficients, right side], denominator)
-    once every boundary entry is eliminated by the solved form of its
-    column.  K entries are integers in every row; a boundary entry may not
-    be (the elliptic tail meets delta_1^{} in -1/24)."""
+def _reduce(row: dict, value, solved: list, n: int) -> tuple[list[int], int]:
+    """A sparse row over K_1..K_n (columns 2..n+1) and solved boundary
+    columns, with an int or Fraction right side ``value``, as (integers
+    [K coefficients, right side], denominator) once every boundary entry
+    is eliminated by the solved form of its column.  K entries are ints in
+    every row; the elliptic tail meets delta_1^{} in -1/24."""
     vec, den = [0] * n + [value.numerator], value.denominator
-    for gen, a in row.items():
-        if gen.kind == "K":
-            vec[gen.i - 1] += a.numerator * den
+    for c, a in row.items():
+        if c <= n + 1:
+            vec[c - 2] += a * den
         else:
-            form, f = solved[gen]
+            form, f = solved[c]
             f *= a.denominator
             lcm = math.lcm(den, f)
             s, t = lcm // den, a.numerator * (lcm // f)
@@ -116,32 +122,31 @@ def _gauss(rows: list[list[Fraction]]) -> tuple[Fraction, list[int], list[int]]:
 
 def _eliminate(g: int, n: int, rhs, pins=None) -> tuple[Fraction, list[str], list, dict | None]:
     """Solve the test-curve system for (g, n) whose rows have right sides
-    ``rhs(curve)``; the last two rows are the elliptic-tail and
-    irreducible-node rows, or the ``pins``, each (label, sparse row, right
-    side).  Returns the determinant, the labels of the rows and the
-    generators of the columns left without a pivot, and the solution (None
-    when a column has no pivot)."""
-    curves = enumerate_test_curves(g, n)
-    points, nodes = curves[:n], curves[n:-2]
-    last = pins or [(curve_label(c), _row(c, g, n), rhs(c)) for c in curves[-2:]]
-    det = Fraction(1)
-    # boundary generator -> its node row over [K_1..K_n, right side], divided
-    # by its own diagonal, with every other boundary column eliminated, as
+    ``rhs(dual generator)``; the last two rows are the elliptic-tail and
+    irreducible-node rows, or the ``pins``, each (label, sparse row by
+    column, right side).  Returns the determinant, the labels of the rows
+    and the generators of the columns left without a pivot, and the
+    solution (None when a column has no pivot)."""
+    gens, row_of = _rows(g, n)
+    m = len(gens)
+    last = pins or [(curve_label(TestCurve(gens[c])), row_of(c), rhs(gens[c])) for c in (0, 1)]
+    det = 1
+    # by column: a boundary column's node row over [K_1..K_n, right side],
+    # divided by its diagonal, every other boundary column eliminated, as
     # integers over one denominator: in lowest terms, the denominator > 0
-    solved = {}
-    for curve in reversed(nodes):
-        row = _row(curve, g, n)
-        own = curve.dual
-        diagonal = row.pop(own)
+    solved = [None] * m
+    for c in range(m - 1, n + 1, -1):
+        row = row_of(c)
+        diagonal = row.pop(c)
         det *= diagonal
-        vec, den = _reduce(row, rhs(curve), solved, n)
-        den *= diagonal.numerator  # node rows are integer
+        vec, den = _reduce(row, rhs(gens[c]), solved, n)
+        den *= diagonal  # node rows are integer
         divisor = math.gcd(den, *vec) if den > 0 else -math.gcd(den, *vec)
-        solved[own] = [x // divisor for x in vec], den // divisor
+        solved[c] = [x // divisor for x in vec], den // divisor
 
     k_block = []
-    for c in points:
-        vec, den = _reduce(_row(c, g, n), rhs(c), solved, n)
+    for c in range(2, n + 2):
+        vec, den = _reduce(row_of(c), rhs(gens[c]), solved, n)
         k_block.append([Fraction(x, den) for x in vec])
     det_k, failed_k, missing_k = _gauss(k_block)
     # the right sides below only matter when the n x n block is regular;
@@ -150,22 +155,20 @@ def _eliminate(g: int, n: int, rhs, pins=None) -> tuple[Fraction, list[str], lis
     common = math.lcm(*(x.denominator for x in x_k))
     xs = [x.numerator * (common // x.denominator) for x in x_k]
     last_block = []
-    for _, row, value in last:
-        row = dict(row)
-        head = [Fraction(row.pop(LAMBDA1, 0)), Fraction(row.pop(DELTA_IRR, 0))]
+    for _, row, value in last:  # fresh dicts, the pins too
+        head = [Fraction(row.pop(0, 0)), Fraction(row.pop(1, 0))]
         last_block.append(head + [_value(_reduce(row, value, solved, n), xs, common)])
     det_l, failed_l, missing_l = _gauss(last_block)
 
     det *= det_k * det_l
-    failed = [curve_label(points[i]) for i in failed_k] + [last[i][0] for i in failed_l]
-    missing = [K(k + 1) for k in missing_k] + [(LAMBDA1, DELTA_IRR)[k] for k in missing_l]
+    failed = [curve_label(TestCurve(gens[2 + i])) for i in failed_k] + [last[i][0] for i in failed_l]
+    missing = [gens[2 + k] for k in missing_k] + [gens[k] for k in missing_l]
     if missing:
         return det, failed, missing, None
     (lam, _, lam_value), (_, irr, irr_value) = last_block
-    values = {LAMBDA1: lam_value / lam, DELTA_IRR: irr_value / irr}
-    values.update((K(k + 1), x) for k, x in enumerate(x_k))
-    for gen, form in reversed(solved.items()):
-        values[gen] = _value(form, xs, common)
+    values = {gens[0]: lam_value / lam, gens[1]: irr_value / irr}
+    values.update(zip(gens[2 : n + 2], x_k))
+    values.update((gens[c], _value(solved[c], xs, common)) for c in range(n + 2, m))
     return det, failed, missing, values
 
 
@@ -176,7 +179,7 @@ def certify_basis(g: int, n: int) -> dict:
     n + B + 2, a nonzero-determinant certificate, and the labels of any
     rows left without a pivot (empty when the certificate holds).
     """
-    det, failed, _, _ = _eliminate(g, n, lambda curve: Fraction(0))
+    det, failed, _, _ = _eliminate(g, n, lambda gen: 0)
     size = n + _boundary_count(g, n) + 2
     return {
         "g": g,
@@ -202,15 +205,16 @@ def reconstruct_T(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     """Recover the degree-0 theta pullback class by solving the full
     test-curve system (every family contributes a row)."""
     d = check_weights(g, n, d, degree=0)
-    return _solve_class(g, n, lambda curve: theta_intersection(curve, d, "T", g, n))
+    return _solve_class(g, n, lambda gen: _theta(gen, d, 0, g))
 
 
 def reconstruct_Theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     """Recover the degree-(g-1) theta pullback class from the point and
     node rows plus the two pinned coefficient constraints."""
     d = check_weights(g, n, d, degree=g - 1)
+    # columns 0 and 1 are lambda1 and delta_irr
     pins = [
-        ("pin: lambda1 = -1", {LAMBDA1: 1}, Fraction(-1)),
-        ("pin: lambda1 + 12*delta_irr = 1/2", {LAMBDA1: 1, DELTA_IRR: 12}, Fraction(1, 2)),
+        ("pin: lambda1 = -1", {0: 1}, Fraction(-1)),
+        ("pin: lambda1 + 12*delta_irr = 1/2", {0: 1, 1: 12}, Fraction(1, 2)),
     ]
-    return _solve_class(g, n, lambda curve: theta_intersection(curve, d, "Theta", g, n), pins)
+    return _solve_class(g, n, lambda gen: _theta(gen, d, 1, g), pins)

@@ -213,6 +213,18 @@ def class_D_direct(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     return _subtract_ledger(coeffs, ledger)
 
 
+def _theta(dual: Generator, d: Sequence[int], shift: int, g: int) -> int:
+    """:func:`theta_intersection` of the family dual to ``dual``, unchecked;
+    shift 0 for kind "T", 1 for "Theta"."""
+    if dual.kind == "K":
+        return d[dual.i - 1] ** 2 * g
+    if dual.kind == "delta":
+        b = dual.boundary
+        e = weight_sum(d, b.P) - shift * b.h
+        return e * e * (g - b.h)
+    return 0  # T is constant along the elliptic tail and the irreducible node
+
+
 def theta_intersection(
     curve: TestCurve, d: Sequence[int], kind: str, g: int, n: int
 ) -> Fraction:
@@ -231,13 +243,6 @@ def theta_intersection(
     shift = 0 if kind == "T" else 1
     d = check_weights(g, n, d, degree=shift * (g - 1))
     _check_curve(curve, g, n)
-    dual = curve.dual
-    if dual.kind == "K":
-        return Fraction(d[dual.i - 1] ** 2 * g)
-    if dual.kind == "delta":
-        b = dual.boundary
-        e = weight_sum(d, b.P) - shift * b.h
-        return Fraction(e * e * (g - b.h))
-    if kind == "T":
-        return Fraction(0)
-    raise ValueError(f"no degree-(g-1) theta intersection number for the {curve_label(curve)} family")
+    if shift and curve.dual.kind not in ("K", "delta"):
+        raise ValueError(f"no degree-(g-1) theta intersection number for the {curve_label(curve)} family")
+    return Fraction(_theta(curve.dual, d, shift, g))

@@ -187,6 +187,19 @@ def test_verify_failure_exit_code_and_report(capsys, monkeypatch):
     assert all(len(f["d"]) == 2 for f in report["failures"])
 
 
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
+    import thetadiv.cli as cli
+
+    def broken(g, n):
+        raise RuntimeError("pivot table corrupted")
+
+    monkeypatch.setattr(cli, "certify_basis", broken)
+    code, out, err = run(capsys, "verify", "rank", "--g", "3", "--n", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: pivot table corrupted\n"
+
+
 @pytest.mark.parametrize(
     "target, name, error",
     [

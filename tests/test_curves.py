@@ -20,7 +20,7 @@ from thetadiv.basis import (
 from thetadiv.curves import (
     ELLIPTIC_TAIL,
     IRREDUCIBLE_NODE,
-    _row,
+    _rows,
     boundary_curve,
     build_matrix,
     curve_label,
@@ -157,16 +157,42 @@ def test_node_rows_are_triangular():
     # the shape thetadiv.solve relies on, in basis order
     for g in range(3, 8):
         for n in range(1, 7):
-            column = {gen: j for j, gen in enumerate(basis_generators(g, n))}
-            for curve in enumerate_test_curves(g, n)[:-2]:
-                row = _row(curve, g, n)
-                assert LAMBDA1 not in row and DELTA_IRR not in row
-                if curve.dual.kind == "delta":
-                    b = curve.dual.boundary
-                    own = delta(b)
+            gens, row_of = _rows(g, n)
+            for own in range(2, len(gens)):
+                row = row_of(own)
+                assert 0 not in row and 1 not in row  # lambda1 and delta_irr
+                if gens[own].kind == "delta":
+                    b = gens[own].boundary
                     assert row[own] == 2 - 2 * (g - b.h) - len(b.complement(n)) != 0
-                    later = [gen for gen in row if gen.kind == "delta" and gen != own]
-                    assert all(column[gen] > column[own] for gen in later)
+                    assert all(c > own for c in row if c > n + 1 and c != own)
+
+
+def test_row_keys_are_canonical_as_they_stand():
+    # the row source places (h, P + {j}) by its sorted tuple and a point
+    # pair by (min, max), with no canonicalization: both must be the
+    # canonical form and a key of the column dict
+    for g in range(3, 9):
+        for n in range(1, 8):
+            gens, row_of = _rows(g, n)
+            column = {(gen.boundary.h, gen.boundary.P): c for c, gen in enumerate(gens) if c > n + 1}
+
+            def placed(h, P):
+                b = canonicalize_boundary(h, P, g, n)
+                return column[b.h, b.P]
+
+            for (h, P), own in column.items():
+                comp = [j for j in range(1, n + 1) if j not in P]
+                for j in comp:
+                    b = canonicalize_boundary(h, P + (j,), g, n)
+                    assert (b.h, b.P) == (h, tuple(sorted(P + (j,)))) in column
+                boundary = {c for c in row_of(own) if c > n + 1}
+                assert boundary == {own} | {placed(h, P + (j,)) for j in comp}
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    b = canonicalize_boundary(0, (j, i), g, n)
+                    assert (b.h, b.P) == (0, (i, j)) in column
+                boundary = {c for c in row_of(1 + i) if c > n + 1}
+                assert boundary == {placed(0, (j, i)) for j in range(1, n + 1) if j != i}
 
 
 def test_permutation_equivariance():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import thetadiv.solve as solve
 from thetadiv.basis import DELTA_IRR, LAMBDA1, DivisorClass, K
 from thetadiv.cli import main
-from thetadiv.curves import _row, build_matrix, point_curve
+from thetadiv.curves import _rows, build_matrix
 from thetadiv.solve import SingularMatrixError, certify_basis, reconstruct_T, reconstruct_Theta
 from thetadiv.theta import class_T, class_Theta, theta_intersection
 
@@ -107,9 +107,10 @@ def test_reconstruction_matches_dense_oracle(g, n):
 
 def fractional_right_sides(curves, seed):
     """Right sides with denominators 1, 3, 4 and 9, so that the node forms
-    need more than their diagonals in their denominators."""
+    need more than their diagonals in their denominators; keyed by the
+    dual generator of each curve, as the solver asks for them."""
     rng = random.Random(seed)
-    return {c: Fraction(rng.randint(-30, 30), rng.choice((1, 3, 4, 9))) for c in curves}
+    return {c.dual: Fraction(rng.randint(-30, 30), rng.choice((1, 3, 4, 9))) for c in curves}
 
 
 @pytest.mark.parametrize("g, n", ORACLE_SIZES + [(6, 4)])
@@ -119,7 +120,7 @@ def test_eliminate_matches_dense_oracle_on_fractional_right_sides(g, n):
         rhs = fractional_right_sides(mat.rows, 100 * seed + 10 * g + n)
         det, failed, missing, values = solve._eliminate(g, n, rhs.__getitem__)
         assert det != 0 and failed == missing == []
-        assert values == dict(zip(mat.cols, naive_gauss(mat.entries, [rhs[c] for c in mat.rows])))
+        assert values == dict(zip(mat.cols, naive_gauss(mat.entries, [rhs[c.dual] for c in mat.rows])))
 
 
 def test_node_forms_are_in_lowest_terms_over_a_positive_denominator(monkeypatch):
@@ -133,7 +134,10 @@ def test_node_forms_are_in_lowest_terms_over_a_positive_denominator(monkeypatch)
     monkeypatch.setattr(solve, "_reduce", reduce)
     rhs = fractional_right_sides(build_matrix(5, 4).rows, 7)
     solve._eliminate(5, 4, rhs.__getitem__)
-    forms = seen[-1].values()
+    # indexed by column: lambda1, delta_irr and K_1..K_4 have no node form
+    solved = seen[-1]
+    assert len(solved) == 49 and solved[:6] == [None] * 6
+    forms = solved[6:]
     assert len(forms) == 43 and any(den > 1 for _, den in forms)
     for vec, den in forms:
         assert den > 0 and math.gcd(den, *vec) == 1
@@ -194,10 +198,12 @@ def test_verify_rank_beyond_the_int_str_limit(capsys):
 
 @pytest.fixture
 def point_row_2_duplicates_point_row_1(monkeypatch):
-    def rows(curve, g, n):
-        return _row(point_curve(1) if curve == point_curve(2) else curve, g, n)
+    def rows(g, n):
+        gens, row = _rows(g, n)
+        # columns 2 and 3 are K_1 and K_2, dual to the point curves 1 and 2
+        return gens, lambda c: row(2 if c == 3 else c)
 
-    monkeypatch.setattr(solve, "_row", rows)
+    monkeypatch.setattr(solve, "_rows", rows)
 
 
 @pytest.mark.usefixtures("point_row_2_duplicates_point_row_1")
