@@ -18,6 +18,13 @@ Conventions, for a fixed genus ``g >= 1`` and marking set ``I = {1, .., n}``:
 * The test curves of :mod:`thetadiv.curves` are dual to this basis, one
   family per generator, so :func:`basis_generators` is the one enumeration
   of both rows and columns of the pairing matrix.
+* :class:`BoundaryIndex` and :class:`Generator` are immutable tuples
+  (``typing.NamedTuple``), compared and hashed by value: equal generators
+  are the same key, whatever object holds them.  Lookup-only paths
+  (:meth:`DivisorClass.coeff`, the assignment keys of
+  :func:`thetadiv.drcycle.evaluate`) therefore match an equal plain tuple
+  too; every check that validates a generator or a boundary index still
+  refuses one.
 * A :class:`DivisorClass` is validated once, where input enters: its
   constructor, :meth:`DivisorClass.from_json_dict`, :meth:`DivisorClass.scale`,
   :meth:`DivisorClass.zero` and the index of :func:`psi_in_k_basis`.  Classes
@@ -44,7 +51,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
 def _check_gn(g: int, n: int) -> None:
@@ -62,8 +69,7 @@ def _subsets(n: int, min_size: int = 0) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(range(1, n + 1), size)
 
 
-@dataclass(frozen=True)
-class BoundaryIndex:
+class BoundaryIndex(NamedTuple):
     """Label (h, P) of a boundary divisor class: genus-h component carrying
     the markings in P, joined at a node to a genus-(g-h) component carrying
     the rest.  Canonical instances (as produced by
@@ -106,13 +112,17 @@ def canonicalize_boundary(h: int, P: Iterable[int], g: int, n: int) -> BoundaryI
     (h, P) and (g-h, P complement) map to the same value.  Raises
     ``ValueError`` for out-of-range input, for unstable classes (a
     genus-0 side with fewer than two markings, checked on both
-    representatives) and, in O(1), for an n that no boundary enumeration
-    accepts.
+    representatives), for a marking that is not an int and, in O(1), for
+    an n that no boundary enumeration accepts.
     """
     _check_gn(g, n)
     if n >= _MAX_MARKINGS:  # refuse before any O(n) work
         _check_boundary_count(g, n)
-    pts = tuple(sorted(set(P)))
+    pts = tuple(P)
+    for p in pts:  # type(), as in _check_gn: a bool or a float is no marking
+        if type(p) is not int:
+            raise ValueError(f"markings must be integers, got {p!r}")
+    pts = tuple(sorted(set(pts)))
     if not (type(h) is int and 0 <= h <= g):
         raise ValueError(f"genus part {h!r} out of range for genus {g}")
     if pts and (pts[0] < 1 or pts[-1] > n):
@@ -146,8 +156,7 @@ def enumerate_boundary(g: int, n: int) -> list[BoundaryIndex]:
     return classes
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """One generator of the divisor basis.  ``kind`` is one of "lambda1",
     "delta_irr", "K" (with point index ``i``) or "delta" (with a canonical
     :class:`BoundaryIndex`)."""

@@ -54,7 +54,9 @@ from .basis import (
     BoundaryIndex,
     DivisorClass,
     Generator,
+    _boundary_count,
     _boundary_label,
+    _check_boundary_count,
     _check_generator,
     _check_gn,
     basis_generators,
@@ -102,11 +104,16 @@ def _check_curve(curve: TestCurve, g: int, n: int) -> None:
     _check_generator(curve.dual, g, n)
 
 
-def _dual_basis(g: int, n: int) -> list[Generator]:
-    """:func:`basis_generators`, refused where the curves span no dual basis."""
+def _check_dual(g: int, n: int) -> None:
+    """Refuse a (g, n) where the curves span no dual basis."""
     _check_gn(g, n)
     if g < 3:
         raise ValueError("the test-curve families span the dual basis only for genus >= 3")
+
+
+def _dual_basis(g: int, n: int) -> list[Generator]:
+    """:func:`basis_generators`, refused where the curves span no dual basis."""
+    _check_dual(g, n)
     return basis_generators(g, n)
 
 
@@ -131,7 +138,7 @@ def _row(dual: Generator, g: int, n: int, column: Mapping) -> dict:
                 row[column[0, (min(i, j), max(i, j))]] = 1
         return row  # lambda1 and delta_irr restrict trivially
     if dual.kind == "delta":
-        h, P = dual.boundary.h, dual.boundary.P
+        h, P = dual.boundary
         comp = dual.boundary.complement(n)
         row = {1 + i: 2 * g - 2 for i in P} if h == 0 else {1 + i: 1 for i in comp}
         # self-intersection: minus the degree of the normal direction
@@ -147,8 +154,7 @@ def _row(dual: Generator, g: int, n: int, column: Mapping) -> dict:
         row, tail = {1: -1}, 1
     # delta_1^{} is unstable, so no generator, only at (g, n) = (1, 1)
     if (g, n) != (1, 1):
-        b = canonicalize_boundary(1, (), g, n)
-        row[column[b.h, b.P]] = tail
+        row[column[canonicalize_boundary(1, (), g, n)]] = tail
     return row
 
 
@@ -156,7 +162,7 @@ def _rows(g: int, n: int) -> tuple[list[Generator], Callable[[int], dict]]:
     """The basis for (g, n) and its row source: ``row(c)`` is the row of
     the family dual to column c."""
     gens = _dual_basis(g, n)
-    column = {(gen.boundary.h, gen.boundary.P): c for c, gen in enumerate(gens) if c > n + 1}
+    column = {gen.boundary: c for c, gen in enumerate(gens) if c > n + 1}
     return gens, lambda c: _row(gens[c], g, n, column)
 
 
@@ -168,7 +174,7 @@ class _ByClass(dict):
 def _key(gen: Generator):
     """Where a generator sits in a row placed by :class:`_ByClass`."""
     if gen.kind == "delta":
-        return gen.boundary.h, gen.boundary.P
+        return gen.boundary
     return 1 + gen.i if gen.kind == "K" else int(gen == DELTA_IRR)
 
 
@@ -241,10 +247,22 @@ class IntersectionMatrix:
         return cls(g, n, rows, cols, entries)
 
 
+# 2^26 dense entries; (6, 11), m = 7,169, is the largest size at g = 6
+_MAX_DENSE_SIZE = 2**13
+
+
 def build_matrix(g: int, n: int) -> IntersectionMatrix:
-    """Assemble the full test-curve / divisor-basis intersection matrix."""
+    """Assemble the full test-curve / divisor-basis intersection matrix,
+    refused before any enumeration when it has more than 8192 rows."""
+    _check_dual(g, n)
+    _check_boundary_count(g, n)  # before 2**n is formed
+    m = n + _boundary_count(g, n) + 2
+    if m > _MAX_DENSE_SIZE:
+        raise ValueError(
+            f"(g={g}, n={n}) has a {m} x {m} pairing matrix, above the dense limit "
+            f"of {_MAX_DENSE_SIZE} rows"
+        )
     gens, row = _rows(g, n)
-    m = len(gens)
     order = [*range(2, m), 0, 1]  # the test-curve order
     entries = []
     for c in order:

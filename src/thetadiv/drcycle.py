@@ -19,9 +19,13 @@ k x (g + 1) table built once per call, and divides once per monomial:
 O(g) work per monomial.  ``terms`` holds the monomials in the reverse of
 the lexicographic order of their position tuples, so the first is the last
 generator to the g-th power; :meth:`FormalCycle.sorted_terms` gives the
-output order.  Inputs whose count exceeds a cap are refused before any
-monomial is built (default 10**6; the ``THETADIV_MONOMIAL_CAP`` environment
-variable overrides it with a nonnegative integer).
+output order.  Generators are values, so every per-generator table here
+(the validation keys, sort codes, labels, evaluation powers and
+relabelled images) is keyed by the generator itself, and a cycle written
+with equal but distinct generators behaves as the expansion does.
+Inputs whose count exceeds a cap are refused before any monomial is built
+(default 10**6; the ``THETADIV_MONOMIAL_CAP`` environment variable
+overrides it with a nonnegative integer).
 """
 
 from __future__ import annotations
@@ -84,19 +88,19 @@ def restrict_to_compact_type(divclass: DivisorClass) -> DivisorClass:
     return DivisorClass._trusted(divclass.g, divclass.n, coeffs)
 
 
-def _join_factors(mono: Monomial, labels: Mapping[int, str]) -> str:
-    """The label of a monomial, given each factor's generator label by id."""
+def _join_factors(mono: Monomial, labels: Mapping[Generator, str]) -> str:
+    """The label of a monomial, given each factor's generator label."""
     if not mono:
         return "1"
     parts = []
     for gen, e in mono:
-        lab = labels[id(gen)]
+        lab = labels[gen]
         parts.append(lab if e == 1 else f"{lab}^{e}")
     return "*".join(parts)
 
 
 def monomial_label(mono: Monomial) -> str:
-    return _join_factors(mono, {id(gen): generator_label(gen) for gen, _ in mono})
+    return _join_factors(mono, {gen: generator_label(gen) for gen, _ in mono})
 
 
 @dataclass(frozen=True)
@@ -112,9 +116,9 @@ class FormalCycle:
 
     def __post_init__(self) -> None:
         g, n = self.g, self.n
-        # each generator is checked once, keyed by the id of its
-        # object; the copy keeps every object alive, so no id is reused
-        keys: dict[int, tuple] = {}
+        # each generator is checked once; a factor that is not a Generator
+        # is checked (and refused) even where it equals one checked before
+        keys: dict[Generator, tuple] = {}
         clean = dict(self.terms)
         zeros = []
         for mono, c in clean.items():
@@ -123,16 +127,16 @@ class FormalCycle:
             descent = False
             repeated = None
             for gen, e in mono:
-                key = keys.get(id(gen))
+                key = keys.get(gen) if type(gen) is Generator else None
                 if key is None:
                     _check_generator(gen, g, n)
                     if gen == DELTA_IRR:
                         raise ValueError("delta_irr cannot appear in a compact-type cycle")
-                    key = keys[id(gen)] = generator_sort_key(gen)
-                if e < 1:
-                    raise ValueError(f"monomial exponents must be >= 1, got {mono!r}")
+                    key = keys[gen] = generator_sort_key(gen)
                 if type(e) is not int:
                     raise ValueError(f"monomial exponents must be integers, got {mono!r}")
+                if e < 1:
+                    raise ValueError(f"monomial exponents must be >= 1, got {mono!r}")
                 degree += e
                 if key <= prev:
                     if key < prev:
@@ -156,20 +160,16 @@ class FormalCycle:
             del clean[mono]
         object.__setattr__(self, "terms", clean)
 
-    def _per_generator(self, fn) -> dict[int, object]:
-        """``fn(gen)`` for each distinct generator object, keyed by id."""
-        objects = {id(gen): gen for mono in self.terms for gen, _ in mono}
-        return {i: fn(gen) for i, gen in objects.items()}
+    def _per_generator(self, fn) -> dict[Generator, object]:
+        """``fn(gen)`` for each distinct generator."""
+        return {gen: fn(gen) for gen in {gen for mono in self.terms for gen, _ in mono}}
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms ordered by their factors' (basis order, exponent) pairs."""
         keys = self._per_generator(generator_sort_key)
-        rank = {key: r for r, key in enumerate(sorted(set(keys.values())))}
         # 1 <= e <= g, so the pair (rank, e) orders as the int rank * (g+1) + e
-        code = {i: rank[key] * (self.g + 1) for i, key in keys.items()}
-        return sorted(
-            self.terms.items(), key=lambda kv: [code[id(gen)] + e for gen, e in kv[0]]
-        )
+        code = {gen: r * (self.g + 1) for r, gen in enumerate(sorted(keys, key=keys.get))}
+        return sorted(self.terms.items(), key=lambda kv: [code[gen] + e for gen, e in kv[0]])
 
     def _labelled_terms(self) -> list[tuple[str, Fraction]]:
         """(monomial label, coefficient) in :meth:`sorted_terms` order."""
@@ -183,7 +183,7 @@ class FormalCycle:
             "n": self.n,
             "terms": [
                 {
-                    "monomial": [[labels[id(gen)], e] for gen, e in mono],
+                    "monomial": [[labels[gen], e] for gen, e in mono],
                     "c": str(c),
                 }
                 for mono, c in self.sorted_terms()
@@ -201,7 +201,7 @@ class FormalCycle:
     def from_json_dict(cls, data: Mapping) -> "FormalCycle":
         g, n = data["g"], data["n"]
         terms: dict[Monomial, Fraction] = {}
-        # one generator object per distinct label, so __post_init__ checks it once
+        # each distinct label is parsed once
         generators: dict[str, Generator] = {}
         for entry in data["terms"]:
             mono = []
@@ -263,20 +263,20 @@ def evaluate(cycle: FormalCycle, assignment: Mapping[Generator, Fraction]) -> Fr
     Every monomial has degree g, so with the values over one denominator Q
     (a = P/Q) and the coefficients over one denominator L (c = N/L), the
     value is sum(N * prod P^e) / (L * Q^g): integer powers, one division."""
-    values: dict[int, Fraction] = {}
+    values: dict[Generator, Fraction] = {}
     for mono in cycle.terms:
         for gen, _ in mono:
-            if id(gen) not in values:
+            if gen not in values:
                 if gen not in assignment:
                     raise ValueError(f"assignment is missing generator {generator_label(gen)}")
-                values[id(gen)] = _exact(
+                values[gen] = _exact(
                     assignment[gen], f"assignment value of {generator_label(gen)}"
                 )
     Q = math.lcm(*(a.denominator for a in values.values()))
-    powers: dict[int, list[int]] = {}  # P^0 .. P^g per generator object
-    for i, a in values.items():
+    powers: dict[Generator, list[int]] = {}  # P^0 .. P^g per generator
+    for gen, a in values.items():
         P = a.numerator * (Q // a.denominator)
-        row = powers[i] = [1]
+        row = powers[gen] = [1]
         for _ in range(cycle.g):
             row.append(row[-1] * P)
     L = math.lcm(*(c.denominator for c in cycle.terms.values()))
@@ -284,20 +284,20 @@ def evaluate(cycle: FormalCycle, assignment: Mapping[Generator, Fraction]) -> Fr
     for mono, c in cycle.terms.items():
         value = c.numerator * (L // c.denominator)
         for gen, e in mono:
-            value *= powers[id(gen)][e]
+            value *= powers[gen][e]
         total += value
     return Fraction(total, L * Q**cycle.g)
 
 
 def relabel_cycle(cycle: FormalCycle, sigma: tuple[int, ...]) -> FormalCycle:
     """Push a formal cycle forward along a permutation of the markings;
-    each distinct generator object is relabelled once."""
+    each distinct generator is relabelled once."""
     g, n = cycle.g, cycle.n
     _check_permutation(sigma, n)
     image = cycle._per_generator(lambda gen: _relabel(gen, sigma, g, n))
-    key = {i: generator_sort_key(gen) for i, gen in image.items()}
-    terms: dict[Monomial, Fraction] = {}
-    for mono, c in cycle.terms.items():
-        relabelled = sorted(mono, key=lambda ge: key[id(ge[0])])
-        terms[tuple((image[id(gen)], e) for gen, e in relabelled)] = c
+    key = {im: generator_sort_key(im) for im in image.values()}
+    terms = {
+        tuple(sorted(((image[gen], e) for gen, e in mono), key=lambda ge: key[ge[0]])): c
+        for mono, c in cycle.terms.items()
+    }
     return FormalCycle(g, n, terms)

@@ -171,7 +171,7 @@ def correction_ledger(g: int, n: int, d: Sequence[int]) -> CorrectionLedger:
     terms: list[CorrectionTerm] = []
     for b in enumerate_boundary(g, n):
         hits = []
-        for h, P in ((b.h, b.P), b.mirror(g, n)):
+        for h, P in (b, b.mirror(g, n)):
             if not set(P) <= plus:
                 continue
             dP = weight_sum(d, P)

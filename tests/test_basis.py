@@ -12,6 +12,7 @@ from thetadiv.basis import (
     BoundaryIndex,
     DivisorClass,
     K,
+    _check_generator,
     basis_generators,
     canonicalize_boundary,
     delta,
@@ -169,6 +170,45 @@ def test_canonicalize_rejects_non_int_genus_part():
     for h in (True, 1.0):
         with pytest.raises(ValueError, match="genus part"):
             canonicalize_boundary(h, (1,), 3, 2)
+
+
+def test_markings_must_be_ints():
+    # 1.5 was kept as a marking, and to_json_dict then dropped its
+    # coefficient; True and 1.0 passed as marking 1
+    for P, bad in (((1.5, 2), "1.5"), ((True, 2), "True"), ((1.0, 2), "1.0"), ((2, "1"), "'1'")):
+        message = f"markings must be integers, got {bad}"
+        with pytest.raises(ValueError, match=message):
+            canonicalize_boundary(0, P, 3, 3)
+        with pytest.raises(ValueError, match=message):
+            DivisorClass(3, 3, {delta(BoundaryIndex(0, P)): 1})
+        data = DivisorClass.zero(3, 3).to_json_dict()
+        data["coeffs"]["boundary"] = [{"h": 0, "P": list(P), "c": "1"}]
+        with pytest.raises(ValueError, match=message):
+            DivisorClass.from_json_dict(data)
+
+
+def test_generators_are_tuples_compared_by_value():
+    b = BoundaryIndex(0, (1, 2))
+    assert b == (0, (1, 2)) and hash(b) == hash((0, (1, 2)))
+    assert K(1) == ("K", 1, None) and K(1) is not K(1)
+    # the reprs that messages embed are unchanged
+    assert repr(K(1)) == "Generator(kind='K', i=1, boundary=None)"
+    assert repr(delta(b)) == "Generator(kind='delta', i=0, boundary=BoundaryIndex(h=0, P=(1, 2)))"
+    with pytest.raises(ValueError) as info:
+        _check_generator(delta(BoundaryIndex(2, (1,))), 3, 1)
+    assert str(info.value) == "boundary index BoundaryIndex(h=2, P=(1,)) is not canonical for (g=3, n=1)"
+    # a plain tuple is still no generator and no boundary index
+    for check in (lambda: DivisorClass(3, 2, {("K", 1, None): 1}), lambda: _check_generator(("K", 1, None), 3, 2)):
+        with pytest.raises(ValueError) as info:
+            check()
+        assert str(info.value) == "expected a Generator, got ('K', 1, None)"
+    with pytest.raises(ValueError) as info:
+        delta((0, (1, 2)))
+    assert str(info.value) == "expected a BoundaryIndex, got (0, (1, 2))"
+    # lookups match an equal plain tuple
+    x = DivisorClass(3, 2, {K(1): 3, delta(b): 5})
+    assert x.coeff(("K", 1, None)) == 3
+    assert x.coeff(("delta", 0, (0, (1, 2)))) == 5
 
 
 def test_class_coefficients_must_be_exact():

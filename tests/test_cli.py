@@ -338,6 +338,31 @@ def test_oversized_basis_exits_fast(capsys, monkeypatch):
             assert "boundary classes" in err
 
 
+def test_oversized_matrix_exits_fast(capsys, monkeypatch):
+    import thetadiv.basis as basis
+    import thetadiv.curves as curves
+
+    def no_subsets(*args, **kwargs):
+        raise AssertionError("enumerated subsets")
+
+    monkeypatch.setattr(basis, "_subsets", no_subsets)
+    # m = 14,337 and 229,377: the dense matrix would hold m^2 entries
+    for n, m in (("12", 14337), ("16", 229377)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "matrix", "--g", "6", "--n", n)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"error: (g=6, n={n}) has a {m} x {m} pairing matrix, above the dense limit of 8192 rows\n"
+
+    # (6, 11), m = 7,169, passes the check and goes on to build its rows
+    def rows(g, n):
+        raise RuntimeError(f"rows of ({g}, {n})")
+
+    monkeypatch.setattr(curves, "_rows", rows)
+    with pytest.raises(RuntimeError, match=r"rows of \(6, 11\)"):
+        curves.build_matrix(6, 11)
+
+
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
 def test_readme_command_examples(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from thetadiv.basis import DELTA_IRR, BoundaryIndex, K, basis_generators, delta
+from thetadiv.basis import DELTA_IRR, BoundaryIndex, Generator, K, basis_generators, delta
 from thetadiv.cli import main
 from thetadiv.drcycle import (
     FormalCycle,
@@ -277,13 +277,57 @@ def test_relabel_cycle_refuses_a_non_permutation():
             relabel_cycle(cycle, (1, 1))
 
 
-def test_relabel_and_json_keep_one_object_per_generator():
-    # each distinct generator is relabelled or parsed once, so the result
-    # holds one object per generator and __post_init__ checks each once
-    d = (1, -2, 3, -2)
+def fresh(gen):
+    """A generator equal to ``gen`` that shares no object with it."""
+    b = gen.boundary
+    return Generator(gen.kind, gen.i, None if b is None else BoundaryIndex(b.h, tuple(list(b.P))))
+
+
+def test_equal_generators_stand_for_each_other():
+    # generators are values: a cycle written with equal but distinct
+    # objects validates, sorts, labels, serializes, evaluates and
+    # relabels as the expansion itself does
+    d, sigma = (1, -2, 3, -2), (2, 1, 3, 4)
     cycle = dr_expansion(3, 4, d)
-    k = len(restrict_to_compact_type(class_T(3, 4, d)).coeffs)
-    for result in (relabel_cycle(cycle, (2, 1, 3, 4)), FormalCycle.from_json_dict(cycle.to_json_dict())):
-        objects = {id(gen): gen for mono in result.terms for gen, _ in mono}
-        assert len(objects) == len(set(objects.values())) == k
-    assert relabel_cycle(relabel_cycle(cycle, (2, 1, 3, 4)), (2, 1, 3, 4)) == cycle
+    copy = FormalCycle(
+        3, 4, {tuple((fresh(gen), e) for gen, e in mono): c for mono, c in cycle.terms.items()}
+    )
+    pairs = [(x, y) for a, b in zip(cycle.terms, copy.terms) for (x, _), (y, _) in zip(a, b)]
+    assert len(pairs) > len(cycle.terms) and all(x == y and x is not y for x, y in pairs)
+    assert copy == cycle
+    assert copy.sorted_terms() == cycle.sorted_terms()
+    assert [monomial_label(mono) for mono, _ in copy.sorted_terms()] == [
+        monomial_label(mono) for mono, _ in cycle.sorted_terms()
+    ]
+    assert copy.to_csv() == cycle.to_csv()
+    assert copy.to_json_dict() == cycle.to_json_dict()
+    assert FormalCycle.from_json_dict(copy.to_json_dict()) == cycle
+    values = {gen: Fraction(j + 1, 3) for j, gen in enumerate(basis_generators(3, 4))}
+    assert evaluate(copy, {fresh(gen): a for gen, a in values.items()}) == evaluate(cycle, values)
+    # an assignment looks its generators up by value, plain tuples included
+    assert evaluate(copy, {tuple(gen): a for gen, a in values.items()}) == evaluate(cycle, values)
+    assert relabel_cycle(copy, sigma) == relabel_cycle(cycle, sigma)
+    assert relabel_cycle(relabel_cycle(cycle, sigma), sigma) == cycle
+
+
+def test_equal_generators_are_validated_by_value():
+    # two equal objects are one generator, repeated
+    mono = ((K(1), 1), (Generator("K", 1), 2))
+    assert refusal(3, 2, {mono: 1}) == f"monomial {mono!r} repeats generator K1"
+    assert refusal(3, 2, {((fresh(delta(BoundaryIndex(2, (1,)))), 3),): 1}) == (
+        "boundary index BoundaryIndex(h=2, P=(1,)) is not canonical for (g=3, n=2)"
+    )
+    # a plain tuple is no generator, also after an equal generator was checked
+    plain = ("K", 1, None)
+    for terms in ({((plain, 3),): 1}, {((K(1), 3),): 1, ((plain, 1), (K(2), 2)): 1}):
+        assert refusal(3, 2, terms) == "expected a Generator, got ('K', 1, None)"
+
+
+@pytest.mark.parametrize("e", ["a", None, "1"])
+def test_exponent_type_is_checked_first(e):
+    # "a" and None used to raise TypeError from the comparison e < 1
+    mono = ((K(1), e), (K(2), 2))
+    assert refusal(3, 2, {mono: 1}) == f"monomial exponents must be integers, got {mono!r}"
+    data = {"g": 3, "n": 2, "terms": [{"monomial": [["K1", e], ["K2", 2]], "c": "1"}]}
+    with pytest.raises(ValueError, match="monomial exponents must be integers"):
+        FormalCycle.from_json_dict(data)
