@@ -48,6 +48,7 @@ this change of basis in both directions.
 from __future__ import annotations
 
 import itertools
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,22 +89,41 @@ class BoundaryIndex(NamedTuple):
         return g - self.h, self.complement(n)
 
 
-_MAX_BOUNDARY_CLASSES = 2**20
-# the 2^n - n - 1 genus-0 classes alone exceed the cap from this n on
-_MAX_MARKINGS = _MAX_BOUNDARY_CLASSES.bit_length()
-
-
 def _boundary_count(g: int, n: int) -> int:
     """B(g, n): 2^n - n - 1 genus-0 classes, 2^n for each genus part
     0 < h < g/2, and 2^(n-1) for h = g/2 when g is even."""
     return 2**n - n - 1 + (g - 1) // 2 * 2**n + (1 - g % 2) * 2 ** (n - 1)
 
 
-def _check_boundary_count(g: int, n: int) -> None:
-    """Refuse a (g, n) with more than 2^20 boundary classes; a huge n is
-    refused before 2**n is formed."""
-    if n >= _MAX_MARKINGS or _boundary_count(g, n) > _MAX_BOUNDARY_CLASSES:
-        raise ValueError(f"(g={g}, n={n}) has more than {_MAX_BOUNDARY_CLASSES} boundary classes")
+BUDGET = 5 * 10**6  # work units: 0.1 to 2 microseconds each, measured on a 2-core host
+BUDGET_ENV = "THETADIV_BUDGET"
+
+
+def check_work(g: int, n: int, per_class: int, extra: int = 0) -> None:
+    """Refuse with ``ValueError``, before any work, a call on (g, n)
+    estimated above the work budget: ``per_class`` units for each of the
+    B(g, n) boundary classes plus ``extra``.  The budget is :data:`BUDGET`
+    unless ``THETADIV_BUDGET`` gives a nonnegative integer (empty means the
+    default).  B(g, n) >= 2^(n-1) - 1, so an n more than 64 bits past the
+    budget is refused before 2**n is formed."""
+    _check_gn(g, n)
+    value = os.environ.get(BUDGET_ENV)
+    try:
+        budget = int(value) if value else BUDGET
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError(f"{BUDGET_ENV} must be a nonnegative integer, got {value!r}")
+    if n > budget.bit_length() + 64:
+        estimate = f"over 2^{n - 1}"
+    else:
+        estimate = per_class * _boundary_count(g, n) + extra
+        if estimate <= budget:
+            return
+    raise ValueError(
+        f"(g={g}, n={n}) is estimated at {estimate} units of work, above the budget of "
+        f"{budget}; set {BUDGET_ENV} to override"
+    )
 
 
 def canonicalize_boundary(h: int, P: Iterable[int], g: int, n: int) -> BoundaryIndex:
@@ -112,12 +132,13 @@ def canonicalize_boundary(h: int, P: Iterable[int], g: int, n: int) -> BoundaryI
     (h, P) and (g-h, P complement) map to the same value.  Raises
     ``ValueError`` for out-of-range input, for unstable classes (a
     genus-0 side with fewer than two markings, checked on both
-    representatives), for a marking that is not an int and, in O(1), for
-    an n that no boundary enumeration accepts.
+    representatives), for a marking that is not an int and, before any
+    O(n) work, for an n above 23, the bit length of :data:`BUDGET`, whose
+    boundary enumeration the work budget refuses.
     """
     _check_gn(g, n)
-    if n >= _MAX_MARKINGS:  # refuse before any O(n) work
-        _check_boundary_count(g, n)
+    if n > BUDGET.bit_length():  # B(g, n) > BUDGET: one comparison before any O(n) work
+        check_work(g, n, 8)
     pts = tuple(P)
     for p in pts:  # type(), as in _check_gn: a bool or a float is no marking
         if type(p) is not int:
@@ -141,9 +162,8 @@ def canonicalize_boundary(h: int, P: Iterable[int], g: int, n: int) -> BoundaryI
 def enumerate_boundary(g: int, n: int) -> list[BoundaryIndex]:
     """All boundary classes, one canonical representative each, ordered by
     genus part, then size of the marking set, then lexicographically.
-    Refused, before any enumeration, above 2^20 classes."""
-    _check_gn(g, n)
-    _check_boundary_count(g, n)
+    Refused, before any enumeration, above the work budget at 8 units a class."""
+    check_work(g, n, 8)
     classes: list[BoundaryIndex] = []
     for h in range(0, g // 2 + 1):
         if h == 0:
@@ -229,19 +249,21 @@ def parse_generator_label(label: str, g: int, n: int) -> Generator:
 
 
 def _check_generator(gen: Generator, g: int, n: int) -> None:
-    """A generator of the basis for (g, n): a point index in 1..n, or a
-    boundary index canonical for (g, n)."""
+    """A generator of the basis for (g, n): equal in type and value to its
+    rebuild through ``K(i)`` with i in 1..n, ``delta(b)`` with b canonical
+    for (g, n), or ``Generator(kind)`` for lambda1 and delta_irr."""
     if not isinstance(gen, Generator):
         raise ValueError(f"expected a Generator, got {gen!r}")
-    if gen.kind == "K":
-        if not 1 <= gen.i <= n:
-            raise ValueError(f"point index {gen.i} out of range 1..{n}")
-    elif gen.kind == "delta":
-        b = gen.boundary
-        if canonicalize_boundary(b.h, b.P, g, n) != b:
-            raise ValueError(f"boundary index {b} is not canonical for (g={g}, n={n})")
-    elif gen.kind not in ("lambda1", "delta_irr"):
-        raise ValueError(f"unknown generator kind {gen.kind!r}")
+    kind, i, b = gen
+    if kind not in ("lambda1", "delta_irr", "K", "delta"):
+        raise ValueError(f"unknown generator kind {kind!r}")
+    if kind == "K" and type(i) is int and not 1 <= i <= n:
+        raise ValueError(f"point index {i} out of range 1..{n}")
+    rebuilt = K(i) if kind == "K" else delta(b) if kind == "delta" else Generator(kind)
+    if kind == "delta" and canonicalize_boundary(b.h, b.P, g, n) != b:
+        raise ValueError(f"boundary index {b} is not canonical for (g={g}, n={n})")
+    if gen != rebuilt or list(map(type, gen)) != list(map(type, rebuilt)):
+        raise ValueError(f"{gen!r} is not a generator of the basis for (g={g}, n={n})")
 
 
 def basis_generators(g: int, n: int) -> list[Generator]:
@@ -375,8 +397,8 @@ def _substitute_psi(g: int, n: int, coeffs: Mapping[Generator, Fraction], sign: 
     """Add ``sign`` times the sum of the point-slot coefficients over P to
     each genus-0 class delta_0^P, |P| >= 2 (all canonical as they stand):
     sign -1 reads the slots as K_i, +1 as psi_i.  Refused, as
-    :func:`enumerate_boundary` is, above 2^20 boundary classes."""
-    _check_boundary_count(g, n)
+    :func:`enumerate_boundary` is, above the work budget at 8 units a class."""
+    check_work(g, n, 8)
     a = [sign * coeffs.get(K(i), Fraction(0)) for i in range(1, n + 1)]
     out = dict(coeffs)
     # subset sums, one addition each: P's is that of P without its largest

@@ -31,7 +31,7 @@ import random
 import sys
 from typing import Sequence
 
-from .basis import _boundary_label, basis_generators, generator_label
+from .basis import _boundary_label, basis_generators, check_work, generator_label
 from .curves import build_matrix, curve_label, enumerate_test_curves
 from .drcycle import dr_expansion
 from .solve import SingularMatrixError, certify_basis, reconstruct_T, reconstruct_Theta
@@ -73,6 +73,8 @@ def verify_rank(g: int, n: int) -> dict:
 def _sweep(g: int, n: int, trials: int, seed: int, check: str, draw, compare) -> dict:
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
+    # each trial costs at most one solve, as solve._eliminate estimates it
+    check_work(g, n, trials * (8 + n * n // 4))
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):

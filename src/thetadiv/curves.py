@@ -56,11 +56,11 @@ from .basis import (
     Generator,
     _boundary_count,
     _boundary_label,
-    _check_boundary_count,
     _check_generator,
     _check_gn,
     basis_generators,
     canonicalize_boundary,
+    check_work,
     delta,
     generator_label,
     relabel_generator,
@@ -247,21 +247,14 @@ class IntersectionMatrix:
         return cls(g, n, rows, cols, entries)
 
 
-# 2^26 dense entries; (6, 11), m = 7,169, is the largest size at g = 6
-_MAX_DENSE_SIZE = 2**13
-
-
 def build_matrix(g: int, n: int) -> IntersectionMatrix:
     """Assemble the full test-curve / divisor-basis intersection matrix,
-    refused before any enumeration when it has more than 8192 rows."""
+    refused before any enumeration above the work budget at 8 units a
+    boundary class plus m^2/4 for the dense entries."""
     _check_dual(g, n)
-    _check_boundary_count(g, n)  # before 2**n is formed
+    check_work(g, n, 8)  # so that 2**n below is small
     m = n + _boundary_count(g, n) + 2
-    if m > _MAX_DENSE_SIZE:
-        raise ValueError(
-            f"(g={g}, n={n}) has a {m} x {m} pairing matrix, above the dense limit "
-            f"of {_MAX_DENSE_SIZE} rows"
-        )
+    check_work(g, n, 8, m * m // 4)
     gens, row = _rows(g, n)
     order = [*range(2, m), 0, 1]  # the test-curve order
     entries = []

@@ -23,9 +23,9 @@ output order.  Generators are values, so every per-generator table here
 (the validation keys, sort codes, labels, evaluation powers and
 relabelled images) is keyed by the generator itself, and a cycle written
 with equal but distinct generators behaves as the expansion does.
-Inputs whose count exceeds a cap are refused before any monomial is built
-(default 10**6; the ``THETADIV_MONOMIAL_CAP`` environment variable
-overrides it with a nonnegative integer).
+An expansion estimated above the work budget of
+:func:`thetadiv.basis.check_work` (10 g units a monomial on top of the
+class T) is refused before any monomial is built.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import csv
 import io
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -46,29 +45,14 @@ from .basis import (
     _check_generator,
     _check_permutation,
     _relabel,
+    check_work,
     generator_label,
     generator_sort_key,
     parse_generator_label,
 )
 from .theta import class_T
 
-DEFAULT_MONOMIAL_CAP = 10**6
-MONOMIAL_CAP_ENV = "THETADIV_MONOMIAL_CAP"
-
 Monomial = tuple[tuple[Generator, int], ...]
-
-
-def monomial_cap() -> int:
-    value = os.environ.get(MONOMIAL_CAP_ENV)
-    if not value:
-        return DEFAULT_MONOMIAL_CAP
-    try:
-        cap = int(value)
-        if cap >= 0:
-            return cap
-    except ValueError:
-        pass
-    raise ValueError(f"{MONOMIAL_CAP_ENV} must be a nonnegative integer, got {value!r}")
 
 
 def _exact(value, what: str) -> Fraction:
@@ -220,13 +204,7 @@ def dr_expansion(g: int, n: int, d: Sequence[int]) -> FormalCycle:
     base = restrict_to_compact_type(class_T(g, n, d))
     gens = sorted(base.coeffs, key=generator_sort_key)
     k = len(gens)
-    cap = monomial_cap()
-    count = math.comb(k + g - 1, g) if k else 0
-    if count > cap:
-        raise ValueError(
-            f"expansion would have {count} monomials, above the cap of {cap}; "
-            f"raise {MONOMIAL_CAP_ENV} to override"
-        )
+    check_work(g, n, 8, 10 * g * math.comb(k + g - 1, g))  # 0 monomials when k = 0
     # row j, column e: the factor (gens[j], e) and c_j^e / e! as (numerator, denominator)
     table = []
     for gen in gens:

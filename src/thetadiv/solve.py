@@ -51,7 +51,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
-from .basis import DivisorClass, _boundary_count, generator_label
+from .basis import DivisorClass, _boundary_count, check_work, generator_label
 from .curves import TestCurve, _rows, curve_label
 from .theta import _theta, check_weights
 
@@ -126,7 +126,10 @@ def _eliminate(g: int, n: int, rhs, pins=None) -> tuple[Fraction, list[str], lis
     irreducible-node rows, or the ``pins``, each (label, sparse row by
     column, right side).  Returns the determinant, the labels of the rows
     and the generators of the columns left without a pivot, and the
-    solution (None when a column has no pivot)."""
+    solution (None when a column has no pivot).  Refused, before any work,
+    above the work budget: per boundary class, 8 units to enumerate it and
+    n^2/4 to eliminate its node row."""
+    check_work(g, n, 8 + n * n // 4)
     gens, row_of = _rows(g, n)
     m = len(gens)
     last = pins or [(curve_label(TestCurve(gens[c])), row_of(c), rhs(gens[c])) for c in (0, 1)]

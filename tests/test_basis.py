@@ -6,15 +6,18 @@ from itertools import combinations, permutations
 
 import pytest
 
+import thetadiv.basis as basis
 from thetadiv.basis import (
     DELTA_IRR,
     LAMBDA1,
     BoundaryIndex,
     DivisorClass,
+    Generator,
     K,
     _check_generator,
     basis_generators,
     canonicalize_boundary,
+    check_work,
     delta,
     enumerate_boundary,
     k_to_psi,
@@ -25,6 +28,8 @@ from thetadiv.basis import (
     relabel_class,
     relabel_generator,
 )
+from thetadiv.solve import certify_basis
+from thetadiv.theta import class_T
 
 
 def all_subsets(n):
@@ -211,6 +216,40 @@ def test_generators_are_tuples_compared_by_value():
     assert x.coeff(("delta", 0, (0, (1, 2)))) == 5
 
 
+def not_a_generator(gen) -> str:
+    return f"{gen!r} is not a generator of the basis for (g=3, n=2)"
+
+
+B12 = BoundaryIndex(0, (1, 2))
+
+
+@pytest.mark.parametrize(
+    "gen, message",
+    [
+        (Generator("K", 1.0), "point index must be a positive integer, got 1.0"),
+        (Generator("K", True), "point index must be a positive integer, got True"),
+        (Generator("delta", 0, (0, (1, 2))), "expected a BoundaryIndex, got (0, (1, 2))"),
+        (Generator("delta"), "expected a BoundaryIndex, got None"),
+        (Generator("lambda1", 3), not_a_generator(Generator("lambda1", 3))),
+        (Generator("K", 1, B12), not_a_generator(Generator("K", 1, B12))),
+        (Generator("delta", 7, B12), not_a_generator(Generator("delta", 7, B12))),
+        (Generator("delta", False, B12), not_a_generator(Generator("delta", False, B12))),
+        (Generator("delta_irr", 0.0), not_a_generator(Generator("delta_irr", 0.0))),
+    ],
+    ids=[
+        "K_float", "K_bool", "delta_tuple_boundary", "delta_no_boundary", "lambda1_index",
+        "K_boundary", "delta_index", "delta_bool_index", "delta_irr_float_index",
+    ],
+)
+def test_generator_must_equal_its_rebuild(gen, message):
+    # each was accepted (or raised AttributeError), and coeff() then read 0
+    # for the canonical generator it stood for
+    for check in (lambda: _check_generator(gen, 3, 2), lambda: DivisorClass(3, 2, {gen: 5})):
+        with pytest.raises(ValueError) as info:
+            check()
+        assert str(info.value) == message
+
+
 def test_class_coefficients_must_be_exact():
     # a float converts exactly but silently (0.1 -> 3602879701896397/2^55),
     # and a string parses: neither is an exact rational the caller chose
@@ -233,9 +272,17 @@ def test_boundary_count_matches_enumeration():
             assert _boundary_count(g, n) == len(enumerate_boundary(g, n)), (g, n)
 
 
-def test_huge_marking_count_refused_before_any_work():
+BUDGET_REFUSAL = "above the budget of 5000000; set THETADIV_BUDGET to override"
+
+
+def no_subsets(*args, **kwargs):
+    raise AssertionError("enumerated subsets")
+
+
+def test_huge_marking_count_refused_before_any_work(monkeypatch):
     # the psi/K change of basis loops over 2^(n-1) subsets per point, and a
     # mirrored canonical form is a complement of 1..n
+    monkeypatch.delenv("THETADIV_BUDGET", raising=False)
     for call in (
         lambda: psi_in_k_basis(1, 3, 40),
         lambda: k_to_psi(DivisorClass(3, 40, {K(1): 1})),
@@ -244,9 +291,48 @@ def test_huge_marking_count_refused_before_any_work():
         lambda: canonicalize_boundary(2, (1,), 3, 10**9),
     ):
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="boundary classes"):
+        with pytest.raises(ValueError, match=BUDGET_REFUSAL):
             call()
         assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError) as info:
+        canonicalize_boundary(2, (1,), 3, 10**9)
+    assert str(info.value).startswith("(g=3, n=1000000000) is estimated at over 2^999999999 units")
+
+
+def test_slow_inputs_refused_before_any_work(monkeypatch):
+    # without the budget, certify_basis(100, 12) takes about 20 s and
+    # class_T(10**6, 1) about 9 s
+    monkeypatch.delenv("THETADIV_BUDGET", raising=False)
+    monkeypatch.setattr(basis, "_subsets", no_subsets)
+    for call, estimate in (
+        (lambda: certify_basis(100, 12), 9100740),  # B = 206,835: 8 + 12^2/4 units a class
+        (lambda: class_T(10**6, 1, (0,)), 7999992),  # B = 999,999: 8 units a class
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            call()
+        assert time.perf_counter() - start < 0.5
+        assert f" is estimated at {estimate} units of work, {BUDGET_REFUSAL}" in str(info.value)
+    # the override keeps them reachable: the check passes and the work starts
+    monkeypatch.setenv("THETADIV_BUDGET", "10000000")
+    with pytest.raises(AssertionError, match="enumerated subsets"):
+        certify_basis(100, 12)
+    with pytest.raises(AssertionError, match="enumerated subsets"):
+        class_T(10**6, 1, (0,))
+
+
+def test_work_estimate_is_per_class_units_plus_extra(monkeypatch):
+    monkeypatch.setenv("THETADIV_BUDGET", "40")  # B(3, 2) = 5
+    check_work(3, 2, 8)
+    check_work(3, 2, 7, 5)
+    with pytest.raises(ValueError) as info:
+        check_work(3, 2, 8, 1)
+    assert str(info.value) == (
+        "(g=3, n=2) is estimated at 41 units of work, above the budget of 40; "
+        "set THETADIV_BUDGET to override"
+    )
+    with pytest.raises(ValueError, match="number of marked points"):
+        check_work(3, 0, 8)
 
 
 def test_zero_coefficients_dropped():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from thetadiv.cli import main, sample_degree_weights, verify_mueller
+from thetadiv.cli import FORMATS, main, sample_degree_weights, verify_mueller
 from thetadiv.solve import SingularMatrixError
 
 
@@ -320,14 +320,19 @@ def test_class_json_round_trips_through_schema(capsys):
     assert DivisorClass.from_json_dict(json.loads(out)) == class_Theta(4, 2, (4, -1))
 
 
+BUDGET_REFUSAL = "above the budget of 5000000; set THETADIV_BUDGET to override\n"
+
+
+def no_subsets(*args, **kwargs):
+    raise AssertionError("enumerated subsets")
+
+
 def test_oversized_basis_exits_fast(capsys, monkeypatch):
     import thetadiv.basis as basis
 
-    def no_subsets(*args, **kwargs):
-        raise AssertionError("enumerated subsets")
-
+    monkeypatch.delenv("THETADIV_BUDGET", raising=False)
     monkeypatch.setattr(basis, "_subsets", no_subsets)
-    # (3, 20) is the first n past the cap of 2^20 boundary classes at g = 3
+    # (3, 20) has 2,097,131 boundary classes, 8 units of work each
     for g, n in [("3", "40"), ("3", "1000000000"), ("1000000000", "1"), ("3", "20")]:
         for command in ("basis", "curves", "matrix"):
             start = time.perf_counter()
@@ -335,32 +340,57 @@ def test_oversized_basis_exits_fast(capsys, monkeypatch):
             assert time.perf_counter() - start < 0.5
             assert code == 2
             assert out == ""
-            assert "boundary classes" in err
+            assert err.startswith(f"error: (g={g}, n={n}) is estimated at ")
+            assert err.endswith(BUDGET_REFUSAL)
 
 
 def test_oversized_matrix_exits_fast(capsys, monkeypatch):
     import thetadiv.basis as basis
     import thetadiv.curves as curves
 
-    def no_subsets(*args, **kwargs):
-        raise AssertionError("enumerated subsets")
-
+    monkeypatch.delenv("THETADIV_BUDGET", raising=False)
     monkeypatch.setattr(basis, "_subsets", no_subsets)
-    # m = 14,337 and 229,377: the dense matrix would hold m^2 entries
-    for n, m in (("12", 14337), ("16", 229377)):
-        start = time.perf_counter()
-        code, out, err = run(capsys, "matrix", "--g", "6", "--n", n)
-        assert time.perf_counter() - start < 0.5
-        assert (code, out) == (2, "")
-        assert err == f"error: (g=6, n={n}) has a {m} x {m} pairing matrix, above the dense limit of 8192 rows\n"
+    # 8 units a boundary class plus m^2/4 for the dense entries: (6, 11),
+    # m = 7,169, ran out of memory as JSON; m = 14,337 and 229,377 beyond it
+    for n, estimate in (("11", 12905888), ("12", 51501976), ("16", 13155286904)):
+        for fmt in FORMATS:
+            start = time.perf_counter()
+            code, out, err = run(capsys, "matrix", "--g", "6", "--n", n, "--format", fmt)
+            assert time.perf_counter() - start < 0.5
+            assert (code, out) == (2, "")
+            assert err == f"error: (g=6, n={n}) is estimated at {estimate} units of work, {BUDGET_REFUSAL}"
 
-    # (6, 11), m = 7,169, passes the check and goes on to build its rows
+    # (6, 10), m = 3,585, passes the check and goes on to build its rows
     def rows(g, n):
         raise RuntimeError(f"rows of ({g}, {n})")
 
     monkeypatch.setattr(curves, "_rows", rows)
-    with pytest.raises(RuntimeError, match=r"rows of \(6, 11\)"):
-        curves.build_matrix(6, 11)
+    with pytest.raises(RuntimeError, match=r"rows of \(6, 10\)"):
+        curves.build_matrix(6, 10)
+
+
+def test_unbounded_sweeps_exit_before_any_trial(capsys, monkeypatch):
+    import thetadiv.basis as basis
+    import thetadiv.cli as cli
+
+    def no_trial(*args):
+        raise AssertionError("ran a trial")
+
+    monkeypatch.delenv("THETADIV_BUDGET", raising=False)
+    monkeypatch.setattr(cli, "reconstruct_T", no_trial)
+    monkeypatch.setattr(cli, "class_D_direct", no_trial)
+    monkeypatch.setattr(basis, "_subsets", no_subsets)
+    # each trial is charged one solve: (8 + n^2/4) units per boundary class
+    for argv, estimate in (
+        (["verify", "T", "--g", "3", "--n", "2", "--trials", "1000000000"], 45000000000),
+        (["verify", "mueller", "--g", "3", "--n", "2", "--trials", "1000000000"], 45000000000),
+        (["verify", "T", "--g", "3", "--n", "19"], 5137924400),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"error: (g=3, n={argv[5]}) is estimated at {estimate} units of work, {BUDGET_REFUSAL}"
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)

@@ -139,7 +139,8 @@ def test_missing_assignment_entry():
 
 
 def test_monomial_cap():
-    env_name = "THETADIV_MONOMIAL_CAP"
+    # the work budget of basis.check_work, which replaced the monomial cap
+    env_name = "THETADIV_BUDGET"
     import os
 
     old = os.environ.get(env_name)
@@ -252,8 +253,8 @@ def test_evaluate_refuses_inexact_values(value):
 
 @pytest.mark.parametrize("value", ["abc", "1e3", "2.5", "-1"])
 def test_monomial_cap_must_be_a_nonnegative_integer(monkeypatch, capsys, value):
-    monkeypatch.setenv("THETADIV_MONOMIAL_CAP", value)
-    message = f"THETADIV_MONOMIAL_CAP must be a nonnegative integer, got {value!r}"
+    monkeypatch.setenv("THETADIV_BUDGET", value)
+    message = f"THETADIV_BUDGET must be a nonnegative integer, got {value!r}"
     with pytest.raises(ValueError) as info:
         dr_expansion(3, 2, (1, -1))
     assert str(info.value) == message
@@ -262,13 +263,23 @@ def test_monomial_cap_must_be_a_nonnegative_integer(monkeypatch, capsys, value):
 
 
 def test_monomial_cap_bounds_the_count(monkeypatch):
-    # dr(3, 2, (1, -1)) has 35 monomials
-    monkeypatch.setenv("THETADIV_MONOMIAL_CAP", "35")
+    # dr(3, 2, (1, -1)) has 35 monomials: 8 units for each of the 5 boundary
+    # classes of class T, then 10 g = 30 units a monomial, 1090 in all
+    monkeypatch.setenv("THETADIV_BUDGET", "1090")
     assert len(dr_expansion(3, 2, (1, -1)).terms) == 35
-    monkeypatch.setenv("THETADIV_MONOMIAL_CAP", "0")
+    monkeypatch.setenv("THETADIV_BUDGET", "40")
     assert dr_expansion(3, 2, (0, 0)).terms == {}
-    with pytest.raises(ValueError, match="35 monomials, above the cap of 0"):
+    with pytest.raises(ValueError) as info:
         dr_expansion(3, 2, (1, -1))
+    assert str(info.value) == (
+        "(g=3, n=2) is estimated at 1090 units of work, above the budget of 40; "
+        "set THETADIV_BUDGET to override"
+    )
+    monkeypatch.setenv("THETADIV_BUDGET", "0")
+    with pytest.raises(ValueError, match="40 units of work, above the budget of 0;"):
+        dr_expansion(3, 2, (0, 0))
+    monkeypatch.setenv("THETADIV_BUDGET", "")  # empty: the default
+    assert len(dr_expansion(3, 2, (1, -1)).terms) == 35
 
 
 def test_relabel_cycle_refuses_a_non_permutation():

@@ -84,3 +84,19 @@ def test_benchmark_selftest_passes():
     )
     assert (done.returncode, done.stdout) == (0, "self-test passed\n"), done.stderr
     assert tree_files() == before  # the self-test writes no files
+
+
+def test_one_cycle_of_each_workload_passes_its_checks(monkeypatch):
+    # in process, so that a work budget that refuses a benchmark op fails
+    # here rather than only lowering the benchmark's ok_frac
+    import importlib.util
+
+    import thetadiv.cli  # noqa: F401  the cli_small ops call thetadiv.cli.main
+
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "benchmarks" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for name, workload in workloads.WORKLOADS.items():
+        for op in workload(thetadiv, seed=1).cycle():
+            assert op.check(op.run()) is True, (name, op.kind, op.size)
