@@ -48,6 +48,7 @@ this change of basis in both directions.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -347,15 +348,17 @@ class DivisorClass:
 
     def to_json_dict(self) -> dict:
         """Full-basis JSON form; rationals as lowest-terms "p/q" strings."""
+        get, zero = self.coeffs.get, Fraction(0)
+        # str per entry: printing a Fraction is cheaper than hashing one
         return {
             "g": self.g,
             "n": self.n,
             "coeffs": {
-                "lambda1": str(self.coeff(LAMBDA1)),
-                "delta_irr": str(self.coeff(DELTA_IRR)),
-                "K": [str(self.coeff(K(i))) for i in range(1, self.n + 1)],
+                "lambda1": str(get(LAMBDA1, zero)),
+                "delta_irr": str(get(DELTA_IRR, zero)),
+                "K": [str(get(K(i), zero)) for i in range(1, self.n + 1)],
                 "boundary": [
-                    {"h": b.h, "P": list(b.P), "c": str(self.coeff(delta(b)))}
+                    {"h": b.h, "P": list(b.P), "c": str(get(Generator("delta", 0, b), zero))}
                     for b in enumerate_boundary(self.g, self.n)
                 ],
             },
@@ -365,17 +368,27 @@ class DivisorClass:
     def from_json_dict(cls, data: Mapping) -> "DivisorClass":
         g, n = data["g"], data["n"]
         raw = data["coeffs"]
+        parsed: dict[str, Fraction] = {}  # one parse per distinct coefficient string
+
+        def parse(text) -> Fraction:
+            if type(text) is not str:  # unhashable values keep Fraction's own refusal
+                return Fraction(text)
+            c = parsed.get(text)
+            if c is None:
+                c = parsed[text] = Fraction(text)
+            return c
+
         coeffs: dict[Generator, Fraction] = {
-            LAMBDA1: Fraction(raw["lambda1"]),
-            DELTA_IRR: Fraction(raw["delta_irr"]),
+            LAMBDA1: parse(raw["lambda1"]),
+            DELTA_IRR: parse(raw["delta_irr"]),
         }
         for i, c in enumerate(raw["K"], start=1):
-            coeffs[K(i)] = Fraction(c)
+            coeffs[K(i)] = parse(c)
         for entry in raw["boundary"]:
             gen = delta(canonicalize_boundary(entry["h"], tuple(entry["P"]), g, n))
             if gen in coeffs:
                 raise ValueError(f"boundary class {generator_label(gen)} given twice")
-            coeffs[gen] = Fraction(entry["c"])
+            coeffs[gen] = parse(entry["c"])
         # generators canonical and coefficients Fractions by now: only
         # (g, n) and the number of K entries are left to check
         _check_gn(g, n)
@@ -400,14 +413,24 @@ def _substitute_psi(g: int, n: int, coeffs: Mapping[Generator, Fraction], sign: 
     :func:`enumerate_boundary` is, above the work budget at 8 units a class."""
     check_work(g, n, 8)
     a = [sign * coeffs.get(K(i), Fraction(0)) for i in range(1, n + 1)]
+    den = math.lcm(*(x.denominator for x in a))
+    nums = [x.numerator * (den // x.denominator) for x in a]
     out = dict(coeffs)
-    # subset sums, one addition each: P's is that of P without its largest
-    # element, which comes earlier in the order, plus that element's slot
-    sums = {(i,): x for i, x in enumerate(a, start=1)}
+    # integer subset sums over the common denominator, one addition each:
+    # P's is that of P without its largest element, which comes earlier in
+    # the order, plus that element's slot
+    sums = {(i,): x for i, x in enumerate(nums, start=1)}
+    made: dict[tuple[int, int, int], Fraction] = {}  # one Fraction per distinct (sum, old)
+    zero = Fraction(0)
     for P in _subsets(n, min_size=2):
-        gen = delta(BoundaryIndex(0, P))
-        sums[P] = total = sums[P[:-1]] + a[P[-1] - 1]
-        out[gen] = out.get(gen, Fraction(0)) + total
+        gen = Generator("delta", 0, BoundaryIndex(0, P))
+        sums[P] = total = sums[P[:-1]] + nums[P[-1] - 1]
+        old = out.get(gen, zero)
+        key = (total, *old.as_integer_ratio())  # int keys: a Fraction hashes slowly
+        c = made.get(key)
+        if c is None:
+            c = made[key] = Fraction(total, den) + old
+        out[gen] = c
     return DivisorClass._trusted(g, n, out)
 
 

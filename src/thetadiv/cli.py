@@ -32,7 +32,7 @@ import sys
 from typing import Sequence
 
 from .basis import _boundary_label, basis_generators, check_work, generator_label
-from .curves import build_matrix, curve_label, enumerate_test_curves
+from .curves import _matrix_size, build_matrix, curve_label, enumerate_test_curves
 from .drcycle import dr_expansion
 from .solve import SingularMatrixError, certify_basis, reconstruct_T, reconstruct_Theta
 from .theta import class_D_direct, class_D_from_theta, class_T, class_Theta, correction_ledger
@@ -172,6 +172,11 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    if args.format == "json":
+        # JSON holds every entry as a str and the whole document in memory:
+        # 143 MB peak at (6, 8) against 27 MB as csv, so m^2 units, not m^2/4
+        m = _matrix_size(args.g, args.n)
+        check_work(args.g, args.n, 8, m * m)
     mat = build_matrix(args.g, args.n)
     if args.format == "json":
         return _emit_json(mat.to_json_dict())

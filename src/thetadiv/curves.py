@@ -36,7 +36,10 @@ holds and at the tie h = g/2 the set P already contains 1; a point row's
 once per elliptic-tail or irreducible-node row.  :func:`intersect` and
 :func:`pair` validate the curve once, by the generator check of its dual,
 and read its one row with each class (h, P) keyed by itself, building no
-O(B) dict.  The pairing matrix is invertible for g >= 3.
+O(B) dict; like :func:`thetadiv.basis.canonicalize_boundary`, they first
+refuse an n whose boundary enumeration the work budget refuses, since a
+point row visits every marking.  The pairing matrix is invertible for
+g >= 3.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .basis import (
+    BUDGET,
     DELTA_IRR,
     K,
     LAMBDA1,
@@ -181,6 +185,8 @@ def _key(gen: Generator):
 def intersect(curve: TestCurve, gen: Generator, g: int, n: int) -> Fraction:
     """Exact intersection number of a test-curve family with a basis divisor."""
     _check_gn(g, n)
+    if n > BUDGET.bit_length():  # one comparison before the O(n) point row
+        check_work(g, n, 8)
     _check_curve(curve, g, n)
     _check_generator(gen, g, n)
     return Fraction(_row(curve.dual, g, n, _ByClass()).get(_key(gen), 0))
@@ -188,6 +194,8 @@ def intersect(curve: TestCurve, gen: Generator, g: int, n: int) -> Fraction:
 
 def pair(curve: TestCurve, divclass: DivisorClass) -> Fraction:
     """Intersection number of a test curve with an arbitrary divisor class."""
+    if divclass.n > BUDGET.bit_length():  # one comparison before the O(n) point row
+        check_work(divclass.g, divclass.n, 8)
     _check_curve(curve, divclass.g, divclass.n)
     row = _row(curve.dual, divclass.g, divclass.n, _ByClass())
     return sum((c * row.get(_key(gen), 0) for gen, c in divclass.coeffs.items()), Fraction(0))
@@ -247,14 +255,20 @@ class IntersectionMatrix:
         return cls(g, n, rows, cols, entries)
 
 
-def build_matrix(g: int, n: int) -> IntersectionMatrix:
-    """Assemble the full test-curve / divisor-basis intersection matrix,
-    refused before any enumeration above the work budget at 8 units a
-    boundary class plus m^2/4 for the dense entries."""
+def _matrix_size(g: int, n: int) -> int:
+    """m for (g, n), with the refusals of :func:`build_matrix`."""
     _check_dual(g, n)
     check_work(g, n, 8)  # so that 2**n below is small
     m = n + _boundary_count(g, n) + 2
     check_work(g, n, 8, m * m // 4)
+    return m
+
+
+def build_matrix(g: int, n: int) -> IntersectionMatrix:
+    """Assemble the full test-curve / divisor-basis intersection matrix,
+    refused before any enumeration above the work budget at 8 units a
+    boundary class plus m^2/4 for the dense entries."""
+    m = _matrix_size(g, n)
     gens, row = _rows(g, n)
     order = [*range(2, m), 0, 1]  # the test-curve order
     entries = []

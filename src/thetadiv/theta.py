@@ -35,6 +35,13 @@ coefficient, all others the genus-split coefficient.  Both coefficient
 shapes are invariant under swapping a representative with its mirror, so
 the split is well defined.
 
+Every coefficient depends on (h, P) only through h, d_P and
+``sum_{i in P} d_i^2``, and the ledger also on the negative weights in P.
+One call is one O(B) pass over the boundary enumeration: those numbers
+come from one subset-sum table, built after the enumeration's work-budget
+check, each entry from that of P without its largest element; the
+arithmetic is in ints, with one Fraction per distinct coefficient value.
+
 The effective-divisor locus (Mueller, *The pullback of a theta divisor
 to M_{g,n}-bar*, Math. Nachr. 286 (2013)) depends only on the line bundle
 ``O(sum d_i p_i)``.  A weight-0 marking leaves that bundle unchanged, so
@@ -58,6 +65,7 @@ from .basis import (
     DivisorClass,
     Generator,
     _check_gn,
+    _subsets,
     canonicalize_boundary,
     delta,
     enumerate_boundary,
@@ -98,21 +106,48 @@ def plus_set(d: Sequence[int]) -> frozenset[int]:
     return frozenset(i for i, w in enumerate(d, start=1) if w >= 0)
 
 
-def _pullback(g: int, n: int, d: tuple[int, ...], shift: int) -> dict[Generator, Fraction]:
+def _subset_sums(d: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, int, int]]:
+    """(d_P, sum_{i in P} d_i^2, number of negative weights in P) for every
+    subset P of the markings, keyed by P as a sorted tuple; each entry is
+    that of P without its largest element, which comes earlier in the
+    order, plus that element's terms.  Callers enumerate the boundary
+    first, so the work budget refuses before these 2^n entries are built."""
+    sums = {(): (0, 0, 0)}
+    for P in _subsets(len(d), min_size=1):
+        s, q, neg = sums[P[:-1]]
+        w = d[P[-1] - 1]
+        sums[P] = (s + w, q + w * w, neg + (w < 0))
+    return sums
+
+
+def _pullback(
+    d: tuple[int, ...], shift: int, boundary: list[BoundaryIndex], sums: dict
+) -> dict[Generator, Fraction]:
     """Point and boundary coefficients of the theta pullback: shift 0 for
     degree 0 (K_i: d_i^2/2, delta_h^P: -d_P^2/2), shift 1 for degree g-1
     (K_i: d_i(d_i+1)/2, delta_h^P: -(d_P-h)(d_P-h+1)/2).  Genus-0 classes
-    take -(d_P^2 - sum_{i in P} d_i^2)/2 either way."""
+    take -(d_P^2 - sum_{i in P} d_i^2)/2 either way.  ``boundary`` is
+    :func:`enumerate_boundary` and ``sums`` :func:`_subset_sums` of d."""
     coeffs = {K(i): Fraction(w * (w + shift), 2) for i, w in enumerate(d, start=1)}
-    for b in enumerate_boundary(g, n):
-        dP = weight_sum(d, b.P)
-        if b.h == 0:
-            c = -Fraction(dP * dP - sum(d[i - 1] ** 2 for i in b.P), 2)
+    halves: dict[int, Fraction] = {}  # one Fraction per distinct numerator
+    for b in boundary:
+        h, P = b
+        dP, squares, _ = sums[P]
+        if h == 0:
+            num = squares - dP * dP
         else:
-            e = dP - shift * b.h
-            c = -Fraction(e * (e + shift), 2)
-        coeffs[delta(b)] = c
+            e = dP - shift * h
+            num = -e * (e + shift)
+        c = halves.get(num)
+        if c is None:
+            c = halves[num] = Fraction(num, 2)
+        coeffs[Generator("delta", 0, b)] = c  # b is canonical as enumerated
     return coeffs
+
+
+def _theta_coeffs(d: tuple[int, ...], boundary: list[BoundaryIndex], sums: dict) -> dict:
+    """All coefficients of :func:`class_Theta`, from :func:`_pullback`'s tables."""
+    return {LAMBDA1: Fraction(-1), DELTA_IRR: Fraction(1, 8), **_pullback(d, 1, boundary, sums)}
 
 
 def class_T(g: int, n: int, d: Sequence[int]) -> DivisorClass:
@@ -120,7 +155,7 @@ def class_T(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     the zero section) under s_d, for weights of total degree 0."""
     d = check_weights(g, n, d, degree=0)
     _warn_small_genus(g)
-    return DivisorClass._trusted(g, n, _pullback(g, n, d, shift=0))
+    return DivisorClass._trusted(g, n, _pullback(d, 0, enumerate_boundary(g, n), _subset_sums(d)))
 
 
 def class_Theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
@@ -128,8 +163,7 @@ def class_Theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     weights of total degree g-1."""
     d = check_weights(g, n, d, degree=g - 1)
     _warn_small_genus(g)
-    coeffs = {LAMBDA1: Fraction(-1), DELTA_IRR: Fraction(1, 8), **_pullback(g, n, d, shift=1)}
-    return DivisorClass._trusted(g, n, coeffs)
+    return DivisorClass._trusted(g, n, _theta_coeffs(d, enumerate_boundary(g, n), _subset_sums(d)))
 
 
 @dataclass(frozen=True)
@@ -164,23 +198,34 @@ def correction_ledger(g: int, n: int, d: Sequence[int]) -> CorrectionLedger:
     h > d_P.  At most one representative per class can qualify because some
     weight is negative.
     """
+    return _scan(g, n, d)[0]
+
+
+def _scan(
+    g: int, n: int, d: Sequence[int]
+) -> tuple[CorrectionLedger, tuple[int, ...], list[BoundaryIndex], dict]:
+    """:func:`correction_ledger`, returned with the checked weights, the
+    boundary enumeration and the subset-sum table it read.
+
+    The enumerated (h, P) qualifies iff P holds no negative weight and
+    h > d_P.  Its mirror (g-h, P complement) qualifies iff P holds every
+    negative weight and d_P >= h, since d_{P complement} = g-1-d_P, with
+    multiplicity d_P - h + 1.  The two conditions exclude each other."""
     d = check_weights(g, n, d, degree=g - 1)
     if min(d) >= 0:
         raise ValueError("the effective-divisor locus needs at least one negative weight")
-    plus = plus_set(d)
+    boundary, sums = enumerate_boundary(g, n), _subset_sums(d)
+    negatives = sum(w < 0 for w in d)
     terms: list[CorrectionTerm] = []
-    for b in enumerate_boundary(g, n):
-        hits = []
-        for h, P in (b, b.mirror(g, n)):
-            if not set(P) <= plus:
-                continue
-            dP = weight_sum(d, P)
+    for b in boundary:
+        h, P = b
+        dP, _, neg = sums[P]
+        if neg == 0:
             if h > dP:
-                hits.append(CorrectionTerm(h, P, h - dP))
-        if len(hits) > 1:
-            raise AssertionError(f"both representatives of {b} qualified; weights {d}")
-        terms.extend(hits)
-    return CorrectionLedger(g, n, tuple(terms))
+                terms.append(CorrectionTerm(h, P, h - dP))
+        elif neg == negatives and dP >= h:
+            terms.append(CorrectionTerm(g - h, b.complement(n), dP - h + 1))
+    return CorrectionLedger(g, n, tuple(terms)), d, boundary, sums
 
 
 def _subtract_ledger(coeffs: dict[Generator, Fraction], ledger: CorrectionLedger) -> DivisorClass:
@@ -196,8 +241,9 @@ def class_D_from_theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     """Class of the closed effective-divisor locus, computed by stripping
     the identically-vanishing boundary multiplicities (and the 1/8 along
     the irreducible boundary) off :func:`class_Theta`."""
-    ledger = correction_ledger(g, n, d)
-    coeffs = dict(class_Theta(g, n, d).coeffs)
+    ledger, d, boundary, sums = _scan(g, n, d)
+    _warn_small_genus(g)
+    coeffs = _theta_coeffs(d, boundary, sums)
     coeffs[DELTA_IRR] -= ledger.delta_irr_order
     return _subtract_ledger(coeffs, ledger)
 
@@ -207,9 +253,9 @@ def class_D_direct(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     closed formula: -lambda1, zero delta_irr, d_i(d_i+1)/2 on the point
     classes, the usual boundary coefficients, minus the vanishing
     corrections.  Agrees with :func:`class_D_from_theta`."""
-    ledger = correction_ledger(g, n, d)
+    ledger, d, boundary, sums = _scan(g, n, d)
     _warn_small_genus(g)
-    coeffs = {LAMBDA1: Fraction(-1), **_pullback(g, n, tuple(d), shift=1)}
+    coeffs = {LAMBDA1: Fraction(-1), **_pullback(d, 1, boundary, sums)}
     return _subtract_ledger(coeffs, ledger)
 
 

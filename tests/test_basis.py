@@ -28,6 +28,7 @@ from thetadiv.basis import (
     relabel_class,
     relabel_generator,
 )
+from thetadiv.curves import intersect, pair, point_curve
 from thetadiv.solve import certify_basis
 from thetadiv.theta import class_T
 
@@ -280,10 +281,13 @@ def no_subsets(*args, **kwargs):
 
 
 def test_huge_marking_count_refused_before_any_work(monkeypatch):
-    # the psi/K change of basis loops over 2^(n-1) subsets per point, and a
-    # mirrored canonical form is a complement of 1..n
+    # the psi/K change of basis loops over 2^(n-1) subsets per point, a
+    # mirrored canonical form is a complement of 1..n, and a point row
+    # visits every marking
     monkeypatch.delenv("THETADIV_BUDGET", raising=False)
     for call in (
+        lambda: intersect(point_curve(1), K(1), 3, 10**6),
+        lambda: pair(point_curve(1), DivisorClass.zero(3, 10**6)),
         lambda: psi_in_k_basis(1, 3, 40),
         lambda: k_to_psi(DivisorClass(3, 40, {K(1): 1})),
         lambda: psi_to_k(DivisorClass.zero(3, 40)),

@@ -296,6 +296,64 @@ def test_dr_output_bytes(capsys, g, n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == DR_DIGESTS[g, n, fmt]
 
 
+# sha256 of the stdout of `thetadiv class` and `thetadiv ledger`, taken
+# before the closed formulas read d_P and sum d_i^2 from one subset-sum table
+CLASS_WEIGHTS = {
+    (5, 7, "T"): "3,-2,1,-4,5,-1,-2",
+    (5, 7, "theta"): "3,-1,2,0,-2,1,1",
+    (5, 8, "T"): "2,-3,1,4,-1,-2,0,-1",
+    (5, 8, "theta"): "4,-2,1,3,-1,0,-2,1",
+}
+CLASS_DIGESTS = {
+    (5, 7, "T", "pretty"): "9ca3001a8d6bfdf6c74d8ee28b679879fbdcf8e6ca7df35f3441bec8429d2943",
+    (5, 7, "T", "json"): "a4cb45254113384198fce141c5de6b95aeef95b77d9e2dac5058caa634c33c61",
+    (5, 7, "T", "csv"): "a5dc963219f2d2b52f0f84deff657d36c0cc7cc6ccec0eb2e2473c79c04c83ac",
+    (5, 7, "theta", "pretty"): "581e15fce1a2a04fc45229c715c2df29579ec883dbdeb8cd8ca99a3b943fa206",
+    (5, 7, "theta", "json"): "80740f12025e3a7a2b261d453895240c6135cb695976de10040d6c84d3902087",
+    (5, 7, "theta", "csv"): "50662aeda00f2d4b3e4a0e3076a6029e4a9e0d71ced9b4916c6c08a33435509c",
+    (5, 7, "mueller", "pretty"): "c2d48cdd6061658723126b0c9bd672b3c0fbd7593965d35f818994cc544c9304",
+    (5, 7, "mueller", "json"): "8761e91304248ba32dbac53cbfad17ef29928f3539b4473d77d5ee3b95d03848",
+    (5, 7, "mueller", "csv"): "217d287fcacc9e25897e618aa79001de3fcc4cddfceae39790a7c0994d7025c8",
+    (5, 8, "T", "pretty"): "a1c181f0be94a84946179a2fc68f1285cedc5dbfec97dc536e4ea3b22e622144",
+    (5, 8, "T", "json"): "c34c6330a98d0eea5285979cb879cf3f65fc11536b133e0bea5f6de50971a19b",
+    (5, 8, "T", "csv"): "be7e4b1665c4c8bcb1876bd44cdaeba09b81e2365958b3957752e48f4e3e9481",
+    (5, 8, "theta", "pretty"): "287cb83a485090c765b6dcbae8bfcc99d5e4b717877b928eba525f0b8e0858f3",
+    (5, 8, "theta", "json"): "36febd779d3f488a92ee5a820aba5f14ed4aaf9b5623c65f911e11fa816eed70",
+    (5, 8, "theta", "csv"): "5291fee36d908b8aead1d4969adaef8994292bdd6425698860b9b4820b901b32",
+    (5, 8, "mueller", "pretty"): "ddae3656084c7fdcc391d0507a248f722f3f95d270e8bd73eecbda69b43c847b",
+    (5, 8, "mueller", "json"): "5f5f94d149e84cb8c26e3692e95e6cc17c11de68139c5a23b0fc5940ee0a9944",
+    (5, 8, "mueller", "csv"): "49c88449c2471fdc935070cf5b46bf8353ad266ff110d2c001dc64a7fbac2f6f",
+}
+LEDGER_DIGESTS = {
+    (5, 7, "pretty"): "6224ae66d8e84300282edc77953ddaea6c0d44492d63b4afcd01912ae652cb6e",
+    (5, 7, "json"): "be70986e17f5b81b087edcfbafcba380a57763682628cf17f7119ecfad9f760c",
+    (5, 7, "csv"): "259609a27f869306e6dc8425396739c109fe67fcc60e773e3e79963a1d634a85",
+    (5, 8, "pretty"): "2320ea641640ba4d6b887675b878e4e6ff451393178aa2456ee6febefdcbcc4a",
+    (5, 8, "json"): "32db68a39eb30c7314f88805f932d7891e468bd29861d26103ed1bb53bdd6d32",
+    (5, 8, "csv"): "37b34027ba4a7a60b11945c718c1bab1f629f3e9f9259e33680ad899b064ff0c",
+}
+
+
+def weights_for(g, n, kind):
+    return CLASS_WEIGHTS[g, n, "T" if kind == "T" else "theta"]
+
+
+@pytest.mark.parametrize("g, n, kind, fmt", sorted(CLASS_DIGESTS))
+def test_class_output_bytes(capsys, g, n, kind, fmt):
+    d = weights_for(g, n, kind)
+    code, out, err = run(capsys, "class", kind, "--g", str(g), "--n", str(n), f"--d={d}", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASS_DIGESTS[g, n, kind, fmt]
+
+
+@pytest.mark.parametrize("g, n, fmt", sorted(LEDGER_DIGESTS))
+def test_ledger_output_bytes(capsys, g, n, fmt):
+    d = weights_for(g, n, "mueller")
+    code, out, err = run(capsys, "ledger", "--g", str(g), "--n", str(n), f"--d={d}", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LEDGER_DIGESTS[g, n, fmt]
+
+
 def test_mueller_verify_impossible_at_one_marking(capsys):
     # g - 1 >= 0 forces the single weight nonnegative: no admissible vectors
     code, _, err = run(capsys, "verify", "mueller", "--g", "3", "--n", "1")
@@ -367,6 +425,16 @@ def test_oversized_matrix_exits_fast(capsys, monkeypatch):
     monkeypatch.setattr(curves, "_rows", rows)
     with pytest.raises(RuntimeError, match=r"rows of \(6, 10\)"):
         curves.build_matrix(6, 10)
+
+    # JSON holds every entry as a str: m^2 units, not m^2/4, refuse (6, 10)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "matrix", "--g", "6", "--n", "10", "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: (g=6, n=10) is estimated at 12880809 units of work, {BUDGET_REFUSAL}"
+    # and admit (6, 9), m = 1,793, at 3,229,177 units
+    code, out, err = run(capsys, "matrix", "--g", "6", "--n", "9", "--format", "json")
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: rows of (6, 9)\n")
 
 
 def test_unbounded_sweeps_exit_before_any_trial(capsys, monkeypatch):

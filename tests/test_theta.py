@@ -1,11 +1,12 @@
 """Tests for the closed-form theta pullback classes and the vanishing ledger."""
 
+import contextlib
 import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thetadiv.basis import (
@@ -16,6 +17,7 @@ from thetadiv.basis import (
     canonicalize_boundary,
     delta,
     enumerate_boundary,
+    k_to_psi,
     relabel_class,
 )
 from thetadiv.curves import (
@@ -26,12 +28,14 @@ from thetadiv.curves import (
     pair,
     point_curve,
 )
+from thetadiv import theta
 from thetadiv.theta import (
     class_D_direct,
     class_D_from_theta,
     class_T,
     class_Theta,
     correction_ledger,
+    plus_set,
     theta_intersection,
     weight_sum,
 )
@@ -320,3 +324,79 @@ def test_small_genus_warns():
         class_T(2, 2, (1, -1))
     with pytest.warns(UserWarning, match="genus >= 3"):
         class_Theta(1, 2, (1, -1))
+
+
+@st.composite
+def free_weights(draw, genus, markings, bound):
+    """(g, n, the first n-1 weights in [-bound, bound]); the last weight is
+    set by the total degree."""
+    g = draw(st.integers(*genus))
+    n = draw(st.integers(*markings))
+    head = draw(st.lists(st.integers(-bound, bound), min_size=n - 1, max_size=n - 1))
+    return g, n, tuple(head)
+
+
+def small_genus_warning(g):
+    return pytest.warns(UserWarning, match="genus >= 3") if g < 3 else contextlib.nullcontext()
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=free_weights((3, 7), (1, 5), 6))
+def test_hain_formula(case):
+    # DR in compact type (Hain): T in the psi basis is
+    # 1/2 sum d_i^2 psi_i - 1/2 sum d_P^2 delta_h^P over every boundary class
+    g, n, head = case
+    d = head + (-sum(head),)
+    expected = {K(i): Fraction(w * w, 2) for i, w in enumerate(d, start=1)}
+    for b in enumerate_boundary(g, n):
+        expected[delta(b)] = -Fraction(weight_sum(d, b.P) ** 2, 2)
+    assert k_to_psi(class_T(g, n, d)) == DivisorClass(g, n, expected)
+
+
+def reference_pullback(g, n, d, shift):
+    """The boundary loop the subset-sum table replaces: one sum over P per class."""
+    coeffs = {K(i): Fraction(w * (w + shift), 2) for i, w in enumerate(d, start=1)}
+    for b in enumerate_boundary(g, n):
+        dP = weight_sum(d, b.P)
+        if b.h == 0:
+            coeffs[delta(b)] = -Fraction(dP * dP - sum(d[i - 1] ** 2 for i in b.P), 2)
+        else:
+            e = dP - shift * b.h
+            coeffs[delta(b)] = -Fraction(e * (e + shift), 2)
+    return coeffs
+
+
+def reference_ledger(g, n, d):
+    """(h, P, mult) for every representative of every class, both tried."""
+    plus = plus_set(d)
+    terms = []
+    for b in enumerate_boundary(g, n):
+        for h, P in (b, b.mirror(g, n)):
+            if set(P) <= plus and h > weight_sum(d, P):
+                terms.append((h, P, h - weight_sum(d, P)))
+    return terms
+
+
+@example(case=(1, 3, (0, -2)))
+@example(case=(2, 4, (0, 0, -3)))
+@example(case=(8, 6, (0, -8, 8, 0, -1)))
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=free_weights((1, 8), (1, 6), 8))
+def test_closed_forms_match_the_subset_loop(case):
+    g, n, head = case
+    d0 = head + (-sum(head),)
+    d1 = head + (g - 1 - sum(head),)
+    for d, shift in ((d0, 0), (d1, 1)):
+        table = theta._subset_sums(d)
+        assert theta._pullback(d, shift, enumerate_boundary(g, n), table) == reference_pullback(g, n, d, shift)
+    if min(d1) >= 0:
+        return
+    ledger = correction_ledger(g, n, d1)
+    assert [(t.h, t.P, t.mult) for t in ledger.terms] == reference_ledger(g, n, d1)
+    coeffs = {LAMBDA1: Fraction(-1), **reference_pullback(g, n, d1, 1)}
+    for h, P, mult in reference_ledger(g, n, d1):
+        coeffs[bgen(g, n, h, P)] -= mult
+    expected = DivisorClass(g, n, coeffs)
+    for f in (class_D_direct, class_D_from_theta):
+        with small_genus_warning(g):
+            assert f(g, n, d1) == expected
