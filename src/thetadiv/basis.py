@@ -276,6 +276,18 @@ def basis_generators(g: int, n: int) -> list[Generator]:
     return gens
 
 
+def _json_coefficient(value) -> Fraction:
+    """A JSON coefficient: a string ``Fraction()`` reads, or an int that is
+    not a bool; anything else (a float, true, null) and a zero denominator
+    raise ``ValueError``."""
+    if type(value) not in (str, int):
+        raise ValueError(f"JSON coefficients must be strings or integers, got {value!r}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {value!r} has a zero denominator") from None
+
+
 @dataclass(frozen=True)
 class DivisorClass:
     """A rational divisor class, stored as a sparse exact coefficient vector
@@ -371,11 +383,11 @@ class DivisorClass:
         parsed: dict[str, Fraction] = {}  # one parse per distinct coefficient string
 
         def parse(text) -> Fraction:
-            if type(text) is not str:  # unhashable values keep Fraction's own refusal
-                return Fraction(text)
+            if type(text) is not str:  # unhashable values are refused before any lookup
+                return _json_coefficient(text)
             c = parsed.get(text)
             if c is None:
-                c = parsed[text] = Fraction(text)
+                c = parsed[text] = _json_coefficient(text)
             return c
 
         coeffs: dict[Generator, Fraction] = {

@@ -12,17 +12,22 @@ evaluating the expansion at any assignment equals
 ``(value of the degree-1 class)^g / g!``.
 
 A monomial is a multiset of g picks from the k generators with nonzero
-coefficient c_j, so there are C(k + g - 1, g) of them.  The expansion walks
-the multisets once, each as a sorted tuple of generator positions, reads
-the factor (generator, e) and c_j^e / e! of each run of equal picks from a
-k x (g + 1) table built once per call, and divides once per monomial:
-O(g) work per monomial.  ``terms`` holds the monomials in the reverse of
-the lexicographic order of their position tuples, so the first is the last
-generator to the g-th power; :meth:`FormalCycle.sorted_terms` gives the
-output order.  Generators are values, so every per-generator table here
-(the validation keys, sort codes, labels, evaluation powers and
-relabelled images) is keyed by the generator itself, and a cycle written
-with equal but distinct generators behaves as the expansion does.
+coefficient c_j, so there are C(k + g - 1, g) of them.  ``terms`` always
+holds them in output order, by the list of their factors' (basis order,
+exponent) pairs: the constructor, :meth:`FormalCycle.from_json_dict` and
+:func:`relabel_cycle` sort through :func:`_in_output_order`, its one
+definition, and the renderers read ``terms`` as it stands, rendering each
+distinct factor once per call.  The expansion is born in that order: a
+depth-first walk over a k x (g + 1) table of the factors (generator, e)
+and c_j^e / e! as integer pairs, built once per call, takes the first
+generator by rank, then its exponent from 1 up to the degree left, then
+the later generators, multiplying numerator and denominator along the
+path (O(1) amortized steps and one Fraction a monomial).  It returns
+through :meth:`FormalCycle._trusted`, which checks nothing.
+Generators are values, so every per-generator table here (the validation
+keys, sort codes, labels, evaluation powers and relabelled images) is
+keyed by the generator itself, and a cycle written with equal but distinct
+generators behaves as the expansion does.
 An expansion estimated above the work budget of
 :func:`thetadiv.basis.check_work` (10 g units a monomial on top of the
 class T) is refused before any monomial is built.
@@ -32,7 +37,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +48,7 @@ from .basis import (
     Generator,
     _check_generator,
     _check_permutation,
+    _json_coefficient,
     _relabel,
     check_work,
     generator_label,
@@ -72,19 +77,34 @@ def restrict_to_compact_type(divclass: DivisorClass) -> DivisorClass:
     return DivisorClass._trusted(divclass.g, divclass.n, coeffs)
 
 
-def _join_factors(mono: Monomial, labels: Mapping[Generator, str]) -> str:
-    """The label of a monomial, given each factor's generator label."""
+def _join_factors(mono: Monomial, pieces: dict[tuple[Generator, int], str]) -> str:
+    """The label of a monomial; ``pieces`` holds each factor's rendering
+    (``label`` or ``label^e``) and is filled on a miss."""
     if not mono:
         return "1"
     parts = []
-    for gen, e in mono:
-        lab = labels[gen]
-        parts.append(lab if e == 1 else f"{lab}^{e}")
+    for factor in mono:
+        piece = pieces.get(factor)
+        if piece is None:
+            gen, e = factor
+            lab = generator_label(gen)
+            piece = pieces[factor] = lab if e == 1 else f"{lab}^{e}"
+        parts.append(piece)
     return "*".join(parts)
 
 
 def monomial_label(mono: Monomial) -> str:
-    return _join_factors(mono, {gen: generator_label(gen) for gen, _ in mono})
+    return _join_factors(mono, {})
+
+
+def _in_output_order(
+    terms: Mapping[Monomial, Fraction], keys: Mapping[Generator, tuple], g: int
+) -> dict[Monomial, Fraction]:
+    """``terms`` in output order: by their factors' (basis order, exponent)
+    pairs, where ``keys`` holds the sort key of every generator in them."""
+    # 1 <= e <= g, so the pair (rank, e) orders as the int rank * (g+1) + e
+    code = {gen: r * (g + 1) for r, gen in enumerate(sorted(keys, key=keys.get))}
+    return dict(sorted(terms.items(), key=lambda kv: [code[gen] + e for gen, e in kv[0]]))
 
 
 @dataclass(frozen=True)
@@ -92,7 +112,9 @@ class FormalCycle:
     """Homogeneous degree-g polynomial in compact-type generators with
     exact coefficients.  Zero coefficients are dropped, monomials carry
     their factors in strictly increasing basis order, so ``==`` is exact
-    equality."""
+    equality; ``terms`` holds the monomials in output order (see the
+    module notes).  The constructor validates; the package's own producers
+    use :meth:`_trusted`."""
 
     g: int
     n: int
@@ -142,37 +164,38 @@ class FormalCycle:
                 zeros.append(mono)
         for mono in zeros:
             del clean[mono]
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _in_output_order(clean, keys, g))
 
-    def _per_generator(self, fn) -> dict[Generator, object]:
-        """``fn(gen)`` for each distinct generator."""
-        return {gen: fn(gen) for gen in {gen for mono in self.terms for gen, _ in mono}}
+    @classmethod
+    def _trusted(cls, g: int, n: int, terms: dict[Monomial, Fraction]) -> "FormalCycle":
+        """A cycle whose monomials are valid for (g, n) and in output order,
+        with nonzero Fraction coefficients; nothing is checked or copied."""
+        cycle = object.__new__(cls)  # frozen: fill the fields without __init__
+        vars(cycle).update(g=g, n=n, terms=terms)
+        return cycle
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms ordered by their factors' (basis order, exponent) pairs."""
-        keys = self._per_generator(generator_sort_key)
-        # 1 <= e <= g, so the pair (rank, e) orders as the int rank * (g+1) + e
-        code = {gen: r * (self.g + 1) for r, gen in enumerate(sorted(keys, key=keys.get))}
-        return sorted(self.terms.items(), key=lambda kv: [code[gen] + e for gen, e in kv[0]])
+        """Terms ordered by their factors' (basis order, exponent) pairs,
+        the order ``terms`` holds."""
+        return list(self.terms.items())
 
     def _labelled_terms(self) -> list[tuple[str, Fraction]]:
-        """(monomial label, coefficient) in :meth:`sorted_terms` order."""
-        labels = self._per_generator(generator_label)
-        return [(_join_factors(mono, labels), c) for mono, c in self.sorted_terms()]
+        """(monomial label, coefficient) in output order."""
+        pieces: dict[tuple[Generator, int], str] = {}
+        return [(_join_factors(mono, pieces), c) for mono, c in self.terms.items()]
 
     def to_json_dict(self) -> dict:
-        labels = self._per_generator(generator_label)
-        return {
-            "g": self.g,
-            "n": self.n,
-            "terms": [
-                {
-                    "monomial": [[labels[gen], e] for gen, e in mono],
-                    "c": str(c),
-                }
-                for mono, c in self.sorted_terms()
-            ],
-        }
+        labels: dict[Generator, str] = {}  # filled on a miss
+        terms = []
+        for mono, c in self.terms.items():
+            factors = []
+            for gen, e in mono:
+                label = labels.get(gen)
+                if label is None:
+                    label = labels[gen] = generator_label(gen)
+                factors.append([label, e])
+            terms.append({"monomial": factors, "c": str(c)})
+        return {"g": self.g, "n": self.n, "terms": terms}
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -193,7 +216,10 @@ class FormalCycle:
                 if label not in generators:
                     generators[label] = parse_generator_label(label, g, n)
                 mono.append((generators[label], e))
-            terms[tuple(mono)] = Fraction(entry["c"])
+            mono = tuple(mono)
+            if mono in terms:
+                raise ValueError(f"monomial {monomial_label(mono)} given twice")
+            terms[mono] = _json_coefficient(entry["c"])
         return cls(g, n, terms)
 
 
@@ -205,33 +231,37 @@ def dr_expansion(g: int, n: int, d: Sequence[int]) -> FormalCycle:
     gens = sorted(base.coeffs, key=generator_sort_key)
     k = len(gens)
     check_work(g, n, 8, 10 * g * math.comb(k + g - 1, g))  # 0 monomials when k = 0
-    # row j, column e: the factor (gens[j], e) and c_j^e / e! as (numerator, denominator)
+    # row j, column e >= 1: the factor (gens[j], e) and c_j^e / e! as
+    # (numerator, denominator); column 0 is unused
     table = []
     for gen in gens:
         weight = Fraction(1)
-        row = [((gen, 0), 1, 1)]
+        row = [None]
         for e in range(1, g + 1):
             weight = weight * base.coeffs[gen] / e
             row.append(((gen, e), weight.numerator, weight.denominator))
         table.append(row)
-    monos: list[Monomial] = []
-    coeffs: list[Fraction] = []
-    for picks in itertools.combinations_with_replacement(range(k), g):
-        mono = []
-        num = den = 1
-        j, e = picks[0], 0
-        for i in picks + (k,):  # the sentinel k closes the last run
-            if i != j:
-                factor, p, q = table[j][e]
-                mono.append(factor)
-                num *= p
-                den *= q
-                j, e = i, 0
-            e += 1
-        monos.append(tuple(mono))
-        coeffs.append(Fraction(num, den))
-    # the multisets come in lexicographic order; terms keep its reverse
-    return FormalCycle(g, n, dict(zip(reversed(monos), reversed(coeffs))))
+    terms: dict[Monomial, Fraction] = {}
+    _walk(table, 0, g, (), 1, 1, terms)
+    return FormalCycle._trusted(g, n, terms)
+
+
+def _walk(
+    table: list, start: int, left: int, head: Monomial, num: int, den: int, terms: dict
+) -> None:
+    """Add to ``terms``, in output order, each monomial ``head`` times factors
+    of total degree ``left`` from rows ``start..`` of the table of
+    :func:`dr_expansion`; ``num / den`` is the coefficient of ``head``.  A
+    module function, not a closure: a closure that calls itself is a
+    reference cycle and would keep each expansion alive until garbage
+    collection."""
+    for j in range(start, len(table)):
+        row = table[j]
+        for e in range(1, left):
+            factor, p, q = row[e]
+            _walk(table, j + 1, left - e, head + (factor,), num * p, den * q, terms)
+        factor, p, q = row[left]
+        terms[head + (factor,)] = Fraction(num * p, den * q)
 
 
 def evaluate(cycle: FormalCycle, assignment: Mapping[Generator, Fraction]) -> Fraction:
@@ -272,10 +302,12 @@ def relabel_cycle(cycle: FormalCycle, sigma: tuple[int, ...]) -> FormalCycle:
     each distinct generator is relabelled once."""
     g, n = cycle.g, cycle.n
     _check_permutation(sigma, n)
-    image = cycle._per_generator(lambda gen: _relabel(gen, sigma, g, n))
+    gens = {gen for mono in cycle.terms for gen, _ in mono}
+    image = {gen: _relabel(gen, sigma, g, n) for gen in gens}
     key = {im: generator_sort_key(im) for im in image.values()}
     terms = {
         tuple(sorted(((image[gen], e) for gen, e in mono), key=lambda ge: key[ge[0]])): c
         for mono, c in cycle.terms.items()
     }
-    return FormalCycle(g, n, terms)
+    # sigma permutes the generators, so distinct monomials stay distinct
+    return FormalCycle._trusted(g, n, _in_output_order(terms, key, g))

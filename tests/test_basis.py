@@ -418,6 +418,31 @@ def test_json_refuses_a_boundary_class_given_twice():
         DivisorClass.from_json_dict(data)
 
 
+@pytest.mark.parametrize("value", [0.1, 1.0, True, None, [1], "1/0"])
+def test_json_read_refuses_inexact_coefficients(value):
+    # 0.1 was read as 3602879701896397/36028797018963968 and true as 1;
+    # null and a list raised TypeError, "1/0" ZeroDivisionError
+    message = (
+        "coefficient '1/0' has a zero denominator"
+        if value == "1/0"
+        else f"JSON coefficients must be strings or integers, got {value!r}"
+    )
+    for edit in ("lambda1", "K", "boundary"):
+        data = DivisorClass(3, 2, {K(1): 1}).to_json_dict()
+        if edit == "lambda1":
+            data["coeffs"]["lambda1"] = value
+        elif edit == "K":
+            data["coeffs"]["K"][1] = value
+        else:
+            data["coeffs"]["boundary"][0]["c"] = value
+        with pytest.raises(ValueError) as info:
+            DivisorClass.from_json_dict(data)
+        assert str(info.value) == message
+    data["coeffs"]["K"] = [2, "0"]  # an int that is not a bool is exact
+    data["coeffs"]["boundary"][0]["c"] = "0"
+    assert DivisorClass.from_json_dict(data) == DivisorClass(3, 2, {K(1): 2})
+
+
 def test_every_relabel_refuses_a_non_permutation():
     with pytest.raises(ValueError, match="not a permutation"):
         relabel_class(DivisorClass(3, 2, {LAMBDA1: 1}), (5, 5))

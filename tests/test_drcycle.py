@@ -1,6 +1,10 @@
 """Tests for the formal double-ramification-cycle expansion."""
 
+import contextlib
+import gc
+import itertools
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -8,7 +12,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from thetadiv.basis import DELTA_IRR, BoundaryIndex, Generator, K, basis_generators, delta
+from thetadiv.basis import (
+    DELTA_IRR,
+    BoundaryIndex,
+    Generator,
+    K,
+    basis_generators,
+    delta,
+    generator_sort_key,
+)
 from thetadiv.cli import main
 from thetadiv.drcycle import (
     FormalCycle,
@@ -119,10 +131,93 @@ def test_multinomial_identity(case, data):
     assert evaluate(dr_expansion(g, n, d), assignment) == linear**g / math.factorial(g)
 
 
-def test_terms_start_with_the_last_generator_cubed():
-    # terms run through the multisets of generators in reverse lexicographic order
-    first = next(iter(dr_expansion(3, 2, (1, -1)).terms))
-    assert first == ((delta(BoundaryIndex(1, (2,))), 3),)
+def output_key(term):
+    """The output order, stated apart from the library: the list of the
+    factors' (basis order, exponent) pairs."""
+    return [(generator_sort_key(gen), e) for gen, e in term[0]]
+
+
+def test_terms_run_in_output_order():
+    # every way a cycle is made leaves terms in output order, so no
+    # renderer sorts; the expansion is born in it
+    cycle = dr_expansion(3, 2, (1, -1))
+    monos = list(cycle.terms)
+    assert monomial_label(monos[0]) == "K1*K2*delta_0^{1,2}"
+    assert monomial_label(monos[-1]) == "delta_1^{2}^3"
+    shuffled = list(cycle.terms.items())
+    random.Random(7).shuffle(shuffled)
+    built = FormalCycle(3, 2, dict(shuffled))
+    data = cycle.to_json_dict()
+    random.Random(7).shuffle(data["terms"])
+    read = FormalCycle.from_json_dict(data)
+    relabelled = relabel_cycle(cycle, (2, 1))
+    for c in (cycle, built, read, relabelled):
+        assert list(c.terms.items()) == c.sorted_terms()
+        assert c.sorted_terms() == sorted(c.terms.items(), key=output_key)
+    assert list(built.terms.items()) == list(read.terms.items()) == list(cycle.terms.items())
+    assert list(relabelled.terms.items()) == list(dr_expansion(3, 2, (-1, 1)).terms.items())
+
+
+@st.composite
+def walk_cases(draw):
+    """(g, n, degree-0 weights, zeros included) over g 1..6 and n 1..4 whose
+    expansion has at most 2000 monomials, so that g = 6 reaches n = 2."""
+    g = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 4))
+    head = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+    d = tuple(head) + (-sum(head),)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        k = len(compact_T(g, n, d).coeffs)
+    assume(math.comb(k + g - 1, g) <= 2000)
+    return g, n, d
+
+
+def reference_expansion(base, g):
+    """(monomial, coefficient) pairs of (sum c_j X_j)^g / g!, one per multiset
+    of generator positions, sorted into output order by position."""
+    gens = sorted(base.coeffs, key=generator_sort_key)
+    rows = []
+    for picks in itertools.combinations_with_replacement(range(len(gens)), g):
+        runs = [(j, len(list(group))) for j, group in itertools.groupby(picks)]
+        c = Fraction(1)
+        for j, e in runs:
+            c *= base.coeffs[gens[j]] ** e / math.factorial(e)
+        rows.append((runs, tuple((gens[j], e) for j, e in runs), c))
+    rows.sort(key=lambda row: row[0])
+    return [(mono, c) for _, mono, c in rows]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(case=walk_cases())
+def test_walk_matches_a_reference_loop(case):
+    # dr_expansion returns through FormalCycle._trusted, which checks
+    # nothing: same terms, coefficients and order as a plain loop, and a
+    # cycle the constructor would build unchanged
+    g, n, d = case
+    small_genus = pytest.warns(UserWarning, match="genus >= 3")
+    with small_genus if g < 3 else contextlib.nullcontext():
+        cycle = dr_expansion(g, n, d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        base = compact_T(g, n, d)
+    assert list(cycle.terms.items()) == reference_expansion(base, g)
+    rebuilt = FormalCycle(g, n, dict(cycle.terms))
+    assert rebuilt == cycle and list(rebuilt.terms) == list(cycle.terms)
+
+
+def test_expansion_leaves_no_reference_cycle():
+    # the walk leaves no garbage cycle (a closure calling itself would, and
+    # would keep each expansion's terms and table alive until the cyclic
+    # collector ran, so peak RSS would grow with it)
+    dr_expansion(3, 2, (1, -1))
+    gc.collect()
+    gc.disable()
+    try:
+        dr_expansion(3, 2, (1, -1)).to_csv()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_single_generator_power():
@@ -199,6 +294,43 @@ def test_permutation_equivariance():
 def test_json_round_trip():
     cycle = dr_expansion(3, 2, (1, -1))
     assert FormalCycle.from_json_dict(cycle.to_json_dict()) == cycle
+
+
+def test_json_refuses_a_monomial_given_twice():
+    # the last entry used to win: K1^3 read 2
+    entries = [{"monomial": [["K1", 3]], "c": "1"}, {"monomial": [["K1", 3]], "c": "2"}]
+    with pytest.raises(ValueError, match=r"^monomial K1\^3 given twice$"):
+        FormalCycle.from_json_dict({"g": 3, "n": 2, "terms": entries})
+    # delta_2^{1} is the mirror label of the canonical delta_1^{2}
+    entries = [{"monomial": [["delta_1^{2}", 3]], "c": "1"}]
+    entries.append({"monomial": [["delta_2^{1}", 3]], "c": "1"})
+    with pytest.raises(ValueError, match=r"^monomial delta_1\^\{2\}\^3 given twice$"):
+        FormalCycle.from_json_dict({"g": 3, "n": 2, "terms": entries})
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True, None, [1], {"p": 1}])
+def test_json_refuses_inexact_coefficients(value):
+    # 0.1 was read as 3602879701896397/36028797018963968 and true as 1;
+    # null, a list and an object raised TypeError
+    data = {"g": 3, "n": 2, "terms": [{"monomial": [["K1", 3]], "c": value}]}
+    with pytest.raises(ValueError) as info:
+        FormalCycle.from_json_dict(data)
+    assert str(info.value) == f"JSON coefficients must be strings or integers, got {value!r}"
+
+
+def test_json_coefficients_are_strings_or_integers():
+    def read(c):
+        entry = {"monomial": [["K1", 3]], "c": c}
+        return FormalCycle.from_json_dict({"g": 3, "n": 2, "terms": [entry]})
+
+    assert read(2) == read("2") == FormalCycle(3, 2, {((K(1), 3),): 2})
+    assert read("-3/6").terms == {((K(1), 3),): Fraction(-1, 2)}
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        read("one")
+    # "1/0" raised ZeroDivisionError
+    with pytest.raises(ValueError) as info:
+        read("1/0")
+    assert str(info.value) == "coefficient '1/0' has a zero denominator"
 
 
 def refusal(g, n, terms):
