@@ -143,7 +143,7 @@ def _row(dual: Generator, g: int, n: int, column: Mapping) -> dict:
         return row  # lambda1 and delta_irr restrict trivially
     if dual.kind == "delta":
         h, P = dual.boundary
-        comp = dual.boundary.complement(n)
+        comp = [j for j in range(1, n + 1) if j not in P]
         row = {1 + i: 2 * g - 2 for i in P} if h == 0 else {1 + i: 1 for i in comp}
         # self-intersection: minus the degree of the normal direction
         row[column[h, P]] = 2 - 2 * (g - h) - len(comp)

@@ -47,6 +47,7 @@ from .basis import (
     DivisorClass,
     Generator,
     _check_generator,
+    _check_gn,
     _check_permutation,
     _json_coefficient,
     _relabel,
@@ -122,6 +123,7 @@ class FormalCycle:
 
     def __post_init__(self) -> None:
         g, n = self.g, self.n
+        _check_gn(g, n)
         # each generator is checked once; a factor that is not a Generator
         # is checked (and refused) even where it equals one checked before
         keys: dict[Generator, tuple] = {}
@@ -211,8 +213,14 @@ class FormalCycle:
         # each distinct label is parsed once
         generators: dict[str, Generator] = {}
         for entry in data["terms"]:
+            if not isinstance(entry, Mapping) or not entry.keys() >= {"monomial", "c"}:
+                raise ValueError(f"a JSON term needs a 'monomial' and a 'c', got {entry!r}")
             mono = []
             for label, e in entry["monomial"]:
+                if type(label) is not str:  # label and e are hashed below
+                    raise ValueError(f"generator labels must be strings, got {label!r}")
+                if type(e) is not int:
+                    raise ValueError(f"monomial exponents must be integers, got {entry['monomial']!r}")
                 if label not in generators:
                     generators[label] = parse_generator_label(label, g, n)
                 mono.append((generators[label], e))

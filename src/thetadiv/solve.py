@@ -22,11 +22,11 @@ are a list by column, and generators appear only in the result.
   integer multiply-subtracts over the lcm of the two denominators:
   O(B n^2) integer operations in all, no Fraction on the way.
 * The point rows then leave an n x n system in the K's, and the last two
-  rows a 2 x 2 system in ``lambda1`` and ``delta_irr``; those rows become
-  Fractions, and both blocks are solved by Fraction Gauss-Jordan
-  elimination pivoting on the first nonzero entry.  Back-substitution puts
-  the K solution over one common denominator and makes one Fraction per
-  boundary coefficient.
+  rows a 2 x 2 system in ``lambda1`` and ``delta_irr``, each row scaled
+  to integers: a point row by its form's denominator, a last row by the
+  lcm of its denominators.  One fraction-free Gauss-Jordan elimination
+  (Bareiss 1968) with a gcd cut solves both, so Fractions are made only
+  for the results, the determinant and the two last right sides.
 * No point or node row meets ``lambda1`` or ``delta_irr``, and moving
   those two columns last is an even permutation, so
 
@@ -96,12 +96,14 @@ def _value(form: tuple[list[int], int], xs: list[int], common: int) -> Fraction:
     return Fraction(vec[-1] * common - sum(map(operator.mul, vec, xs)), den * common)
 
 
-def _gauss(rows: list[list[Fraction]]) -> tuple[Fraction, list[int], list[int]]:
-    """Gauss-Jordan elimination in place on a square block whose rows end
-    with their right side, pivoting on the first row with a nonzero entry.
-    Returns the determinant (0 when singular), the original indices of the
-    rows left without a pivot, and the columns left without one."""
-    order, det, missing = list(range(len(rows))), Fraction(1), []
+def _gauss(rows: list[list[int]]) -> tuple[Fraction, list[int], list[int]]:
+    """Fraction-free Gauss-Jordan elimination in place on a square integer
+    block whose rows end with their right side, pivoting on the first row
+    with a nonzero entry; other rows become p*row - a*pivot over the gcd of
+    their entries.  Returns the determinant (0 when singular), the original
+    indices of the rows left without a pivot, and the columns left without
+    one; a regular block ends diagonal: x_k = rows[k][-1] / rows[k][k]."""
+    order, missing, num, den = list(range(len(rows))), [], 1, 1  # det = num / den * det(rows)
     for col in range(len(rows)):
         done = col - len(missing)
         r = next((r for r in range(done, len(rows)) if rows[r][col]), None)
@@ -110,14 +112,16 @@ def _gauss(rows: list[list[Fraction]]) -> tuple[Fraction, list[int], list[int]]:
             continue
         if r != done:
             rows[done], rows[r], order[done], order[r] = rows[r], rows[done], order[r], order[done]
-            det = -det
-        pivot = rows[done]
-        det *= pivot[col]
+            num = -num
+        p = rows[done][col]
         for i, other in enumerate(rows):
-            if i != done and other[col]:
-                f = other[col] / pivot[col]
-                rows[i] = [x - f * y for x, y in zip(other, pivot)]
-    return (Fraction(0) if missing else det), order[len(rows) - len(missing) :], missing
+            a = other[col]
+            if i != done and a:
+                row = [p * x - a * y for x, y in zip(other, rows[done])]
+                cut = math.gcd(*row) or 1  # an all-zero row stays
+                rows[i], num, den = [x // cut for x in row], num * cut, den * p
+    diagonal = 0 if missing else math.prod(r[k] for k, r in enumerate(rows))
+    return Fraction(num * diagonal, den), order[len(rows) - len(missing) :], missing
 
 
 def _eliminate(g: int, n: int, rhs, pins=None) -> tuple[Fraction, list[str], list, dict | None]:
@@ -147,29 +151,32 @@ def _eliminate(g: int, n: int, rhs, pins=None) -> tuple[Fraction, list[str], lis
         divisor = math.gcd(den, *vec) if den > 0 else -math.gcd(den, *vec)
         solved[c] = [x // divisor for x in vec], den // divisor
 
-    k_block = []
+    k_block, scale = [], 1
     for c in range(2, n + 2):
         vec, den = _reduce(row_of(c), rhs(gens[c]), solved, n)
-        k_block.append([Fraction(x, den) for x in vec])
+        k_block.append(vec)  # the row times den: same solution, det times den
+        scale *= den
     det_k, failed_k, missing_k = _gauss(k_block)
     # the right sides below only matter when the n x n block is regular;
     # x_K = xs[K] / common, over one common denominator
-    x_k = [Fraction(0)] * n if missing_k else [r[n] / r[k] for k, r in enumerate(k_block)]
+    x_k = [0] * n if missing_k else [Fraction(r[n], r[k]) for k, r in enumerate(k_block)]
     common = math.lcm(*(x.denominator for x in x_k))
     xs = [x.numerator * (common // x.denominator) for x in x_k]
     last_block = []
     for _, row, value in last:  # fresh dicts, the pins too
-        head = [Fraction(row.pop(0, 0)), Fraction(row.pop(1, 0))]
-        last_block.append(head + [_value(_reduce(row, value, solved, n), xs, common)])
+        entries = [row.pop(0, 0), row.pop(1, 0), _value(_reduce(row, value, solved, n), xs, common)]
+        lcm = math.lcm(*(x.denominator for x in entries))
+        last_block.append([x.numerator * (lcm // x.denominator) for x in entries])
+        scale *= lcm
     det_l, failed_l, missing_l = _gauss(last_block)
 
-    det *= det_k * det_l
+    det = det * det_k * det_l / scale
     failed = [curve_label(TestCurve(gens[2 + i])) for i in failed_k] + [last[i][0] for i in failed_l]
     missing = [gens[2 + k] for k in missing_k] + [gens[k] for k in missing_l]
     if missing:
         return det, failed, missing, None
     (lam, _, lam_value), (_, irr, irr_value) = last_block
-    values = {gens[0]: lam_value / lam, gens[1]: irr_value / irr}
+    values = {gens[0]: Fraction(lam_value, lam), gens[1]: Fraction(irr_value, irr)}
     values.update(zip(gens[2 : n + 2], x_k))
     values.update((gens[c], _value(solved[c], xs, common)) for c in range(n + 2, m))
     return det, failed, missing, values

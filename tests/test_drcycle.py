@@ -333,6 +333,35 @@ def test_json_coefficients_are_strings_or_integers():
     assert str(info.value) == "coefficient '1/0' has a zero denominator"
 
 
+@pytest.mark.parametrize("g, n", [("x", 2), (-1, 0), (True, 2), (3, 0), (3, 2.0)])
+def test_cycle_refuses_a_bad_g_or_n(g, n):
+    # each was built, by the constructor and from JSON
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        FormalCycle(g, n, {})
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        FormalCycle.from_json_dict({"g": g, "n": n, "terms": []})
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        # TypeError: unhashable type: 'list'
+        ({"monomial": [["K1", [3]]], "c": "1"}, "monomial exponents must be integers, got [['K1', [3]]]"),
+        ({"monomial": [[["K1"], 3]], "c": "1"}, "generator labels must be strings, got ['K1']"),
+        # AttributeError: 'int' object has no attribute 'startswith'
+        ({"monomial": [[5, 3]], "c": "1"}, "generator labels must be strings, got 5"),
+        # KeyError: 'c'
+        ({"monomial": [["K1", 3]]}, "a JSON term needs a 'monomial' and a 'c', got {'monomial': [['K1', 3]]}"),
+        # TypeError: 'int' object is not subscriptable
+        (5, "a JSON term needs a 'monomial' and a 'c', got 5"),
+    ],
+)
+def test_json_refuses_malformed_terms(entry, message):
+    with pytest.raises(ValueError) as info:
+        FormalCycle.from_json_dict({"g": 3, "n": 2, "terms": [entry]})
+    assert str(info.value) == message
+
+
 def refusal(g, n, terms):
     with pytest.raises(ValueError) as info:
         FormalCycle(g, n, terms)

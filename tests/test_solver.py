@@ -219,6 +219,86 @@ def test_certificate_can_fail(capsys):
 
 
 def test_gauss_row_swap_flips_the_determinant():
-    rows = [[Fraction(0), Fraction(2), Fraction(4)], [Fraction(3), Fraction(1), Fraction(5)]]
+    rows = [[0, 2, 4], [3, 1, 5]]
     assert solve._gauss(rows) == (-6, [], [])
-    assert [r[2] / r[k] for k, r in enumerate(rows)] == [1, 2]
+    assert [Fraction(r[2], r[k]) for k, r in enumerate(rows)] == [1, 2]
+
+
+def fraction_gauss(rows):
+    """Reference for the integer kernel: Gauss-Jordan over Fractions on a
+    square block whose rows end with their right side, pivoting on the
+    first row with a nonzero entry.  Returns the determinant, the original
+    indices of the rows left without a pivot, the columns left without one
+    and, when regular, the solution."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    order, det, missing = list(range(len(a))), Fraction(1), []
+    for col in range(len(a)):
+        done = col - len(missing)
+        r = next((r for r in range(done, len(a)) if a[r][col]), None)
+        if r is None:
+            missing.append(col)
+            continue
+        if r != done:
+            a[done], a[r], order[done], order[r] = a[r], a[done], order[r], order[done]
+            det = -det
+        det *= a[done][col]
+        for i in range(len(a)):
+            if i != done and a[i][col]:
+                f = a[i][col] / a[done][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[done])]
+    if missing:
+        return 0, order[len(a) - len(missing) :], missing, None
+    return det, [], [], [row[-1] / row[k] for k, row in enumerate(a)]
+
+
+@st.composite
+def integer_blocks(draw):
+    """Square integer blocks with a right-side column, of size 1..6: random,
+    or with a zero row, a zero column, a row that is a combination of the
+    others (singular), or a zero in the first pivot position (a swap)."""
+    size = draw(st.integers(1, 6))
+    entry = st.integers(-5, 5)
+    rows = [draw(st.lists(entry, min_size=size + 1, max_size=size + 1)) for _ in range(size)]
+    shape = draw(st.sampled_from(["random", "zero row", "zero column", "dependent row", "swap"]))
+    k = draw(st.integers(0, size - 1))
+    if shape == "zero row":
+        rows[k][:size] = [0] * size
+    elif shape == "zero column":
+        for row in rows:
+            row[k] = 0
+    elif shape == "dependent row":
+        factors = [0 if i == k else draw(entry) for i in range(size)]
+        rows[k][:size] = [sum(f * row[c] for f, row in zip(factors, rows)) for c in range(size)]
+    elif shape == "swap":
+        rows[0][0] = 0
+    return rows
+
+
+@given(integer_blocks())
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_gauss_matches_the_fraction_reference(rows):
+    det, failed, missing, solution = fraction_gauss(rows)
+    block = [list(row) for row in rows]
+    assert solve._gauss(block) == (det, failed, missing)
+    if solution is not None:
+        assert [Fraction(r[-1], r[k]) for k, r in enumerate(block)] == solution
+
+
+@pytest.mark.parametrize("g, n", [(5, 5), (5, 8)])
+def test_solver_makes_fractions_only_for_its_results(monkeypatch, g, n):
+    # 414 and 1,935 Fractions per reconstruct_T when both blocks were
+    # Fraction rows, against bounds of 123 and 801
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(None)
+        return new(cls, *args, **kwargs)
+
+    d = [1, -2, 3, 0, -2] + [1, -1, 0][: n - 5]
+    m = len(_rows(g, n)[0])
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for reconstruct, weights in ((reconstruct_T, d), (reconstruct_Theta, d[:-1] + [d[-1] + g - 1])):
+        made.clear()
+        reconstruct(g, n, weights)
+        assert m < len(made) <= m + 2 * n + 16, reconstruct.__name__
