@@ -26,8 +26,9 @@ Conventions, for a fixed genus ``g >= 1`` and marking set ``I = {1, .., n}``:
   too; every check that validates a generator or a boundary index still
   refuses one.
 * A :class:`DivisorClass` is validated once, where input enters: its
-  constructor, :meth:`DivisorClass.from_json_dict`, :meth:`DivisorClass.scale`,
-  :meth:`DivisorClass.zero` and the index of :func:`psi_in_k_basis`.  Classes
+  constructor, :meth:`DivisorClass.from_json_dict`, the factor of
+  :meth:`DivisorClass.scale`, :meth:`DivisorClass.zero` and the index of
+  :func:`psi_in_k_basis`.  Classes
   built only from enumerated or canonicalized generators and Fraction
   coefficients (``+``, the psi/K change of basis, the closed formulas, the
   solver, relabelling, the compact-type restriction) go through
@@ -47,6 +48,8 @@ this change of basis in both directions.
 
 from __future__ import annotations
 
+import csv
+import functools
 import itertools
 import math
 import os
@@ -276,6 +279,14 @@ def basis_generators(g: int, n: int) -> list[Generator]:
     return gens
 
 
+def _exact(value, what: str) -> Fraction:
+    """``value`` as a Fraction; only ints (not bools) and Fractions are
+    exact inputs, and anything else is refused before any conversion."""
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise ValueError(f"{what} must be int or Fraction, got {value!r}")
+    return Fraction(value)
+
+
 def _json_coefficient(value) -> Fraction:
     """A JSON coefficient: a string ``Fraction()`` reads, or an int that is
     not a bool; anything else (a float, true, null) and a zero denominator
@@ -286,6 +297,29 @@ def _json_coefficient(value) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"coefficient {value!r} has a zero denominator") from None
+
+
+def _json_reader(read):
+    """``read`` as the classmethod ``from_json_dict``, refusing with
+    ``ValueError`` a document of the wrong shape: a missing key or a value
+    of the wrong type."""
+
+    @functools.wraps(read)
+    def checked(cls, data):
+        try:
+            return read(cls, data)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed {cls.__name__} JSON: {type(exc).__name__}: {exc}") from None
+
+    return classmethod(checked)
+
+
+def _write_csv(file, header: list[str], rows: Iterable) -> None:
+    """Write ``header`` and then each row to ``file``, one at a time, as CSV
+    with "\\n" line ends; the package's one CSV dialect."""
+    writer = csv.writer(file, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -304,10 +338,7 @@ class DivisorClass:
         clean: dict[Generator, Fraction] = {}
         for gen, c in self.coeffs.items():
             _check_generator(gen, self.g, self.n)
-            if type(c) is int:
-                c = Fraction(c)
-            elif not isinstance(c, Fraction):
-                raise ValueError(f"coefficients must be int or Fraction, got {c!r}")
+            c = _exact(c, "coefficients")
             if c != 0:
                 clean[gen] = c
         object.__setattr__(self, "coeffs", clean)
@@ -351,7 +382,8 @@ class DivisorClass:
         return self + (-other)
 
     def scale(self, c) -> "DivisorClass":
-        return DivisorClass(self.g, self.n, {gen: c * v for gen, v in self.coeffs.items()})
+        c = _exact(c, "scale factor")
+        return DivisorClass._trusted(self.g, self.n, {gen: c * v for gen, v in self.coeffs.items()})
 
     def __rmul__(self, c) -> "DivisorClass":
         if isinstance(c, (int, Fraction)):
@@ -376,7 +408,7 @@ class DivisorClass:
             },
         }
 
-    @classmethod
+    @_json_reader
     def from_json_dict(cls, data: Mapping) -> "DivisorClass":
         g, n = data["g"], data["n"]
         raw = data["coeffs"]

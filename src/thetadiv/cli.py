@@ -16,25 +16,31 @@ dr
 verify rank|T|theta|mueller
     Run the corresponding identity sweep and print a JSON pass/fail report.
 
+Each subcommand is one row of ``_COMMANDS``: its name, help, arguments and
+handler; ``class`` and ``verify`` read their choices from the dicts they
+dispatch through.  Every handler writes through :func:`_emit`: JSON is
+printed whole, CSV and pretty output row by row as each row is made.
+
 Exit codes: 0 success, 1 verification failure (report still printed),
-2 usage or validation error, 3 internal error (one line on stderr).  Output is byte-identical for identical
-flags and seed.  Random sweeps draw each weight uniformly from [-10, 10]
-and then adjust the last coordinate to hit the required total degree.
+2 usage or validation error, 3 internal error (one line on stderr).
+Output is byte-identical for identical flags and seed.  Random sweeps draw
+each weight uniformly from [-10, 10] and then adjust the last coordinate
+to hit the required total degree.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import random
 import sys
 from typing import Sequence
 
-from .basis import _boundary_label, basis_generators, check_work, generator_label
+from .basis import _boundary_label, _write_csv, basis_generators, check_work, generator_label
 from .curves import _matrix_size, build_matrix, curve_label, enumerate_test_curves
 from .drcycle import dr_expansion
-from .solve import SingularMatrixError, certify_basis, reconstruct_T, reconstruct_Theta
+from .solve import SingularMatrixError, _solve_units, certify_basis, reconstruct_T, reconstruct_Theta
 from .theta import class_D_direct, class_D_from_theta, class_T, class_Theta, correction_ledger
 
 FORMATS = ("pretty", "json", "csv")
@@ -73,8 +79,7 @@ def verify_rank(g: int, n: int) -> dict:
 def _sweep(g: int, n: int, trials: int, seed: int, check: str, draw, compare) -> dict:
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
-    # each trial costs at most one solve, as solve._eliminate estimates it
-    check_work(g, n, trials * (8 + n * n // 4))
+    check_work(g, n, trials * _solve_units(n))  # each trial costs at most one solve
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
@@ -127,134 +132,100 @@ def verify_mueller(g: int, n: int, trials: int, seed: int, plus_convention: str 
     return report
 
 
-def _emit_json(obj) -> int:
-    print(json.dumps(obj, indent=2))
-    return 0
-
-
-def _emit_csv(header: list[str], rows) -> int:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return 0
-
-
-def _emit_labels(labels: list[str], fmt: str, header: str) -> int:
+def _emit(fmt: str, doc, header: list[str], rows, lines) -> int:
+    """Write one result to stdout in ``fmt``: the JSON document ``doc()``,
+    or the CSV table ``header`` + ``rows``, or the pretty ``lines``.
+    ``rows`` and ``lines`` are lazy iterables, only one of them is read,
+    and each row or line is written as it is made."""
     if fmt == "json":
-        return _emit_json({header: labels})
-    if fmt == "csv":
-        return _emit_csv([header], ([lab] for lab in labels))
-    for lab in labels:
-        print(lab)
-    return 0
-
-
-def _emit_class(divclass, fmt: str) -> int:
-    if fmt == "json":
-        return _emit_json(divclass.to_json_dict())
-    gens = basis_generators(divclass.g, divclass.n)
-    if fmt == "csv":
-        rows = ([generator_label(gen), str(divclass.coeff(gen))] for gen in gens)
-        return _emit_csv(["generator", "coefficient"], rows)
-    for gen in gens:
-        print(f"{generator_label(gen)} = {divclass.coeff(gen)}")
+        print(json.dumps(doc(), indent=2))
+    elif fmt == "csv":
+        _write_csv(sys.stdout, header, rows)
+    else:
+        for line in lines:
+            print(line)
     return 0
 
 
 def _cmd_basis(args) -> int:
     labels = [generator_label(gen) for gen in basis_generators(args.g, args.n)]
-    return _emit_labels(labels, args.format, "generators")
+    return _emit(args.format, lambda: {"generators": labels}, ["generators"], zip(labels), labels)
 
 
 def _cmd_curves(args) -> int:
     labels = [curve_label(c) for c in enumerate_test_curves(args.g, args.n)]
-    return _emit_labels(labels, args.format, "curves")
+    return _emit(args.format, lambda: {"curves": labels}, ["curves"], zip(labels), labels)
 
 
 def _cmd_matrix(args) -> int:
     if args.format == "json":
         # JSON holds every entry as a str and the whole document in memory:
         # 143 MB peak at (6, 8) against 27 MB as csv, so m^2 units, not m^2/4
-        m = _matrix_size(args.g, args.n)
-        check_work(args.g, args.n, 8, m * m)
+        check_work(args.g, args.n, 8, _matrix_size(args.g, args.n) ** 2)
     mat = build_matrix(args.g, args.n)
-    if args.format == "json":
-        return _emit_json(mat.to_json_dict())
-    if args.format == "csv":
-        print(mat.to_csv(), end="")
-        return 0
-    cols = [generator_label(gen) for gen in mat.cols]
-    print("curve\t" + "\t".join(cols))
-    for curve, row in zip(mat.rows, mat.entries):
-        print(curve_label(curve) + "\t" + "\t".join(str(x) for x in row))
-    return 0
+    header, rows = mat._table()
+    lines = ("\t".join(row) for row in itertools.chain([header], rows))
+    return _emit(args.format, mat.to_json_dict, header, rows, lines)
 
 
 def _cmd_class(args) -> int:
-    d = _parse_weights(args.d)
-    if args.kind == "T":
-        divclass = class_T(args.g, args.n, d)
-    elif args.kind == "theta":
-        divclass = class_Theta(args.g, args.n, d)
-    else:
-        divclass = class_D_direct(args.g, args.n, d)
-    return _emit_class(divclass, args.format)
+    divclass = _CLASSES[args.kind](args.g, args.n, _parse_weights(args.d))
+    rows = ((generator_label(gen), divclass.coeff(gen)) for gen in basis_generators(args.g, args.n))
+    lines = (f"{label} = {c}" for label, c in rows)
+    return _emit(args.format, divclass.to_json_dict, ["generator", "coefficient"], rows, lines)
 
 
 def _cmd_ledger(args) -> int:
     ledger = correction_ledger(args.g, args.n, _parse_weights(args.d))
-    terms = [{"h": t.h, "P": list(t.P), "mult": t.mult} for t in ledger.terms]
-    if args.format == "json":
-        return _emit_json(
-            {
-                "g": ledger.g,
-                "n": ledger.n,
-                "plus_convention": "nonneg",
-                "terms": terms,
-                "delta_irr_order": str(ledger.delta_irr_order),
-            }
-        )
-    if args.format == "csv":
-        rows = ([t.h, " ".join(map(str, t.P)), t.mult] for t in ledger.terms)
-        return _emit_csv(["h", "P", "mult"], rows)
-    for t in ledger.terms:
-        print(f"{t.mult} * {_boundary_label('delta', t.h, t.P)}")
-    print(f"delta_irr order = {ledger.delta_irr_order}")
-    return 0
+    doc = lambda: {
+        "g": ledger.g,
+        "n": ledger.n,
+        "plus_convention": "nonneg",
+        "terms": [{"h": t.h, "P": list(t.P), "mult": t.mult} for t in ledger.terms],
+        "delta_irr_order": str(ledger.delta_irr_order),
+    }
+    rows = ((t.h, " ".join(map(str, t.P)), t.mult) for t in ledger.terms)
+    lines = (f"{t.mult} * {_boundary_label('delta', t.h, t.P)}" for t in ledger.terms)
+    lines = itertools.chain(lines, [f"delta_irr order = {ledger.delta_irr_order}"])
+    return _emit(args.format, doc, ["h", "P", "mult"], rows, lines)
 
 
 def _cmd_dr(args) -> int:
     cycle = dr_expansion(args.g, args.n, _parse_weights(args.d))
-    if args.format == "json":
-        return _emit_json(cycle.to_json_dict())
-    if args.format == "csv":
-        print(cycle.to_csv(), end="")
-        return 0
-    for label, c in cycle._labelled_terms():
-        print(f"{label}: {c}")
-    return 0
+    rows = cycle._labelled_terms()
+    lines = (f"{label}: {c}" for label, c in rows)
+    return _emit(args.format, cycle.to_json_dict, ["monomial", "coefficient"], rows, lines)
 
 
 def _cmd_verify(args) -> int:
-    if args.target == "rank":
-        report = verify_rank(args.g, args.n)
-    elif args.target == "T":
-        report = verify_T(args.g, args.n, args.trials, args.seed)
-    elif args.target == "theta":
-        report = verify_theta(args.g, args.n, args.trials, args.seed)
-    else:
-        report = verify_mueller(args.g, args.n, args.trials, args.seed)
+    sweep = () if args.target == "rank" else (args.trials, args.seed)
+    report = _VERIFIERS[args.target](args.g, args.n, *sweep)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
 
 
-def _add_gn(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--g", type=int, required=True, help="genus")
-    parser.add_argument("--n", type=int, required=True, help="number of marked points")
+_CLASSES = {"T": class_T, "theta": class_Theta, "mueller": class_D_direct}
+_VERIFIERS = {"rank": verify_rank, "T": verify_T, "theta": verify_theta, "mueller": verify_mueller}
 
-
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=FORMATS, default="pretty")
+_GN = (
+    ("--g", {"type": int, "required": True, "help": "genus"}),
+    ("--n", {"type": int, "required": True, "help": "number of marked points"}),
+)
+_D = ("--d", {"required": True, "help": "comma-separated integer weights"})
+_FORMAT = ("--format", {"choices": FORMATS, "default": "pretty"})
+_SWEEP = (("--trials", {"type": int, "default": 50}), ("--seed", {"type": int, "default": 0}))
+# one row per subcommand: name, help, arguments in the order they are added, handler
+_COMMANDS = (
+    ("basis", "ordered divisor basis", (*_GN, _FORMAT), _cmd_basis),
+    ("curves", "test-curve families", (*_GN, _FORMAT), _cmd_curves),
+    ("matrix", "test-curve intersection matrix", (*_GN, _FORMAT), _cmd_matrix),
+    ("class", "evaluate a divisor class",
+     (("kind", {"choices": _CLASSES}), *_GN, _D, _FORMAT), _cmd_class),
+    ("ledger", "boundary vanishing corrections", (*_GN, _D, _FORMAT), _cmd_ledger),
+    ("dr", "double ramification cycle expansion", (*_GN, _D, _FORMAT), _cmd_dr),
+    ("verify", "identity sweeps with pass/fail report",
+     (("target", {"choices": _VERIFIERS}), *_GN, *_SWEEP), _cmd_verify),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,48 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact divisor-class calculator on moduli of stable pointed curves",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("basis", help="ordered divisor basis")
-    _add_gn(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_basis)
-
-    p = sub.add_parser("curves", help="test-curve families")
-    _add_gn(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_curves)
-
-    p = sub.add_parser("matrix", help="test-curve intersection matrix")
-    _add_gn(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_matrix)
-
-    p = sub.add_parser("class", help="evaluate a divisor class")
-    p.add_argument("kind", choices=("T", "theta", "mueller"))
-    _add_gn(p)
-    p.add_argument("--d", required=True, help="comma-separated integer weights")
-    _add_format(p)
-    p.set_defaults(func=_cmd_class)
-
-    p = sub.add_parser("ledger", help="boundary vanishing corrections")
-    _add_gn(p)
-    p.add_argument("--d", required=True, help="comma-separated integer weights")
-    _add_format(p)
-    p.set_defaults(func=_cmd_ledger)
-
-    p = sub.add_parser("dr", help="double ramification cycle expansion")
-    _add_gn(p)
-    p.add_argument("--d", required=True, help="comma-separated integer weights")
-    _add_format(p)
-    p.set_defaults(func=_cmd_dr)
-
-    p = sub.add_parser("verify", help="identity sweeps with pass/fail report")
-    p.add_argument("target", choices=("rank", "T", "theta", "mueller"))
-    _add_gn(p)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify)
-
+    for name, summary, arguments, handler in _COMMANDS:
+        command = sub.add_parser(name, help=summary)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
+        command.set_defaults(func=handler)
     return parser
 
 

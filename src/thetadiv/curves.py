@@ -44,11 +44,10 @@ g >= 3.
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .basis import (
     BUDGET,
@@ -62,6 +61,9 @@ from .basis import (
     _boundary_label,
     _check_generator,
     _check_gn,
+    _json_coefficient,
+    _json_reader,
+    _write_csv,
     basis_generators,
     canonicalize_boundary,
     check_work,
@@ -229,15 +231,19 @@ class IntersectionMatrix:
             "entries": [[str(x) for x in row] for row in self.entries],
         }
 
+    def _table(self) -> tuple[list[str], Iterator[list[str]]]:
+        """The header ("curve", then the column labels) and the rows (each
+        curve's label, then its entries), as strings made when read."""
+        header = ["curve"] + [generator_label(gen) for gen in self.cols]
+        rows = ([curve_label(c)] + [str(x) for x in row] for c, row in zip(self.rows, self.entries))
+        return header, rows
+
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["curve"] + [generator_label(gen) for gen in self.cols])
-        for curve, row in zip(self.rows, self.entries):
-            writer.writerow([curve_label(curve)] + [str(x) for x in row])
+        _write_csv(buf, *self._table())
         return buf.getvalue()
 
-    @classmethod
+    @_json_reader
     def from_json_dict(cls, data: Mapping) -> "IntersectionMatrix":
         """Rebuild from the JSON form; the labels must match the canonical
         enumeration orders for (g, n)."""
@@ -248,7 +254,7 @@ class IntersectionMatrix:
             raise ValueError("row labels do not match the curve enumeration")
         if list(data["cols"]) != [generator_label(gen) for gen in cols]:
             raise ValueError("column labels do not match the basis enumeration")
-        entries = tuple(tuple(Fraction(x) for x in row) for row in data["entries"])
+        entries = tuple(tuple(_json_coefficient(x) for x in row) for row in data["entries"])
         m = len(rows)
         if len(entries) != m or any(len(row) != m for row in entries):
             raise ValueError(f"entries must be {m} rows of {m} values")

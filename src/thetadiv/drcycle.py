@@ -35,12 +35,11 @@ class T) is refused before any monomial is built.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .basis import (
     DELTA_IRR,
@@ -49,8 +48,11 @@ from .basis import (
     _check_generator,
     _check_gn,
     _check_permutation,
+    _exact,
     _json_coefficient,
+    _json_reader,
     _relabel,
+    _write_csv,
     check_work,
     generator_label,
     generator_sort_key,
@@ -59,16 +61,6 @@ from .basis import (
 from .theta import class_T
 
 Monomial = tuple[tuple[Generator, int], ...]
-
-
-def _exact(value, what: str) -> Fraction:
-    """``value`` as a Fraction; only ints (not bools) and Fractions are
-    exact inputs.  Fraction() runs first, so a string it cannot parse keeps
-    Fraction's own error."""
-    exact = Fraction(value)
-    if type(value) is not int and not isinstance(value, Fraction):
-        raise ValueError(f"{what} must be int or Fraction, got {value!r}")
-    return exact
 
 
 def restrict_to_compact_type(divclass: DivisorClass) -> DivisorClass:
@@ -181,10 +173,10 @@ class FormalCycle:
         the order ``terms`` holds."""
         return list(self.terms.items())
 
-    def _labelled_terms(self) -> list[tuple[str, Fraction]]:
-        """(monomial label, coefficient) in output order."""
+    def _labelled_terms(self) -> Iterator[tuple[str, Fraction]]:
+        """(monomial label, coefficient) in output order, each made when read."""
         pieces: dict[tuple[Generator, int], str] = {}
-        return [(_join_factors(mono, pieces), c) for mono, c in self.terms.items()]
+        return ((_join_factors(mono, pieces), c) for mono, c in self.terms.items())
 
     def to_json_dict(self) -> dict:
         labels: dict[Generator, str] = {}  # filled on a miss
@@ -201,12 +193,10 @@ class FormalCycle:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["monomial", "coefficient"])
-        writer.writerows((label, str(c)) for label, c in self._labelled_terms())
+        _write_csv(buf, ["monomial", "coefficient"], self._labelled_terms())
         return buf.getvalue()
 
-    @classmethod
+    @_json_reader
     def from_json_dict(cls, data: Mapping) -> "FormalCycle":
         g, n = data["g"], data["n"]
         terms: dict[Monomial, Fraction] = {}

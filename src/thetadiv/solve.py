@@ -124,6 +124,12 @@ def _gauss(rows: list[list[int]]) -> tuple[Fraction, list[int], list[int]]:
     return Fraction(num * diagonal, den), order[len(rows) - len(missing) :], missing
 
 
+def _solve_units(n: int) -> int:
+    """Work units per boundary class of one solve: 8 to enumerate the
+    class and n^2/4 to eliminate its node row."""
+    return 8 + n * n // 4
+
+
 def _eliminate(g: int, n: int, rhs, pins=None) -> tuple[Fraction, list[str], list, dict | None]:
     """Solve the test-curve system for (g, n) whose rows have right sides
     ``rhs(dual generator)``; the last two rows are the elliptic-tail and
@@ -131,9 +137,8 @@ def _eliminate(g: int, n: int, rhs, pins=None) -> tuple[Fraction, list[str], lis
     column, right side).  Returns the determinant, the labels of the rows
     and the generators of the columns left without a pivot, and the
     solution (None when a column has no pivot).  Refused, before any work,
-    above the work budget: per boundary class, 8 units to enumerate it and
-    n^2/4 to eliminate its node row."""
-    check_work(g, n, 8 + n * n // 4)
+    above the work budget at :func:`_solve_units` a boundary class."""
+    check_work(g, n, _solve_units(n))
     gens, row_of = _rows(g, n)
     m = len(gens)
     last = pins or [(curve_label(TestCurve(gens[c])), row_of(c), rhs(gens[c])) for c in (0, 1)]

@@ -265,6 +265,28 @@ def test_class_coefficients_must_be_exact():
     }
 
 
+
+@pytest.mark.parametrize("c", [None, float("inf"), 0.5, True, "2"])
+def test_scale_checks_its_factor_first(c):
+    # None and "2" raised TypeError from the product, and the zero class took
+    # any factor, since only the products were checked
+    for x in (DivisorClass(3, 2, {K(1): 1}), DivisorClass.zero(3, 2)):
+        with pytest.raises(ValueError) as info:
+            x.scale(c)
+        assert str(info.value) == f"scale factor must be int or Fraction, got {c!r}"
+
+
+def test_scale_does_not_recheck_the_generators(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("checked a generator")
+
+    x = psi_in_k_basis(2, 5, 6) + DivisorClass(5, 6, {LAMBDA1: 3})
+    expected = {gen: Fraction(-2, 3) * c for gen, c in x.coeffs.items()}
+    monkeypatch.setattr(basis, "_check_generator", refuse)
+    assert x.scale(Fraction(-2, 3)).coeffs == expected
+    assert (-x).coeffs == {gen: -c for gen, c in x.coeffs.items()}
+    assert x.scale(0).coeffs == {}
+
 def test_boundary_count_matches_enumeration():
     from thetadiv.basis import _boundary_count
 
@@ -512,3 +534,23 @@ def test_json_read_keeps_its_refusals():
         DivisorClass.from_json_dict(edited(n=0, K=[], boundary=[]))
     with pytest.raises(ValueError, match="marking set"):
         DivisorClass.from_json_dict(edited(boundary=[{"h": 1, "P": [3], "c": "1"}]))
+
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda data: data.pop("coeffs"),  # KeyError
+        lambda data: data["coeffs"].update(K=5),  # TypeError
+        lambda data: data["coeffs"]["boundary"][0].pop("h"),  # KeyError
+        lambda data: data["coeffs"]["boundary"][0].update(P=5),  # TypeError
+        lambda data: data["coeffs"].update(boundary=[5]),  # TypeError
+    ],
+)
+def test_json_read_refuses_malformed_documents(edit):
+    data = DivisorClass(3, 2, {K(1): 1}).to_json_dict()
+    edit(data)
+    with pytest.raises(ValueError, match="^malformed DivisorClass JSON: "):
+        DivisorClass.from_json_dict(data)
+    with pytest.raises(ValueError, match="^malformed DivisorClass JSON: "):
+        DivisorClass.from_json_dict([])

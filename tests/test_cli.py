@@ -3,12 +3,16 @@
 import hashlib
 import json
 import random
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import thetadiv
 from thetadiv.cli import FORMATS, main, sample_degree_weights, verify_mueller
 from thetadiv.solve import SingularMatrixError
 
@@ -481,3 +485,48 @@ def test_plus_option_is_gone(capsys):
     assert verify_mueller(3, 2, 3, 7, "nonneg") == verify_mueller(3, 2, 3, 7)
     with pytest.raises(ValueError, match="nonneg"):
         verify_mueller(3, 2, 3, 7, "strict")
+
+
+# sha256 of the exit code, stdout and stderr of `thetadiv --help`, of each
+# subcommand's --help and of two usage errors, joined by NUL, taken on
+# Python 3.11 before the parser was built from one table; argparse wraps
+# at $COLUMNS, and its layout differs between Python versions
+HELP_DIGESTS = {
+    "--help": "6822c278de64c6a382ef528b00cabaf3ed4f902d424a4e5ffa8ba4f34bd07d6a",
+    "basis --help": "6c2c0ed754f3ae2dbcacc5556f729981cbd6582130e2762ee9c2620b44da7e58",
+    "curves --help": "3a0084b2237eb3a75c05fa29e568a42624e75659102e9d3e45bc8e5cf8e29ec5",
+    "matrix --help": "539b7bcf9c44a85d3fb295228554dd61aa27833dfdf33bba05800e36428df4b1",
+    "class --help": "f094639dac267845f099b98156184b00ed64e89bb173e9bad92ebed7ed84e3b9",
+    "ledger --help": "392138f354416ee385a9ccca40da352293d67562050ea86ba0e5d43dda39332f",
+    "dr --help": "ea8f71057e6e67888335497f0b8f57f699e7f6c13f32d70b145f1156433f1b67",
+    "verify --help": "e0d6b9633b0d853fdd733ac3e63d6d39b2b438b37e964fd39476a12c8e182172",
+    "class": "0d008c24c66adfa388c892e5fd5bfce6412798f749f8fe358ae4ddd666704dcc",
+    "class X --g 3 --n 2 --d 1": "1c63c3954abb2cd32bd5ca330372a03085209f6dda631d8df30a7d21ba8c87e5",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS))
+def test_help_and_usage_output_bytes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    out, err = capsys.readouterr()
+    blob = f"{exc.value.code}\0{out}\0{err}"
+    assert hashlib.sha256(blob.encode()).hexdigest() == HELP_DIGESTS[argv]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(readme_commands()[3], 0), (["class", "T", "--g", "3", "--n", "2", "--d", "1,1"], 2)],
+    ids=["readme-example", "refused"],
+)
+def test_whole_process_matches_main(capsys, argv, code):
+    # the module's __main__ path, sys.exit(main()), as the console script runs it
+    src = str(Path(thetadiv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "thetadiv.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == code
+    assert (done.stdout, done.stderr) == run(capsys, *argv)[1:]
+    assert len(done.stderr.splitlines()) == (code != 0)

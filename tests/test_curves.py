@@ -264,3 +264,31 @@ def test_matrix_json_refuses_entries_of_the_wrong_shape():
     for entries in ([["1"]], data["entries"][:-1], [row[:-1] for row in data["entries"]]):
         with pytest.raises(ValueError, match="9 rows of 9 values"):
             IntersectionMatrix.from_json_dict(dict(data, entries=entries))
+
+
+def test_matrix_json_refuses_malformed_documents():
+    from thetadiv.curves import IntersectionMatrix
+
+    data = build_matrix(3, 2).to_json_dict()
+    # KeyError: 'g' and TypeError: 'int' object is not iterable
+    for bad in ({k: v for k, v in data.items() if k != "g"}, dict(data, entries=5), []):
+        with pytest.raises(ValueError, match="^malformed IntersectionMatrix JSON: "):
+            IntersectionMatrix.from_json_dict(bad)
+
+
+@pytest.mark.parametrize("value", [0.5, None, True, "1/0"])
+def test_matrix_json_reads_entries_as_coefficients(value):
+    # 0.5 was read as 1/2 and true as 1, None raised TypeError and "1/0"
+    # ZeroDivisionError
+    from thetadiv.curves import IntersectionMatrix
+
+    data = build_matrix(3, 2).to_json_dict()
+    data["entries"][0][0] = value
+    message = (
+        "coefficient '1/0' has a zero denominator"
+        if value == "1/0"
+        else f"JSON coefficients must be strings or integers, got {value!r}"
+    )
+    with pytest.raises(ValueError) as info:
+        IntersectionMatrix.from_json_dict(data)
+    assert str(info.value) == message

@@ -412,6 +412,17 @@ def test_evaluate_refuses_inexact_values(value):
     assert str(info.value) == f"assignment value of K1 must be int or Fraction, got {value!r}"
 
 
+@pytest.mark.parametrize("value", [None, float("inf")])
+def test_inexact_values_are_refused_before_conversion(value):
+    # Fraction() ran before the type check: None raised TypeError, inf
+    # OverflowError
+    assert refusal(3, 2, {((K(1), 3),): value}) == f"coefficients must be int or Fraction, got {value!r}"
+    cycle = FormalCycle(3, 2, {((K(1), 3),): 1})
+    with pytest.raises(ValueError) as info:
+        evaluate(cycle, {K(1): value})
+    assert str(info.value) == f"assignment value of K1 must be int or Fraction, got {value!r}"
+
+
 @pytest.mark.parametrize("value", ["abc", "1e3", "2.5", "-1"])
 def test_monomial_cap_must_be_a_nonnegative_integer(monkeypatch, capsys, value):
     monkeypatch.setenv("THETADIV_BUDGET", value)
@@ -502,4 +513,22 @@ def test_exponent_type_is_checked_first(e):
     assert refusal(3, 2, {mono: 1}) == f"monomial exponents must be integers, got {mono!r}"
     data = {"g": 3, "n": 2, "terms": [{"monomial": [["K1", e], ["K2", 2]], "c": "1"}]}
     with pytest.raises(ValueError, match="monomial exponents must be integers"):
+        FormalCycle.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # TypeError: cannot unpack non-iterable int object
+        {"g": 3, "n": 2, "terms": [{"monomial": [5], "c": "1"}]},
+        # TypeError: 'int' object is not iterable
+        {"g": 3, "n": 2, "terms": [{"monomial": 5, "c": "1"}]},
+        {"g": 3, "n": 2, "terms": 5},
+        # KeyError: 'terms'
+        {"g": 3, "n": 2},
+        [],
+    ],
+)
+def test_json_refuses_malformed_documents(data):
+    with pytest.raises(ValueError, match="^malformed FormalCycle JSON: "):
         FormalCycle.from_json_dict(data)
