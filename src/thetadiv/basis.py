@@ -33,6 +33,11 @@ Conventions, for a fixed genus ``g >= 1`` and marking set ``I = {1, .., n}``:
   coefficients (``+``, the psi/K change of basis, the closed formulas, the
   solver, relabelling, the compact-type restriction) go through
   :meth:`DivisorClass._trusted`, which only drops zeros.
+* The boundary enumeration, the generators in basis order and the
+  ``(h, P) -> column`` dict of the canonical classes depend only on
+  (g, n): one private table, :func:`_basis_table`, holds them for the 16
+  (g, n) used last, and every reader of the basis goes through it.  The
+  work budget is still checked on every call.
 * All coefficients are :class:`fractions.Fraction`; no floating point is
   used anywhere.  Every value is immutable and every function is pure, so
   concurrent use needs no locking.
@@ -163,23 +168,6 @@ def canonicalize_boundary(h: int, P: Iterable[int], g: int, n: int) -> BoundaryI
     return rep
 
 
-def enumerate_boundary(g: int, n: int) -> list[BoundaryIndex]:
-    """All boundary classes, one canonical representative each, ordered by
-    genus part, then size of the marking set, then lexicographically.
-    Refused, before any enumeration, above the work budget at 8 units a class."""
-    check_work(g, n, 8)
-    classes: list[BoundaryIndex] = []
-    for h in range(0, g // 2 + 1):
-        if h == 0:
-            subsets: Iterable[tuple[int, ...]] = _subsets(n, min_size=2)
-        elif 2 * h == g:
-            subsets = (P for P in _subsets(n) if 1 in P)
-        else:
-            subsets = _subsets(n)
-        classes.extend(BoundaryIndex(h, P) for P in subsets)
-    return classes
-
-
 class Generator(NamedTuple):
     """One generator of the divisor basis.  ``kind`` is one of "lambda1",
     "delta_irr", "K" (with point index ``i``) or "delta" (with a canonical
@@ -270,13 +258,46 @@ def _check_generator(gen: Generator, g: int, n: int) -> None:
         raise ValueError(f"{gen!r} is not a generator of the basis for (g={g}, n={n})")
 
 
+@functools.lru_cache(maxsize=16)
+def _build_basis_table(g: int, n: int) -> tuple[tuple, tuple, dict]:
+    """The boundary enumeration for (g, n), the generators in basis order
+    and the ``(h, P) -> column`` dict of the canonical classes; see
+    :func:`_basis_table`."""
+    boundary: list[BoundaryIndex] = []
+    for h in range(0, g // 2 + 1):
+        if h == 0:
+            subsets: Iterable[tuple[int, ...]] = _subsets(n, min_size=2)
+        elif 2 * h == g:
+            subsets = (P for P in _subsets(n) if 1 in P)
+        else:
+            subsets = _subsets(n)
+        boundary.extend(BoundaryIndex(h, P) for P in subsets)
+    gens = (LAMBDA1, DELTA_IRR, *map(K, range(1, n + 1)), *map(delta, boundary))
+    return tuple(boundary), gens, {b: c for c, b in enumerate(boundary, start=n + 2)}
+
+
+def _basis_table(g: int, n: int) -> tuple[tuple, tuple, dict]:
+    """``(boundary, gens, column)`` for (g, n), refused above the work
+    budget at 8 units a class on every call, cached or not.  ``boundary``
+    is :func:`enumerate_boundary`, ``gens`` :func:`basis_generators`
+    (boundary generators from ``gens[n + 2]`` on, genus 0 first) and
+    ``column[h, P]`` the position in ``gens`` of a canonical class, with
+    no key for a mirror label.  Built once per (g, n) and kept for the
+    last 16 (g, n) used; callers must not change what it holds."""
+    check_work(g, n, 8)
+    return _build_basis_table(g, n)
+
+
+def enumerate_boundary(g: int, n: int) -> list[BoundaryIndex]:
+    """All boundary classes, one canonical representative each, ordered by
+    genus part, then size of the marking set, then lexicographically.
+    Refused, before any enumeration, above the work budget at 8 units a class."""
+    return list(_basis_table(g, n)[0])
+
+
 def basis_generators(g: int, n: int) -> list[Generator]:
     """The ordered divisor basis: lambda1, delta_irr, K_1..K_n, boundary classes."""
-    boundary = enumerate_boundary(g, n)
-    gens = [LAMBDA1, DELTA_IRR]
-    gens.extend(K(i) for i in range(1, n + 1))
-    gens.extend(delta(b) for b in boundary)
-    return gens
+    return list(_basis_table(g, n)[1])
 
 
 def _exact(value, what: str) -> Fraction:
@@ -297,6 +318,15 @@ def _json_coefficient(value) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"coefficient {value!r} has a zero denominator") from None
+
+
+def _json_list(value) -> list | tuple:
+    """``value``, refused with ``TypeError`` unless it is a list (or a
+    tuple): a JSON reader iterates it, and a string would be read one
+    character at a time."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
 
 
 def _json_reader(read):
@@ -393,6 +423,7 @@ class DivisorClass:
     def to_json_dict(self) -> dict:
         """Full-basis JSON form; rationals as lowest-terms "p/q" strings."""
         get, zero = self.coeffs.get, Fraction(0)
+        boundary, gens, _ = _basis_table(self.g, self.n)
         # str per entry: printing a Fraction is cheaper than hashing one
         return {
             "g": self.g,
@@ -402,8 +433,8 @@ class DivisorClass:
                 "delta_irr": str(get(DELTA_IRR, zero)),
                 "K": [str(get(K(i), zero)) for i in range(1, self.n + 1)],
                 "boundary": [
-                    {"h": b.h, "P": list(b.P), "c": str(get(Generator("delta", 0, b), zero))}
-                    for b in enumerate_boundary(self.g, self.n)
+                    {"h": b.h, "P": list(b.P), "c": str(get(gen, zero))}
+                    for b, gen in zip(boundary, gens[self.n + 2 :])
                 ],
             },
         }
@@ -426,16 +457,20 @@ class DivisorClass:
             LAMBDA1: parse(raw["lambda1"]),
             DELTA_IRR: parse(raw["delta_irr"]),
         }
-        for i, c in enumerate(raw["K"], start=1):
+        for i, c in enumerate(_json_list(raw["K"]), start=1):
             coeffs[K(i)] = parse(c)
-        for entry in raw["boundary"]:
-            gen = delta(canonicalize_boundary(entry["h"], tuple(entry["P"]), g, n))
+        _, gens, column = _basis_table(g, n)
+        for entry in _json_list(raw["boundary"]):
+            h, P = entry["h"], tuple(_json_list(entry["P"]))
+            # type() first: True, 1.0 and [1] must not reach the dict, and a
+            # miss (a mirror label, a bad entry) canonicalizes or refuses
+            col = column.get((h, P)) if type(h) is int and all(type(p) is int for p in P) else None
+            gen = delta(canonicalize_boundary(h, P, g, n)) if col is None else gens[col]
             if gen in coeffs:
                 raise ValueError(f"boundary class {generator_label(gen)} given twice")
             coeffs[gen] = parse(entry["c"])
-        # generators canonical and coefficients Fractions by now: only
-        # (g, n) and the number of K entries are left to check
-        _check_gn(g, n)
+        # generators canonical and coefficients Fractions by now: only the
+        # number of K entries is left to check
         if len(raw["K"]) > n:
             raise ValueError(f"point index {n + 1} out of range 1..{n}")
         return cls._trusted(g, n, coeffs)
@@ -455,7 +490,7 @@ def _substitute_psi(g: int, n: int, coeffs: Mapping[Generator, Fraction], sign: 
     each genus-0 class delta_0^P, |P| >= 2 (all canonical as they stand):
     sign -1 reads the slots as K_i, +1 as psi_i.  Refused, as
     :func:`enumerate_boundary` is, above the work budget at 8 units a class."""
-    check_work(g, n, 8)
+    gens = _basis_table(g, n)[1]
     a = [sign * coeffs.get(K(i), Fraction(0)) for i in range(1, n + 1)]
     den = math.lcm(*(x.denominator for x in a))
     nums = [x.numerator * (den // x.denominator) for x in a]
@@ -466,8 +501,8 @@ def _substitute_psi(g: int, n: int, coeffs: Mapping[Generator, Fraction], sign: 
     sums = {(i,): x for i, x in enumerate(nums, start=1)}
     made: dict[tuple[int, int, int], Fraction] = {}  # one Fraction per distinct (sum, old)
     zero = Fraction(0)
-    for P in _subsets(n, min_size=2):
-        gen = Generator("delta", 0, BoundaryIndex(0, P))
+    for gen in gens[n + 2 : 2**n + 1]:  # the 2^n - n - 1 genus-0 classes
+        P = gen.boundary.P
         sums[P] = total = sums[P[:-1]] + nums[P[-1] - 1]
         old = out.get(gen, zero)
         key = (total, *old.as_integer_ratio())  # int keys: a Fraction hashes slowly

@@ -26,8 +26,9 @@ divisors are stated once, as its sparse row of nonzero entries (they
 follow from the standard boundary-restriction computations; the
 elliptic-tail values already account for the 1/2 weighting), keyed by
 column position: 0 ``lambda1``, 1 ``delta_irr``, 1 + i ``K_i``, then the
-boundary classes through one ``(h, P) -> column`` dict per (g, n).
-Entries are ints but for the elliptic tail's 1/24, 1/2 and -1/24.
+boundary classes through the ``(h, P) -> column`` dict of the basis
+table, built once per (g, n) and shared by every solve.  Entries are
+ints but for the elliptic tail's 1/24, 1/2 and -1/24.
 
 No entry is canonicalized: for a canonical node class (h, P) and j not in
 P, (h, P + {j}) is canonical as a sorted tuple, since h <= g-h still
@@ -57,11 +58,13 @@ from .basis import (
     BoundaryIndex,
     DivisorClass,
     Generator,
+    _basis_table,
     _boundary_count,
     _boundary_label,
     _check_generator,
     _check_gn,
     _json_coefficient,
+    _json_list,
     _json_reader,
     _write_csv,
     basis_generators,
@@ -117,17 +120,12 @@ def _check_dual(g: int, n: int) -> None:
         raise ValueError("the test-curve families span the dual basis only for genus >= 3")
 
 
-def _dual_basis(g: int, n: int) -> list[Generator]:
-    """:func:`basis_generators`, refused where the curves span no dual basis."""
-    _check_dual(g, n)
-    return basis_generators(g, n)
-
-
 def enumerate_test_curves(g: int, n: int) -> list[TestCurve]:
     """The full family list, dual to :func:`basis_generators` rotated by
     two: point curves, one node curve per canonical boundary class, then
     the elliptic tail and the irreducible-node family."""
-    gens = _dual_basis(g, n)
+    _check_dual(g, n)
+    gens = basis_generators(g, n)
     return [TestCurve(gen) for gen in gens[2:] + gens[:2]]
 
 
@@ -164,11 +162,11 @@ def _row(dual: Generator, g: int, n: int, column: Mapping) -> dict:
     return row
 
 
-def _rows(g: int, n: int) -> tuple[list[Generator], Callable[[int], dict]]:
+def _rows(g: int, n: int) -> tuple[tuple[Generator, ...], Callable[[int], dict]]:
     """The basis for (g, n) and its row source: ``row(c)`` is the row of
     the family dual to column c."""
-    gens = _dual_basis(g, n)
-    column = {gen.boundary: c for c, gen in enumerate(gens) if c > n + 1}
+    _check_dual(g, n)
+    _, gens, column = _basis_table(g, n)
     return gens, lambda c: _row(gens[c], g, n, column)
 
 
@@ -250,11 +248,11 @@ class IntersectionMatrix:
         g, n = data["g"], data["n"]
         rows = tuple(enumerate_test_curves(g, n))
         cols = tuple(basis_generators(g, n))
-        if list(data["rows"]) != [curve_label(c) for c in rows]:
+        if list(_json_list(data["rows"])) != [curve_label(c) for c in rows]:
             raise ValueError("row labels do not match the curve enumeration")
-        if list(data["cols"]) != [generator_label(gen) for gen in cols]:
+        if list(_json_list(data["cols"])) != [generator_label(gen) for gen in cols]:
             raise ValueError("column labels do not match the basis enumeration")
-        entries = tuple(tuple(_json_coefficient(x) for x in row) for row in data["entries"])
+        entries = tuple(tuple(map(_json_coefficient, _json_list(r))) for r in _json_list(data["entries"]))
         m = len(rows)
         if len(entries) != m or any(len(row) != m for row in entries):
             raise ValueError(f"entries must be {m} rows of {m} values")

@@ -50,6 +50,7 @@ from .basis import (
     _check_permutation,
     _exact,
     _json_coefficient,
+    _json_list,
     _json_reader,
     _relabel,
     _write_csv,
@@ -202,11 +203,11 @@ class FormalCycle:
         terms: dict[Monomial, Fraction] = {}
         # each distinct label is parsed once
         generators: dict[str, Generator] = {}
-        for entry in data["terms"]:
+        for entry in _json_list(data["terms"]):
             if not isinstance(entry, Mapping) or not entry.keys() >= {"monomial", "c"}:
                 raise ValueError(f"a JSON term needs a 'monomial' and a 'c', got {entry!r}")
             mono = []
-            for label, e in entry["monomial"]:
+            for label, e in _json_list(entry["monomial"]):
                 if type(label) is not str:  # label and e are hashed below
                     raise ValueError(f"generator labels must be strings, got {label!r}")
                 if type(e) is not int:

@@ -37,10 +37,13 @@ the split is well defined.
 
 Every coefficient depends on (h, P) only through h, d_P and
 ``sum_{i in P} d_i^2``, and the ledger also on the negative weights in P.
-One call is one O(B) pass over the boundary enumeration: those numbers
-come from one subset-sum table, built after the enumeration's work-budget
-check, each entry from that of P without its largest element; the
-arithmetic is in ints, with one Fraction per distinct coefficient value.
+One call is one O(B) pass over the boundary generators of the basis
+table for (g, n), which is enumerated once per (g, n) and cached in
+:mod:`thetadiv.basis`; its generators key the coefficients as they
+stand.  Those numbers come from one subset-sum table, built after the
+table's work-budget check, each entry from that of P without its largest
+element; the arithmetic is in ints, with one Fraction per distinct
+coefficient value.
 
 The effective-divisor locus (Mueller, *The pullback of a theta divisor
 to M_{g,n}-bar*, Math. Nachr. 286 (2013)) depends only on the line bundle
@@ -64,11 +67,10 @@ from .basis import (
     BoundaryIndex,
     DivisorClass,
     Generator,
+    _basis_table,
     _check_gn,
     _subsets,
     canonicalize_boundary,
-    delta,
-    enumerate_boundary,
 )
 from .curves import TestCurve, _check_curve, curve_label
 
@@ -110,7 +112,7 @@ def _subset_sums(d: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, int, in
     """(d_P, sum_{i in P} d_i^2, number of negative weights in P) for every
     subset P of the markings, keyed by P as a sorted tuple; each entry is
     that of P without its largest element, which comes earlier in the
-    order, plus that element's terms.  Callers enumerate the boundary
+    order, plus that element's terms.  Callers read the basis table
     first, so the work budget refuses before these 2^n entries are built."""
     sums = {(): (0, 0, 0)}
     for P in _subsets(len(d), min_size=1):
@@ -121,17 +123,18 @@ def _subset_sums(d: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, int, in
 
 
 def _pullback(
-    d: tuple[int, ...], shift: int, boundary: list[BoundaryIndex], sums: dict
+    d: tuple[int, ...], shift: int, deltas: Sequence[Generator], sums: dict
 ) -> dict[Generator, Fraction]:
     """Point and boundary coefficients of the theta pullback: shift 0 for
     degree 0 (K_i: d_i^2/2, delta_h^P: -d_P^2/2), shift 1 for degree g-1
     (K_i: d_i(d_i+1)/2, delta_h^P: -(d_P-h)(d_P-h+1)/2).  Genus-0 classes
-    take -(d_P^2 - sum_{i in P} d_i^2)/2 either way.  ``boundary`` is
-    :func:`enumerate_boundary` and ``sums`` :func:`_subset_sums` of d."""
+    take -(d_P^2 - sum_{i in P} d_i^2)/2 either way.  ``deltas`` are the
+    boundary generators in enumeration order and ``sums``
+    :func:`_subset_sums` of d."""
     coeffs = {K(i): Fraction(w * (w + shift), 2) for i, w in enumerate(d, start=1)}
     halves: dict[int, Fraction] = {}  # one Fraction per distinct numerator
-    for b in boundary:
-        h, P = b
+    for gen in deltas:
+        h, P = gen.boundary
         dP, squares, _ = sums[P]
         if h == 0:
             num = squares - dP * dP
@@ -141,13 +144,19 @@ def _pullback(
         c = halves.get(num)
         if c is None:
             c = halves[num] = Fraction(num, 2)
-        coeffs[Generator("delta", 0, b)] = c  # b is canonical as enumerated
+        coeffs[gen] = c
     return coeffs
 
 
-def _theta_coeffs(d: tuple[int, ...], boundary: list[BoundaryIndex], sums: dict) -> dict:
+def _deltas(g: int, n: int) -> tuple[Generator, ...]:
+    """The boundary generators of the basis table for (g, n), in
+    enumeration order, refused above the work budget as it is."""
+    return _basis_table(g, n)[1][n + 2 :]
+
+
+def _theta_coeffs(d: tuple[int, ...], deltas: Sequence[Generator], sums: dict) -> dict:
     """All coefficients of :func:`class_Theta`, from :func:`_pullback`'s tables."""
-    return {LAMBDA1: Fraction(-1), DELTA_IRR: Fraction(1, 8), **_pullback(d, 1, boundary, sums)}
+    return {LAMBDA1: Fraction(-1), DELTA_IRR: Fraction(1, 8), **_pullback(d, 1, deltas, sums)}
 
 
 def class_T(g: int, n: int, d: Sequence[int]) -> DivisorClass:
@@ -155,7 +164,7 @@ def class_T(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     the zero section) under s_d, for weights of total degree 0."""
     d = check_weights(g, n, d, degree=0)
     _warn_small_genus(g)
-    return DivisorClass._trusted(g, n, _pullback(d, 0, enumerate_boundary(g, n), _subset_sums(d)))
+    return DivisorClass._trusted(g, n, _pullback(d, 0, _deltas(g, n), _subset_sums(d)))
 
 
 def class_Theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
@@ -163,7 +172,7 @@ def class_Theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     weights of total degree g-1."""
     d = check_weights(g, n, d, degree=g - 1)
     _warn_small_genus(g)
-    return DivisorClass._trusted(g, n, _theta_coeffs(d, enumerate_boundary(g, n), _subset_sums(d)))
+    return DivisorClass._trusted(g, n, _theta_coeffs(d, _deltas(g, n), _subset_sums(d)))
 
 
 @dataclass(frozen=True)
@@ -203,9 +212,10 @@ def correction_ledger(g: int, n: int, d: Sequence[int]) -> CorrectionLedger:
 
 def _scan(
     g: int, n: int, d: Sequence[int]
-) -> tuple[CorrectionLedger, tuple[int, ...], list[BoundaryIndex], dict]:
-    """:func:`correction_ledger`, returned with the checked weights, the
-    boundary enumeration and the subset-sum table it read.
+) -> tuple[CorrectionLedger, list[Generator], tuple[int, ...], tuple[Generator, ...], dict]:
+    """:func:`correction_ledger`, returned with the generator of each
+    term's class, in term order, and with the checked weights, the
+    boundary generators and the subset-sum table it read.
 
     The enumerated (h, P) qualifies iff P holds no negative weight and
     h > d_P.  Its mirror (g-h, P complement) qualifies iff P holds every
@@ -214,26 +224,28 @@ def _scan(
     d = check_weights(g, n, d, degree=g - 1)
     if min(d) >= 0:
         raise ValueError("the effective-divisor locus needs at least one negative weight")
-    boundary, sums = enumerate_boundary(g, n), _subset_sums(d)
+    deltas, sums = _deltas(g, n), _subset_sums(d)
     negatives = sum(w < 0 for w in d)
     terms: list[CorrectionTerm] = []
-    for b in boundary:
-        h, P = b
+    hits: list[Generator] = []
+    for gen in deltas:
+        h, P = b = gen.boundary
         dP, _, neg = sums[P]
         if neg == 0:
             if h > dP:
                 terms.append(CorrectionTerm(h, P, h - dP))
+                hits.append(gen)
         elif neg == negatives and dP >= h:
             terms.append(CorrectionTerm(g - h, b.complement(n), dP - h + 1))
-    return CorrectionLedger(g, n, tuple(terms)), d, boundary, sums
+            hits.append(gen)
+    return CorrectionLedger(g, n, tuple(terms)), hits, d, deltas, sums
 
 
-def _subtract_ledger(coeffs: dict[Generator, Fraction], ledger: CorrectionLedger) -> DivisorClass:
-    """The class with coefficients ``coeffs`` minus each ledger multiplicity
-    on its boundary class."""
-    for term in ledger.terms:
-        gen = delta(term.boundary_class(ledger.g, ledger.n))
-        coeffs[gen] = coeffs.get(gen, Fraction(0)) - term.mult
+def _subtract_ledger(coeffs: dict, ledger: CorrectionLedger, hits: list[Generator]) -> DivisorClass:
+    """The class with coefficients ``coeffs``, which hold every boundary
+    class, minus each ledger multiplicity on its class ``hits`` gives."""
+    for gen, term in zip(hits, ledger.terms):
+        coeffs[gen] -= term.mult
     return DivisorClass._trusted(ledger.g, ledger.n, coeffs)
 
 
@@ -241,11 +253,11 @@ def class_D_from_theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     """Class of the closed effective-divisor locus, computed by stripping
     the identically-vanishing boundary multiplicities (and the 1/8 along
     the irreducible boundary) off :func:`class_Theta`."""
-    ledger, d, boundary, sums = _scan(g, n, d)
+    ledger, hits, d, deltas, sums = _scan(g, n, d)
     _warn_small_genus(g)
-    coeffs = _theta_coeffs(d, boundary, sums)
+    coeffs = _theta_coeffs(d, deltas, sums)
     coeffs[DELTA_IRR] -= ledger.delta_irr_order
-    return _subtract_ledger(coeffs, ledger)
+    return _subtract_ledger(coeffs, ledger, hits)
 
 
 def class_D_direct(g: int, n: int, d: Sequence[int]) -> DivisorClass:
@@ -253,10 +265,10 @@ def class_D_direct(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     closed formula: -lambda1, zero delta_irr, d_i(d_i+1)/2 on the point
     classes, the usual boundary coefficients, minus the vanishing
     corrections.  Agrees with :func:`class_D_from_theta`."""
-    ledger, d, boundary, sums = _scan(g, n, d)
+    ledger, hits, d, deltas, sums = _scan(g, n, d)
     _warn_small_genus(g)
-    coeffs = {LAMBDA1: Fraction(-1), **_pullback(d, 1, boundary, sums)}
-    return _subtract_ledger(coeffs, ledger)
+    coeffs = {LAMBDA1: Fraction(-1), **_pullback(d, 1, deltas, sums)}
+    return _subtract_ledger(coeffs, ledger, hits)
 
 
 def _theta(dual: Generator, d: Sequence[int], shift: int, g: int) -> int:

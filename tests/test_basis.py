@@ -29,7 +29,7 @@ from thetadiv.basis import (
     relabel_generator,
 )
 from thetadiv.curves import intersect, pair, point_curve
-from thetadiv.solve import certify_basis
+from thetadiv.solve import certify_basis, reconstruct_T
 from thetadiv.theta import class_T
 
 
@@ -501,11 +501,18 @@ def test_json_read_canonicalizes_each_boundary_entry_once(monkeypatch):
         calls.append(args)
         return canonicalize_boundary(*args)
 
+    # at most one call per entry: none for the canonical labels that
+    # to_json_dict writes, one for each mirror label
     x = psi_in_k_basis(3, 5, 8) + DivisorClass(5, 8, {LAMBDA1: Fraction(-1, 3)})
     data = x.to_json_dict()
+    entries = data["coeffs"]["boundary"]
+    mirrored = [{**e, "h": 5 - e["h"], "P": [i for i in range(1, 9) if i not in e["P"]]} for e in entries]
     monkeypatch.setattr(basis, "canonicalize_boundary", counted)
     assert DivisorClass.from_json_dict(data) == x
-    assert len(calls) == len(data["coeffs"]["boundary"]) == _boundary_count(5, 8) == 759
+    assert calls == []
+    data["coeffs"]["boundary"] = mirrored
+    assert DivisorClass.from_json_dict(data) == x
+    assert len(calls) == len(mirrored) == _boundary_count(5, 8) == 759
 
 
 def test_json_read_keeps_its_refusals():
@@ -534,6 +541,21 @@ def test_json_read_keeps_its_refusals():
         DivisorClass.from_json_dict(edited(n=0, K=[], boundary=[]))
     with pytest.raises(ValueError, match="marking set"):
         DivisorClass.from_json_dict(edited(boundary=[{"h": 1, "P": [3], "c": "1"}]))
+    # each equals a canonical (h, P) key as a tuple, so it must be refused
+    # by its type before any lookup, with the message canonicalization gives
+    for h, P, message in [
+        (True, [1], "genus part True out of range"),
+        (1, [1.0], "markings must be integers, got 1.0"),
+        (1, [True], "markings must be integers, got True"),
+        (1, [[1]], r"markings must be integers, got \[1\]"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            DivisorClass.from_json_dict(edited(boundary=[{"h": h, "P": P, "c": "1"}]))
+    # delta_2^{2} is the mirror label of delta_1^{1}
+    mirrored = edited(boundary=[{"h": 2, "P": [2], "c": "1/3"}])
+    assert DivisorClass.from_json_dict(mirrored) == DivisorClass(
+        3, 2, {K(1): 1, LAMBDA1: Fraction(1, 2), delta(BoundaryIndex(1, (1,))): Fraction(1, 3)}
+    )
 
 
 
@@ -545,6 +567,10 @@ def test_json_read_keeps_its_refusals():
         lambda data: data["coeffs"]["boundary"][0].pop("h"),  # KeyError
         lambda data: data["coeffs"]["boundary"][0].update(P=5),  # TypeError
         lambda data: data["coeffs"].update(boundary=[5]),  # TypeError
+        # a string where a list belongs was read one character at a time
+        lambda data: data["coeffs"].update(K="12"),
+        lambda data: data["coeffs"].update(boundary=""),
+        lambda data: data["coeffs"]["boundary"][0].update(P="12"),
     ],
 )
 def test_json_read_refuses_malformed_documents(edit):
@@ -554,3 +580,30 @@ def test_json_read_refuses_malformed_documents(edit):
         DivisorClass.from_json_dict(data)
     with pytest.raises(ValueError, match="^malformed DivisorClass JSON: "):
         DivisorClass.from_json_dict([])
+
+
+def test_a_cached_basis_table_still_checks_the_budget(monkeypatch):
+    x = class_T(5, 8, (1, -1, 2, -2, 3, -3, 0, 0))
+    data = x.to_json_dict()  # the (5, 8) table is built and cached by now
+    monkeypatch.setenv("THETADIV_BUDGET", "1")
+    calls = [
+        lambda: enumerate_boundary(5, 8),
+        lambda: basis_generators(5, 8),
+        lambda: class_T(5, 8, (1, -1, 2, -2, 3, -3, 0, 0)),
+        lambda: k_to_psi(x),
+        lambda: DivisorClass.from_json_dict(data),
+        lambda: reconstruct_T(5, 8, (1, -1, 2, -2, 3, -3, 0, 0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="above the budget of 1"):
+            call()
+
+
+def test_enumerations_return_fresh_lists():
+    for enumerate_ in (enumerate_boundary, basis_generators):
+        first = enumerate_(5, 8)
+        expected = list(first)
+        first.reverse()
+        first.append(None)
+        assert enumerate_(5, 8) == expected
+    assert len(expected) == 8 + 2 + 759

@@ -86,6 +86,25 @@ def test_verify_t_and_theta(capsys):
         assert json.loads(out)["ok"] is True
 
 
+def test_a_verify_sweep_builds_its_basis_table_once(capsys, monkeypatch):
+    # every solve of the sweep reads the column index of one table: the
+    # rows used to rebuild their (h, P) -> column dict per trial
+    import functools
+
+    import thetadiv.basis as basis
+
+    builds, unwrapped = [], basis._build_basis_table.__wrapped__
+
+    def build(g, n):
+        builds.append((g, n))
+        return unwrapped(g, n)
+
+    monkeypatch.setattr(basis, "_build_basis_table", functools.lru_cache(maxsize=16)(build))
+    code, out, _ = run(capsys, "verify", "T", "--g", "5", "--n", "6", "--trials", "10")
+    assert code == 0 and json.loads(out)["passed"] == 10
+    assert builds == [(5, 6)]
+
+
 def test_verify_rejects_nonpositive_trials(capsys):
     for trials in ("0", "-5"):
         code, out, err = run(capsys, "verify", "T", "--g", "3", "--n", "2", "--trials", trials)

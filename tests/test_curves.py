@@ -270,8 +270,11 @@ def test_matrix_json_refuses_malformed_documents():
     from thetadiv.curves import IntersectionMatrix
 
     data = build_matrix(3, 2).to_json_dict()
-    # KeyError: 'g' and TypeError: 'int' object is not iterable
-    for bad in ({k: v for k, v in data.items() if k != "g"}, dict(data, entries=5), []):
+    # KeyError: 'g', and TypeError for a value that is not a list: a string
+    # where a list belongs was read one character at a time
+    strings = [dict(data, rows="x"), dict(data, cols="x"), dict(data, entries="0" * 9)]
+    strings.append(dict(data, entries=["0" * 9] * 9))
+    for bad in ({k: v for k, v in data.items() if k != "g"}, dict(data, entries=5), [], *strings):
         with pytest.raises(ValueError, match="^malformed IntersectionMatrix JSON: "):
             IntersectionMatrix.from_json_dict(bad)
 

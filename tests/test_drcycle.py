@@ -527,6 +527,10 @@ def test_exponent_type_is_checked_first(e):
         # KeyError: 'terms'
         {"g": 3, "n": 2},
         [],
+        # a string where a list belongs: "" was read as the zero cycle, and
+        # "K1" raised ValueError: not enough values to unpack
+        {"g": 3, "n": 2, "terms": ""},
+        {"g": 3, "n": 2, "terms": [{"monomial": "K1", "c": "1"}]},
     ],
 )
 def test_json_refuses_malformed_documents(data):

@@ -388,7 +388,8 @@ def test_closed_forms_match_the_subset_loop(case):
     d1 = head + (g - 1 - sum(head),)
     for d, shift in ((d0, 0), (d1, 1)):
         table = theta._subset_sums(d)
-        assert theta._pullback(d, shift, enumerate_boundary(g, n), table) == reference_pullback(g, n, d, shift)
+        deltas = [delta(b) for b in enumerate_boundary(g, n)]
+        assert theta._pullback(d, shift, deltas, table) == reference_pullback(g, n, d, shift)
     if min(d1) >= 0:
         return
     ledger = correction_ledger(g, n, d1)
