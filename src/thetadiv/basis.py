@@ -32,15 +32,18 @@ Conventions, for a fixed genus ``g >= 1`` and marking set ``I = {1, .., n}``:
   built only from enumerated or canonicalized generators and Fraction
   coefficients (``+``, the psi/K change of basis, the closed formulas, the
   solver, relabelling, the compact-type restriction) go through
-  :meth:`DivisorClass._trusted`, which only drops zeros.
+  :meth:`DivisorClass._trusted`, which stores the dict it is given as it
+  stands: each producer builds a fresh dict and drops its zeros where they
+  arise, by an integer test before any Fraction is made.
 * The boundary enumeration, the generators in basis order and the
   ``(h, P) -> column`` dict of the canonical classes depend only on
-  (g, n): one private table, :func:`_basis_table`, holds them for the 16
-  (g, n) used last, and every reader of the basis goes through it.  The
-  work budget is still checked on every call.
+  (g, n): one private table, :func:`_basis_table`, holds them, and every
+  reader of the basis goes through it.  The tables used last are kept up
+  to :data:`_TABLE_CLASSES` boundary classes in all.  The work budget is
+  still checked on every call.
 * All coefficients are :class:`fractions.Fraction`; no floating point is
   used anywhere.  Every value is immutable and every function is pure, so
-  concurrent use needs no locking.
+  concurrent use needs no locking; the table cache takes its own lock.
 
 The cotangent class ``psi_i`` differs from ``K_i`` by rational-tail
 boundary classes::
@@ -59,6 +62,8 @@ import itertools
 import math
 import os
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -258,7 +263,6 @@ def _check_generator(gen: Generator, g: int, n: int) -> None:
         raise ValueError(f"{gen!r} is not a generator of the basis for (g={g}, n={n})")
 
 
-@functools.lru_cache(maxsize=16)
 def _build_basis_table(g: int, n: int) -> tuple[tuple, tuple, dict]:
     """The boundary enumeration for (g, n), the generators in basis order
     and the ``(h, P) -> column`` dict of the canonical classes; see
@@ -276,16 +280,35 @@ def _build_basis_table(g: int, n: int) -> tuple[tuple, tuple, dict]:
     return tuple(boundary), gens, {b: c for c, b in enumerate(boundary, start=n + 2)}
 
 
+# boundary classes kept over all cached tables: one table of the largest
+# size the default budget admits at 8 units a class, about 210 MB
+_TABLE_CLASSES = BUDGET // 8
+_tables: OrderedDict = OrderedDict()  # (g, n) -> table, least recently used first
+_tables_lock = threading.Lock()
+
+
 def _basis_table(g: int, n: int) -> tuple[tuple, tuple, dict]:
     """``(boundary, gens, column)`` for (g, n), refused above the work
     budget at 8 units a class on every call, cached or not.  ``boundary``
     is :func:`enumerate_boundary`, ``gens`` :func:`basis_generators`
     (boundary generators from ``gens[n + 2]`` on, genus 0 first) and
     ``column[h, P]`` the position in ``gens`` of a canonical class, with
-    no key for a mirror label.  Built once per (g, n) and kept for the
-    last 16 (g, n) used; callers must not change what it holds."""
+    no key for a mirror label.  Built once per (g, n) and kept while the
+    tables used since hold at most :data:`_TABLE_CLASSES` boundary classes
+    in all (a larger table is built for each call and not kept); callers
+    must not change what it holds."""
     check_work(g, n, 8)
-    return _build_basis_table(g, n)
+    with _tables_lock:
+        table = _tables.get((g, n))
+        if table is not None:
+            _tables.move_to_end((g, n))
+        else:
+            table = _build_basis_table(g, n)
+            if len(table[0]) <= _TABLE_CLASSES:
+                _tables[g, n] = table
+                while sum(len(t[0]) for t in _tables.values()) > _TABLE_CLASSES:
+                    _tables.popitem(last=False)
+    return table
 
 
 def enumerate_boundary(g: int, n: int) -> list[BoundaryIndex]:
@@ -355,8 +378,8 @@ def _write_csv(file, header: list[str], rows: Iterable) -> None:
 @dataclass(frozen=True)
 class DivisorClass:
     """A rational divisor class, stored as a sparse exact coefficient vector
-    over the ordered basis.  Zero coefficients are dropped on construction,
-    so ``==`` is exact coefficient-wise equality.  The constructor validates;
+    over the ordered basis.  Zero coefficients are never stored, so ``==``
+    is exact coefficient-wise equality.  The constructor validates;
     the package's own producers use :meth:`_trusted` (see the module notes)."""
 
     g: int
@@ -374,11 +397,12 @@ class DivisorClass:
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
-    def _trusted(cls, g: int, n: int, coeffs: Mapping[Generator, Fraction]) -> "DivisorClass":
-        """A class whose generators belong to the basis for (g, n) and whose
-        coefficients are Fractions; zeros are dropped, nothing is checked."""
+    def _trusted(cls, g: int, n: int, coeffs: dict[Generator, Fraction]) -> "DivisorClass":
+        """A class stored on ``coeffs`` itself, with no copy and no check:
+        the caller passes a fresh dict, which nothing else holds, from
+        generators of the basis for (g, n) to nonzero Fractions."""
         divclass = object.__new__(cls)  # frozen: fill the fields without __init__
-        vars(divclass).update(g=g, n=n, coeffs={gen: c for gen, c in coeffs.items() if c})
+        vars(divclass).update(g=g, n=n, coeffs=coeffs)
         return divclass
 
     @classmethod
@@ -400,7 +424,11 @@ class DivisorClass:
         self._check_same_space(other)
         coeffs = dict(self.coeffs)
         for gen, c in other.coeffs.items():
-            coeffs[gen] = coeffs.get(gen, Fraction(0)) + c
+            total = coeffs.get(gen, 0) + c
+            if total.numerator:
+                coeffs[gen] = total
+            else:
+                del coeffs[gen]
         return DivisorClass._trusted(self.g, self.n, coeffs)
 
     def __neg__(self) -> "DivisorClass":
@@ -413,7 +441,8 @@ class DivisorClass:
 
     def scale(self, c) -> "DivisorClass":
         c = _exact(c, "scale factor")
-        return DivisorClass._trusted(self.g, self.n, {gen: c * v for gen, v in self.coeffs.items()})
+        coeffs = {gen: c * v for gen, v in self.coeffs.items()} if c.numerator else {}
+        return DivisorClass._trusted(self.g, self.n, coeffs)
 
     def __rmul__(self, c) -> "DivisorClass":
         if isinstance(c, (int, Fraction)):
@@ -444,33 +473,38 @@ class DivisorClass:
         g, n = data["g"], data["n"]
         raw = data["coeffs"]
         parsed: dict[str, Fraction] = {}  # one parse per distinct coefficient string
+        coeffs: dict[Generator, Fraction] = {}
 
-        def parse(text) -> Fraction:
-            if type(text) is not str:  # unhashable values are refused before any lookup
-                return _json_coefficient(text)
-            c = parsed.get(text)
+        def put(gen: Generator, text) -> None:
+            """Store the coefficient ``text`` on ``gen`` unless it is zero."""
+            # only strings are looked up: an unhashable value is refused unhashed
+            c = parsed.get(text) if type(text) is str else None
             if c is None:
-                c = parsed[text] = _json_coefficient(text)
-            return c
+                c = _json_coefficient(text)
+                if type(text) is str:
+                    parsed[text] = c
+            if c.numerator:
+                coeffs[gen] = c
 
-        coeffs: dict[Generator, Fraction] = {
-            LAMBDA1: parse(raw["lambda1"]),
-            DELTA_IRR: parse(raw["delta_irr"]),
-        }
-        for i, c in enumerate(_json_list(raw["K"]), start=1):
-            coeffs[K(i)] = parse(c)
+        put(LAMBDA1, raw["lambda1"])
+        put(DELTA_IRR, raw["delta_irr"])
+        for i, text in enumerate(_json_list(raw["K"]), start=1):
+            put(K(i), text)
         _, gens, column = _basis_table(g, n)
+        seen = bytearray(len(gens))  # the columns given so far, zeros too
         for entry in _json_list(raw["boundary"]):
             h, P = entry["h"], tuple(_json_list(entry["P"]))
             # type() first: True, 1.0 and [1] must not reach the dict, and a
             # miss (a mirror label, a bad entry) canonicalizes or refuses
-            col = column.get((h, P)) if type(h) is int and all(type(p) is int for p in P) else None
-            gen = delta(canonicalize_boundary(h, P, g, n)) if col is None else gens[col]
-            if gen in coeffs:
-                raise ValueError(f"boundary class {generator_label(gen)} given twice")
-            coeffs[gen] = parse(entry["c"])
-        # generators canonical and coefficients Fractions by now: only the
-        # number of K entries is left to check
+            col = column.get((h, P)) if type(h) is int and {*map(type, P)} <= {int} else None
+            if col is None:
+                col = column[canonicalize_boundary(h, P, g, n)]
+            if seen[col]:
+                raise ValueError(f"boundary class {generator_label(gens[col])} given twice")
+            seen[col] = 1
+            put(gens[col], entry["c"])
+        # generators canonical and coefficients nonzero Fractions by now:
+        # only the number of K entries is left to check
         if len(raw["K"]) > n:
             raise ValueError(f"point index {n + 1} out of range 1..{n}")
         return cls._trusted(g, n, coeffs)
@@ -491,25 +525,33 @@ def _substitute_psi(g: int, n: int, coeffs: Mapping[Generator, Fraction], sign: 
     sign -1 reads the slots as K_i, +1 as psi_i.  Refused, as
     :func:`enumerate_boundary` is, above the work budget at 8 units a class."""
     gens = _basis_table(g, n)[1]
-    a = [sign * coeffs.get(K(i), Fraction(0)) for i in range(1, n + 1)]
+    a = [coeffs.get(K(i), 0) for i in range(1, n + 1)]  # an absent slot is the int 0
     den = math.lcm(*(x.denominator for x in a))
-    nums = [x.numerator * (den // x.denominator) for x in a]
+    nums = [sign * x.numerator * (den // x.denominator) for x in a]
     out = dict(coeffs)
     # integer subset sums over the common denominator, one addition each:
     # P's is that of P without its largest element, which comes earlier in
     # the order, plus that element's slot
     sums = {(i,): x for i, x in enumerate(nums, start=1)}
-    made: dict[tuple[int, int, int], Fraction] = {}  # one Fraction per distinct (sum, old)
-    zero = Fraction(0)
+    # one Fraction, or None for a zero, per distinct (sum, old p, old q):
+    # total / den + p / q made from integers, with no Fraction addition
+    made: dict[tuple[int, int, int], Fraction | None] = {}
     for gen in gens[n + 2 : 2**n + 1]:  # the 2^n - n - 1 genus-0 classes
         P = gen.boundary.P
         sums[P] = total = sums[P[:-1]] + nums[P[-1] - 1]
-        old = out.get(gen, zero)
-        key = (total, *old.as_integer_ratio())  # int keys: a Fraction hashes slowly
-        c = made.get(key)
-        if c is None:
-            c = made[key] = Fraction(total, den) + old
-        out[gen] = c
+        if not total:  # the old coefficient stands
+            continue
+        old = out.get(gen)
+        key = (total, 0, 1) if old is None else (total, *old.as_integer_ratio())
+        if key not in made:
+            _, p, q = key
+            num = total * q + p * den
+            made[key] = Fraction(num, den * q) if num else None
+        c = made[key]
+        if c is None:  # total / den cancels the old coefficient
+            del out[gen]
+        else:
+            out[gen] = c
     return DivisorClass._trusted(g, n, out)
 
 

@@ -59,7 +59,7 @@ from .basis import (
     generator_sort_key,
     parse_generator_label,
 )
-from .theta import class_T
+from .theta import _class_T, _warn_small_genus, check_weights
 
 Monomial = tuple[tuple[Generator, int], ...]
 
@@ -226,7 +226,9 @@ def dr_expansion(g: int, n: int, d: Sequence[int]) -> FormalCycle:
     """Formal expansion of (trivialized theta pullback)^g / g! for weights
     of total degree 0; the coefficient of a monomial with exponents e_j is
     the product of the c_j^e_j / e_j! over its factors."""
-    base = restrict_to_compact_type(class_T(g, n, d))
+    d = check_weights(g, n, d, degree=0)
+    _warn_small_genus(g)
+    base = restrict_to_compact_type(_class_T(g, n, d))
     gens = sorted(base.coeffs, key=generator_sort_key)
     k = len(gens)
     check_work(g, n, 8, 10 * g * math.comb(k + g - 1, g))  # 0 monomials when k = 0

@@ -213,7 +213,7 @@ def _solve_class(g: int, n: int, rhs, pins=None) -> DivisorClass:
     _, _, missing, values = _eliminate(g, n, rhs, pins)
     if missing:
         raise SingularMatrixError(generator_label(missing[0]))
-    return DivisorClass._trusted(g, n, values)
+    return DivisorClass._trusted(g, n, {gen: c for gen, c in values.items() if c.numerator})
 
 
 def reconstruct_T(g: int, n: int, d: Sequence[int]) -> DivisorClass:

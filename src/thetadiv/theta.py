@@ -43,7 +43,9 @@ table for (g, n), which is enumerated once per (g, n) and cached in
 stand.  Those numbers come from one subset-sum table, built after the
 table's work-budget check, each entry from that of P without its largest
 element; the arithmetic is in ints, with one Fraction per distinct
-coefficient value.
+nonzero coefficient value.  Each class is built as one dict and a zero
+coefficient is dropped by an integer test where it arises, before any
+Fraction is made.
 
 The effective-divisor locus (Mueller, *The pullback of a theta divisor
 to M_{g,n}-bar*, Math. Nachr. 286 (2013)) depends only on the line bundle
@@ -123,15 +125,20 @@ def _subset_sums(d: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, int, in
 
 
 def _pullback(
-    d: tuple[int, ...], shift: int, deltas: Sequence[Generator], sums: dict
+    d: tuple[int, ...], shift: int, deltas: Sequence[Generator], sums: dict, lead: tuple = ()
 ) -> dict[Generator, Fraction]:
-    """Point and boundary coefficients of the theta pullback: shift 0 for
-    degree 0 (K_i: d_i^2/2, delta_h^P: -d_P^2/2), shift 1 for degree g-1
-    (K_i: d_i(d_i+1)/2, delta_h^P: -(d_P-h)(d_P-h+1)/2).  Genus-0 classes
-    take -(d_P^2 - sum_{i in P} d_i^2)/2 either way.  ``deltas`` are the
+    """Point and boundary coefficients of the theta pullback, after the
+    (generator, coefficient) pairs ``lead``, in one fresh dict with no
+    zeros: shift 0 for degree 0 (K_i: d_i^2/2, delta_h^P: -d_P^2/2),
+    shift 1 for degree g-1 (K_i: d_i(d_i+1)/2, delta_h^P:
+    -(d_P-h)(d_P-h+1)/2).  Genus-0 classes take
+    -(d_P^2 - sum_{i in P} d_i^2)/2 either way.  ``deltas`` are the
     boundary generators in enumeration order and ``sums``
     :func:`_subset_sums` of d."""
-    coeffs = {K(i): Fraction(w * (w + shift), 2) for i, w in enumerate(d, start=1)}
+    coeffs = dict(lead)
+    for i, w in enumerate(d, start=1):
+        if w * (w + shift):
+            coeffs[K(i)] = Fraction(w * (w + shift), 2)
     halves: dict[int, Fraction] = {}  # one Fraction per distinct numerator
     for gen in deltas:
         h, P = gen.boundary
@@ -141,10 +148,11 @@ def _pullback(
         else:
             e = dP - shift * h
             num = -e * (e + shift)
-        c = halves.get(num)
-        if c is None:
-            c = halves[num] = Fraction(num, 2)
-        coeffs[gen] = c
+        if num:
+            c = halves.get(num)
+            if c is None:
+                c = halves[num] = Fraction(num, 2)
+            coeffs[gen] = c
     return coeffs
 
 
@@ -156,7 +164,7 @@ def _deltas(g: int, n: int) -> tuple[Generator, ...]:
 
 def _theta_coeffs(d: tuple[int, ...], deltas: Sequence[Generator], sums: dict) -> dict:
     """All coefficients of :func:`class_Theta`, from :func:`_pullback`'s tables."""
-    return {LAMBDA1: Fraction(-1), DELTA_IRR: Fraction(1, 8), **_pullback(d, 1, deltas, sums)}
+    return _pullback(d, 1, deltas, sums, ((LAMBDA1, Fraction(-1)), (DELTA_IRR, Fraction(1, 8))))
 
 
 def class_T(g: int, n: int, d: Sequence[int]) -> DivisorClass:
@@ -164,6 +172,12 @@ def class_T(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     the zero section) under s_d, for weights of total degree 0."""
     d = check_weights(g, n, d, degree=0)
     _warn_small_genus(g)
+    return _class_T(g, n, d)
+
+
+def _class_T(g: int, n: int, d: tuple[int, ...]) -> DivisorClass:
+    """:func:`class_T` for checked weights, with no warning: a caller that
+    checks them warns itself, so that the warning names its own caller."""
     return DivisorClass._trusted(g, n, _pullback(d, 0, _deltas(g, n), _subset_sums(d)))
 
 
@@ -242,10 +256,18 @@ def _scan(
 
 
 def _subtract_ledger(coeffs: dict, ledger: CorrectionLedger, hits: list[Generator]) -> DivisorClass:
-    """The class with coefficients ``coeffs``, which hold every boundary
-    class, minus each ledger multiplicity on its class ``hits`` gives."""
+    """The class with the nonzero coefficients ``coeffs``, a fresh dict,
+    minus each ledger multiplicity on its class ``hits`` gives."""
+    made: dict[tuple[int, int], Fraction] = {}  # one Fraction per distinct value
     for gen, term in zip(hits, ledger.terms):
-        coeffs[gen] -= term.mult
+        c = coeffs.get(gen, 0)  # the int 0 where the pullback dropped a zero
+        num, den = c.numerator - term.mult * c.denominator, c.denominator
+        if not num:
+            del coeffs[gen]
+        elif (num, den) in made:
+            coeffs[gen] = made[num, den]
+        else:
+            coeffs[gen] = made[num, den] = Fraction(num, den)
     return DivisorClass._trusted(ledger.g, ledger.n, coeffs)
 
 
@@ -256,7 +278,11 @@ def class_D_from_theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     ledger, hits, d, deltas, sums = _scan(g, n, d)
     _warn_small_genus(g)
     coeffs = _theta_coeffs(d, deltas, sums)
-    coeffs[DELTA_IRR] -= ledger.delta_irr_order
+    irr = coeffs[DELTA_IRR] - ledger.delta_irr_order
+    if irr.numerator:
+        coeffs[DELTA_IRR] = irr
+    else:  # Theta's 1/8 is the whole generic order
+        del coeffs[DELTA_IRR]
     return _subtract_ledger(coeffs, ledger, hits)
 
 
@@ -267,8 +293,7 @@ def class_D_direct(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     corrections.  Agrees with :func:`class_D_from_theta`."""
     ledger, hits, d, deltas, sums = _scan(g, n, d)
     _warn_small_genus(g)
-    coeffs = {LAMBDA1: Fraction(-1), **_pullback(d, 1, deltas, sums)}
-    return _subtract_ledger(coeffs, ledger, hits)
+    return _subtract_ledger(_pullback(d, 1, deltas, sums, ((LAMBDA1, Fraction(-1)),)), ledger, hits)
 
 
 def _theta(dual: Generator, d: Sequence[int], shift: int, g: int) -> int:

@@ -4,6 +4,7 @@ Each test prints a single PASS line once its criterion has been verified
 (visible with ``pytest -s`` or ``pytest -v`` test names).
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -148,6 +149,46 @@ def test_criterion_4_reconstruct_Theta():
             assert solved.coeff(LAMBDA1) == -1
             assert solved.coeff(DELTA_IRR) == Fraction(1, 8)
     _pass(4, "degree-(g-1) reconstruction matches the closed formula")
+
+
+def principal_lattice(k):
+    """{0, e_i, 2 e_i, e_i + e_j} in Z^k: C(k + 2, 2) points."""
+    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    yield (0,) * k
+    yield from (tuple(2 * x for x in e) for e in unit)
+    for i, e in enumerate(unit):
+        for f in unit[i:]:
+            yield tuple(x + y for x, y in zip(e, f))
+
+
+def test_criteria_3_and_4_hold_for_every_weight_vector():
+    """A certificate, not a sample: T and Theta equal their reconstructions
+    for every weight vector at each (g, n) checked here.
+
+    Write the weights as the n-1 free weights x = (d_1, .., d_{n-1}) and
+    d_n = degree - sum(x).  Every coefficient of ``class_T`` and
+    ``class_Theta`` is a polynomial of degree at most 2 in x: the K_i
+    coefficient is d_i(d_i + s)/2 (s = 0 for T, 1 for Theta), a boundary
+    coefficient is -(d_P - s h)(d_P - s h + s)/2 or, in genus 0,
+    -(d_P^2 - sum_{i in P} d_i^2)/2, and lambda1 and delta_irr are constants.
+    Every coefficient of a reconstruction is one too: the solution is
+    linear in the right sides, which ``theta._theta`` gives as quadratics in
+    d (Theta's two pins are constants), and the matrix does not depend on d.
+    The difference of the two is therefore a polynomial of degree at most 2
+    in k = n-1 variables, and such a polynomial that vanishes on the
+    principal lattice {0, e_i, 2 e_i, e_i + e_j} vanishes everywhere: the
+    C(k + 2, 2) lattice points are unisolvent for degree 2 (Chung and Yao,
+    SIAM J. Numer. Anal. 14, 1977).  The argument holds while both sides
+    stay polynomial in d, so the sampled sweeps above stay as they are.
+    """
+    for g, n in [(g, n) for g in range(3, 7) for n in range(1, 8)] + [(5, 8)]:
+        points = list(principal_lattice(n - 1))
+        assert len(points) == math.comb(n + 1, 2)
+        for x in points:
+            d0, d1 = x + (-sum(x),), x + (g - 1 - sum(x),)
+            assert reconstruct_T(g, n, d0) == class_T(g, n, d0), (g, n, d0)
+            assert reconstruct_Theta(g, n, d1) == class_Theta(g, n, d1), (g, n, d1)
+    _pass("3-4", "T and Theta match their reconstructions on the degree-2 lattice")
 
 
 def test_criterion_5_mueller_equivalence():

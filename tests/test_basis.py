@@ -533,6 +533,12 @@ def test_json_read_keeps_its_refusals():
         DivisorClass.from_json_dict(edited(boundary=[{"h": 1, "P": [1], "c": "one"}]))
     with pytest.raises(ValueError, match=r"given twice"):
         DivisorClass.from_json_dict(edited(boundary=good["coeffs"]["boundary"] * 2))
+    # a zero is not stored, but it is still given: twice as "0" is refused,
+    # and a doubled entry is refused as such before its coefficient is read
+    first = good["coeffs"]["boundary"][0]
+    for again in ({**first, "c": "0"}, {**first, "c": "one"}, {"h": first["h"], "P": first["P"]}):
+        with pytest.raises(ValueError, match=r"delta_0\^\{1,2\} given twice"):
+            DivisorClass.from_json_dict(edited(boundary=[{**first, "c": "0"}, again]))
     with pytest.raises(ValueError, match="genus must be"):
         DivisorClass.from_json_dict(edited(g=0))
     with pytest.raises(ValueError, match="genus must be"):
@@ -607,3 +613,83 @@ def test_enumerations_return_fresh_lists():
         first.append(None)
         assert enumerate_(5, 8) == expected
     assert len(expected) == 8 + 2 + 759
+
+
+def test_the_basis_table_cache_is_bounded_by_size(monkeypatch):
+    # the cache kept the 16 (g, n) used last whatever their size, so 16
+    # large tables could stay resident; it now keeps the tables used last
+    # while they hold at most _TABLE_CLASSES boundary classes in all
+    from collections import OrderedDict
+
+    from thetadiv.basis import _boundary_count
+
+    # the largest table the default budget admits, at 8 units a class, is
+    # exactly the bound: it is kept alone, and two such never are
+    assert basis._TABLE_CLASSES == basis.BUDGET // 8 == _boundary_count(625_001, 1)
+    check_work(625_001, 1, 8)
+    with pytest.raises(ValueError, match="above the budget"):
+        check_work(625_003, 1, 8)
+
+    builds, unwrapped = [], basis._build_basis_table
+
+    def build(g, n):
+        builds.append((g, n))
+        return unwrapped(g, n)
+
+    monkeypatch.setattr(basis, "_tables", OrderedDict())
+    monkeypatch.setattr(basis, "_build_basis_table", build)
+    monkeypatch.setattr(basis, "_TABLE_CLASSES", 2000)
+    sizes = {(5, 8): 759, (3, 9): 1014, (4, 8): 631, (3, 11): 4084}
+    assert all(_boundary_count(g, n) == B for (g, n), B in sizes.items())
+    for gn, expected in [
+        ((5, 8), [(5, 8)]),
+        ((3, 9), [(5, 8), (3, 9)]),  # 1,773 classes
+        ((4, 8), [(3, 9), (4, 8)]),  # 2,404 is over: the least recent goes
+        ((3, 9), [(4, 8), (3, 9)]),  # a hit is the most recent
+        ((5, 8), [(3, 9), (5, 8)]),
+        ((3, 11), [(3, 9), (5, 8)]),  # above the bound alone: never kept
+        ((3, 11), [(3, 9), (5, 8)]),
+    ]:
+        assert len(enumerate_boundary(*gn)) == sizes[gn]
+        kept = list(basis._tables)
+        assert kept == expected
+        assert sum(sizes[k] for k in kept) <= 2000
+    assert builds == [(5, 8), (3, 9), (4, 8), (5, 8), (3, 11), (3, 11)]
+
+
+def test_the_basis_table_cache_holds_under_threads(monkeypatch):
+    # the cache's lookups, insertions and evictions share one OrderedDict:
+    # without its lock, summing the kept tables while another thread evicts
+    # one raises, and an eviction can run on an emptied dict
+    import sys
+    import threading
+    from collections import OrderedDict
+
+    from thetadiv.basis import _boundary_count
+
+    sizes = [(3, 5), (4, 5), (5, 5), (3, 6), (4, 4), (6, 5)]
+    monkeypatch.setattr(basis, "_tables", OrderedDict())
+    monkeypatch.setattr(basis, "_TABLE_CLASSES", 150)
+    errors = []
+
+    def work(offset):
+        try:
+            for k in range(300):
+                g, n = sizes[(k + offset) % len(sizes)]
+                assert len(enumerate_boundary(g, n)) == _boundary_count(g, n)
+        except Exception as exc:  # collected for the main thread to report
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sum(len(table[0]) for table in basis._tables.values()) <= 150

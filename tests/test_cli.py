@@ -89,17 +89,18 @@ def test_verify_t_and_theta(capsys):
 def test_a_verify_sweep_builds_its_basis_table_once(capsys, monkeypatch):
     # every solve of the sweep reads the column index of one table: the
     # rows used to rebuild their (h, P) -> column dict per trial
-    import functools
+    from collections import OrderedDict
 
     import thetadiv.basis as basis
 
-    builds, unwrapped = [], basis._build_basis_table.__wrapped__
+    builds, unwrapped = [], basis._build_basis_table
 
     def build(g, n):
         builds.append((g, n))
         return unwrapped(g, n)
 
-    monkeypatch.setattr(basis, "_build_basis_table", functools.lru_cache(maxsize=16)(build))
+    monkeypatch.setattr(basis, "_tables", OrderedDict())  # an empty cache
+    monkeypatch.setattr(basis, "_build_basis_table", build)
     code, out, _ = run(capsys, "verify", "T", "--g", "5", "--n", "6", "--trials", "10")
     assert code == 0 and json.loads(out)["passed"] == 10
     assert builds == [(5, 6)]

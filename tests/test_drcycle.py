@@ -30,7 +30,7 @@ from thetadiv.drcycle import (
     relabel_cycle,
     restrict_to_compact_type,
 )
-from thetadiv.theta import class_T, class_Theta
+from thetadiv.theta import class_D_direct, class_D_from_theta, class_T, class_Theta
 
 
 def all_ones(g, n):
@@ -536,3 +536,20 @@ def test_exponent_type_is_checked_first(e):
 def test_json_refuses_malformed_documents(data):
     with pytest.raises(ValueError, match="^malformed FormalCycle JSON: "):
         FormalCycle.from_json_dict(data)
+
+
+def test_small_genus_warnings_name_the_caller():
+    # dr_expansion's warning came from class_T with class_T's stacklevel,
+    # so it named the line of drcycle.py that calls class_T
+    calls = [
+        lambda: dr_expansion(2, 2, (1, -1)),
+        lambda: dr_expansion(1, 3, (1, 0, -1)),
+        lambda: class_T(2, 2, (1, -1)),
+        lambda: class_Theta(1, 2, (1, -1)),
+        lambda: class_D_direct(2, 2, (2, -1)),
+        lambda: class_D_from_theta(2, 2, (2, -1)),
+    ]
+    for call in calls:
+        with pytest.warns(UserWarning, match="genus >= 3") as record:
+            call()
+        assert [w.filename for w in record] == [__file__]

@@ -389,7 +389,9 @@ def test_closed_forms_match_the_subset_loop(case):
     for d, shift in ((d0, 0), (d1, 1)):
         table = theta._subset_sums(d)
         deltas = [delta(b) for b in enumerate_boundary(g, n)]
-        assert theta._pullback(d, shift, deltas, table) == reference_pullback(g, n, d, shift)
+        # _pullback drops its zeros where they arise: compare without them
+        expected = {gen: c for gen, c in reference_pullback(g, n, d, shift).items() if c != 0}
+        assert theta._pullback(d, shift, deltas, table) == expected
     if min(d1) >= 0:
         return
     ledger = correction_ledger(g, n, d1)
