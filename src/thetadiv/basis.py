@@ -570,7 +570,8 @@ def psi_to_k(divclass: DivisorClass) -> DivisorClass:
 
 
 def _check_permutation(sigma: tuple[int, ...], n: int) -> None:
-    if len(sigma) != n or sorted(sigma) != list(range(1, n + 1)):
+    # an int test first: True and 1.0 sort like 1
+    if len(sigma) != n or any(type(i) is not int for i in sigma) or sorted(sigma) != list(range(1, n + 1)):
         raise ValueError(f"{sigma!r} is not a permutation of 1..{n}")
 
 

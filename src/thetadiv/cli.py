@@ -22,7 +22,9 @@ dispatch through.  Every handler writes through :func:`_emit`: JSON is
 printed whole, CSV and pretty output row by row as each row is made.
 
 Exit codes: 0 success, 1 verification failure (report still printed),
-2 usage or validation error, 3 internal error (one line on stderr).
+2 usage or validation error, 3 internal error (one line on stderr), 141
+when the reader closes stdout early (nothing on stderr; a shell reports
+the same status for a process ended by SIGPIPE).
 Output is byte-identical for identical flags and seed.  Random sweeps draw
 each weight uniformly from [-10, 10] and then adjust the last coordinate
 to hit the required total degree.
@@ -33,6 +35,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 from typing import Sequence
@@ -136,7 +139,9 @@ def _emit(fmt: str, doc, header: list[str], rows, lines) -> int:
     """Write one result to stdout in ``fmt``: the JSON document ``doc()``,
     or the CSV table ``header`` + ``rows``, or the pretty ``lines``.
     ``rows`` and ``lines`` are lazy iterables, only one of them is read,
-    and each row or line is written as it is made."""
+    and each row or line is written as it is made.  Stdout is flushed
+    before returning, so that a reader that closed it early raises here,
+    inside :func:`main`, and not in the interpreter's flush at exit."""
     if fmt == "json":
         print(json.dumps(doc(), indent=2))
     elif fmt == "csv":
@@ -144,6 +149,7 @@ def _emit(fmt: str, doc, header: list[str], rows, lines) -> int:
     else:
         for line in lines:
             print(line)
+    sys.stdout.flush()
     return 0
 
 
@@ -200,7 +206,7 @@ def _cmd_dr(args) -> int:
 def _cmd_verify(args) -> int:
     sweep = () if args.target == "rank" else (args.trials, args.seed)
     report = _VERIFIERS[args.target](args.g, args.n, *sweep)
-    print(json.dumps(report, indent=2))
+    _emit("json", lambda: report, [], (), ())
     return 0 if report["ok"] else 1
 
 
@@ -247,6 +253,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        # the bytes a failed flush leaves behind would fail again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,11 +18,14 @@ Fix integer weights ``d = (d_1, .., d_n)`` at the marked points and let
   marking on the genus-h side has nonnegative weight and ``h > d_P``
   (Riemann singularity order), and the generic vanishing order along the
   irreducible boundary is 1/8.  :func:`correction_ledger` enumerates those
-  multiplicities, :func:`class_D_from_theta` subtracts them from
-  :func:`class_Theta`, and :func:`class_D_direct` evaluates the same locus
-  class by its own closed formula.  Both routes share the boundary
-  coefficients and the ledger, so their agreement checks only the
-  ``-lambda1`` and ``delta_irr`` terms.
+  multiplicities.  :func:`class_D_from_theta` subtracts them from the
+  pullback :func:`class_Theta` evaluates, then takes the 1/8 off
+  delta_irr; :func:`class_D_direct` evaluates the same locus class from
+  its own leading terms, ``-lambda1`` and no delta_irr.  Both routes share
+  the pullback and the ledger, so their agreement (``verify mueller``)
+  checks only the ``-lambda1`` and ``delta_irr`` terms.  The derivation
+  of D's lambda1 is a test instead: at weights (g, -1) on M_{g,2}-bar, D
+  is the pullback of Cukierman's Weierstrass divisor.
 
 :func:`theta_intersection` gives the intersection numbers of the test
 curves with these pullbacks.  For degree g-1 it raises ``ValueError`` on
@@ -37,15 +40,17 @@ the split is well defined.
 
 Every coefficient depends on (h, P) only through h, d_P and
 ``sum_{i in P} d_i^2``, and the ledger also on the negative weights in P.
-One call is one O(B) pass over the boundary generators of the basis
-table for (g, n), which is enumerated once per (g, n) and cached in
-:mod:`thetadiv.basis`; its generators key the coefficients as they
-stand.  Those numbers come from one subset-sum table, built after the
-table's work-budget check, each entry from that of P without its largest
-element; the arithmetic is in ints, with one Fraction per distinct
-nonzero coefficient value.  Each class is built as one dict and a zero
-coefficient is dropped by an integer test where it arises, before any
-Fraction is made.
+Each class is one O(B) pass of :func:`_pullback` over the boundary
+generators of the basis table for (g, n), which is enumerated once per
+(g, n) and cached in :mod:`thetadiv.basis`; its generators key the
+coefficients as they stand.  A D route first scans the same generators
+for the ledger and hands the pass each class's multiplicity, which is
+taken off that class's integer numerator.  Those numbers come from one
+subset-sum table, built after the table's work-budget check, each entry
+from that of P without its largest element; the arithmetic is in ints,
+with one Fraction per distinct nonzero coefficient value.  Each class is
+built as one dict and a zero coefficient, a corrected one included, is
+dropped by an integer test where it arises, before any Fraction is made.
 
 The effective-divisor locus (Mueller, *The pullback of a theta divisor
 to M_{g,n}-bar*, Math. Nachr. 286 (2013)) depends only on the line bundle
@@ -125,7 +130,8 @@ def _subset_sums(d: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, int, in
 
 
 def _pullback(
-    d: tuple[int, ...], shift: int, deltas: Sequence[Generator], sums: dict, lead: tuple = ()
+    d: tuple[int, ...], shift: int, deltas: Sequence[Generator], sums: dict, lead: tuple = (),
+    mults: dict = {},
 ) -> dict[Generator, Fraction]:
     """Point and boundary coefficients of the theta pullback, after the
     (generator, coefficient) pairs ``lead``, in one fresh dict with no
@@ -133,8 +139,10 @@ def _pullback(
     shift 1 for degree g-1 (K_i: d_i(d_i+1)/2, delta_h^P:
     -(d_P-h)(d_P-h+1)/2).  Genus-0 classes take
     -(d_P^2 - sum_{i in P} d_i^2)/2 either way.  ``deltas`` are the
-    boundary generators in enumeration order and ``sums``
-    :func:`_subset_sums` of d."""
+    boundary generators in enumeration order, ``sums``
+    :func:`_subset_sums` of d, and ``mults`` the vanishing multiplicity
+    of each ledger class (from :func:`_scan`), subtracted from its
+    numerator before any Fraction is made."""
     coeffs = dict(lead)
     for i, w in enumerate(d, start=1):
         if w * (w + shift):
@@ -148,6 +156,8 @@ def _pullback(
         else:
             e = dP - shift * h
             num = -e * (e + shift)
+        if mults:
+            num -= 2 * mults.get(gen, 0)
         if num:
             c = halves.get(num)
             if c is None:
@@ -162,9 +172,9 @@ def _deltas(g: int, n: int) -> tuple[Generator, ...]:
     return _basis_table(g, n)[1][n + 2 :]
 
 
-def _theta_coeffs(d: tuple[int, ...], deltas: Sequence[Generator], sums: dict) -> dict:
-    """All coefficients of :func:`class_Theta`, from :func:`_pullback`'s tables."""
-    return _pullback(d, 1, deltas, sums, ((LAMBDA1, Fraction(-1)), (DELTA_IRR, Fraction(1, 8))))
+# the leading (generator, coefficient) pairs of Theta and of D
+_THETA_LEAD = ((LAMBDA1, Fraction(-1)), (DELTA_IRR, Fraction(1, 8)))
+_D_LEAD = ((LAMBDA1, Fraction(-1)),)
 
 
 def class_T(g: int, n: int, d: Sequence[int]) -> DivisorClass:
@@ -186,7 +196,7 @@ def class_Theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     weights of total degree g-1."""
     d = check_weights(g, n, d, degree=g - 1)
     _warn_small_genus(g)
-    return DivisorClass._trusted(g, n, _theta_coeffs(d, _deltas(g, n), _subset_sums(d)))
+    return DivisorClass._trusted(g, n, _pullback(d, 1, _deltas(g, n), _subset_sums(d), _THETA_LEAD))
 
 
 @dataclass(frozen=True)
@@ -226,10 +236,10 @@ def correction_ledger(g: int, n: int, d: Sequence[int]) -> CorrectionLedger:
 
 def _scan(
     g: int, n: int, d: Sequence[int]
-) -> tuple[CorrectionLedger, list[Generator], tuple[int, ...], tuple[Generator, ...], dict]:
-    """:func:`correction_ledger`, returned with the generator of each
-    term's class, in term order, and with the checked weights, the
-    boundary generators and the subset-sum table it read.
+) -> tuple[CorrectionLedger, dict[Generator, int], tuple[int, ...], tuple[Generator, ...], dict]:
+    """:func:`correction_ledger`, returned with the multiplicity of each
+    term keyed by the generator of its class, and with the checked
+    weights, the boundary generators and the subset-sum table it read.
 
     The enumerated (h, P) qualifies iff P holds no negative weight and
     h > d_P.  Its mirror (g-h, P complement) qualifies iff P holds every
@@ -241,49 +251,33 @@ def _scan(
     deltas, sums = _deltas(g, n), _subset_sums(d)
     negatives = sum(w < 0 for w in d)
     terms: list[CorrectionTerm] = []
-    hits: list[Generator] = []
+    mults: dict[Generator, int] = {}
     for gen in deltas:
         h, P = b = gen.boundary
         dP, _, neg = sums[P]
         if neg == 0:
             if h > dP:
                 terms.append(CorrectionTerm(h, P, h - dP))
-                hits.append(gen)
+                mults[gen] = h - dP
         elif neg == negatives and dP >= h:
             terms.append(CorrectionTerm(g - h, b.complement(n), dP - h + 1))
-            hits.append(gen)
-    return CorrectionLedger(g, n, tuple(terms)), hits, d, deltas, sums
-
-
-def _subtract_ledger(coeffs: dict, ledger: CorrectionLedger, hits: list[Generator]) -> DivisorClass:
-    """The class with the nonzero coefficients ``coeffs``, a fresh dict,
-    minus each ledger multiplicity on its class ``hits`` gives."""
-    made: dict[tuple[int, int], Fraction] = {}  # one Fraction per distinct value
-    for gen, term in zip(hits, ledger.terms):
-        c = coeffs.get(gen, 0)  # the int 0 where the pullback dropped a zero
-        num, den = c.numerator - term.mult * c.denominator, c.denominator
-        if not num:
-            del coeffs[gen]
-        elif (num, den) in made:
-            coeffs[gen] = made[num, den]
-        else:
-            coeffs[gen] = made[num, den] = Fraction(num, den)
-    return DivisorClass._trusted(ledger.g, ledger.n, coeffs)
+            mults[gen] = dP - h + 1
+    return CorrectionLedger(g, n, tuple(terms)), mults, d, deltas, sums
 
 
 def class_D_from_theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     """Class of the closed effective-divisor locus, computed by stripping
     the identically-vanishing boundary multiplicities (and the 1/8 along
     the irreducible boundary) off :func:`class_Theta`."""
-    ledger, hits, d, deltas, sums = _scan(g, n, d)
+    ledger, mults, d, deltas, sums = _scan(g, n, d)
     _warn_small_genus(g)
-    coeffs = _theta_coeffs(d, deltas, sums)
+    coeffs = _pullback(d, 1, deltas, sums, _THETA_LEAD, mults)
     irr = coeffs[DELTA_IRR] - ledger.delta_irr_order
     if irr.numerator:
         coeffs[DELTA_IRR] = irr
     else:  # Theta's 1/8 is the whole generic order
         del coeffs[DELTA_IRR]
-    return _subtract_ledger(coeffs, ledger, hits)
+    return DivisorClass._trusted(g, n, coeffs)
 
 
 def class_D_direct(g: int, n: int, d: Sequence[int]) -> DivisorClass:
@@ -291,9 +285,9 @@ def class_D_direct(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     closed formula: -lambda1, zero delta_irr, d_i(d_i+1)/2 on the point
     classes, the usual boundary coefficients, minus the vanishing
     corrections.  Agrees with :func:`class_D_from_theta`."""
-    ledger, hits, d, deltas, sums = _scan(g, n, d)
+    _, mults, d, deltas, sums = _scan(g, n, d)
     _warn_small_genus(g)
-    return _subtract_ledger(_pullback(d, 1, deltas, sums, ((LAMBDA1, Fraction(-1)),)), ledger, hits)
+    return DivisorClass._trusted(g, n, _pullback(d, 1, deltas, sums, _D_LEAD, mults))
 
 
 def _theta(dual: Generator, d: Sequence[int], shift: int, g: int) -> int:

@@ -28,7 +28,8 @@ from thetadiv.basis import (
     relabel_class,
     relabel_generator,
 )
-from thetadiv.curves import intersect, pair, point_curve
+from thetadiv.curves import ELLIPTIC_TAIL, intersect, pair, point_curve, relabel_curve
+from thetadiv.drcycle import dr_expansion, relabel_cycle
 from thetadiv.solve import certify_basis, reconstruct_T
 from thetadiv.theta import class_T
 
@@ -477,6 +478,22 @@ def test_every_relabel_refuses_a_non_permutation():
         relabel_generator(K(3), (2, 1), 3, 2)
     with pytest.raises(ValueError, match="not canonical"):
         relabel_generator(delta(BoundaryIndex(2, (2,))), (2, 1), 3, 2)
+
+
+@pytest.mark.parametrize("sigma", [(True, 2), (1.0, 2.0), (2, 1.0), (2, True)])
+def test_every_relabel_refuses_a_sigma_entry_that_is_not_an_int(sigma):
+    # True == 1 and 1.0 == 1 sort like the permutation they stand for
+    relabels = [
+        lambda: relabel_boundary(BoundaryIndex(1, (1,)), sigma, 3, 2),
+        lambda: relabel_generator(K(1), sigma, 3, 2),
+        lambda: relabel_class(DivisorClass(3, 2, {LAMBDA1: 1}), sigma),
+        lambda: relabel_curve(ELLIPTIC_TAIL, sigma, 3, 2),
+        lambda: relabel_cycle(dr_expansion(3, 2, (1, -1)), sigma),
+    ]
+    for relabel in relabels:
+        with pytest.raises(ValueError) as info:
+            relabel()
+        assert str(info.value) == f"{sigma!r} is not a permutation of 1..2"
 
 
 def test_relabel_boundary_validates_against_g_n():

@@ -535,6 +535,12 @@ def test_help_and_usage_output_bytes(capsys, monkeypatch, argv):
     assert hashlib.sha256(blob.encode()).hexdigest() == HELP_DIGESTS[argv]
 
 
+def package_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(thetadiv.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [(readme_commands()[3], 0), (["class", "T", "--g", "3", "--n", "2", "--d", "1,1"], 2)],
@@ -542,11 +548,54 @@ def test_help_and_usage_output_bytes(capsys, monkeypatch, argv):
 )
 def test_whole_process_matches_main(capsys, argv, code):
     # the module's __main__ path, sys.exit(main()), as the console script runs it
-    src = str(Path(thetadiv.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-m", "thetadiv.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", "thetadiv.cli", *argv],
+        capture_output=True, text=True, env=package_env(), timeout=60,
     )
     assert done.returncode == code
     assert (done.stdout, done.stderr) == run(capsys, *argv)[1:]
     assert len(done.stderr.splitlines()) == (code != 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "dr --g 3 --n 4 --d 1,-2,3,-2",
+        "matrix --g 6 --n 8 --format csv",
+        "class T --g 5 --n 8 --d 1,-1,2,-2,3,-3,0,0 --format json",
+    ],
+)
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_with_141_and_no_stderr(argv, unbuffered):
+    # as `thetadiv ... | head -1`: each output is longer than the pipe's
+    # 64 KiB and the one line read, so the process meets the closed pipe
+    env = dict(package_env(), PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "thetadiv.cli", *argv.split()],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (141, b"")  # 141: what a shell reports for SIGPIPE
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_output_to_a_pipe_closed_before_any_write_ends_with_141(unbuffered):
+    # a few lines, all of them held in stdout's buffer when it is buffered:
+    # the one write to the pipe is then a flush, which must fail inside
+    # main and not in the interpreter's flush at exit (status 120)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "thetadiv.cli", "class", "T", "--g", "3", "--n", "2", "--d", "1,-1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=dict(package_env(), PYTHONUNBUFFERED=unbuffered),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")

@@ -1,6 +1,7 @@
 """Tests for the closed-form theta pullback classes and the vanishing ledger."""
 
 import contextlib
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -216,6 +217,24 @@ def test_mueller_class_invariants():
 def test_mueller_conventions_match_when_consistent():
     d = (3, 0, -1)
     assert class_D_direct(3, 3, d) == class_D_from_theta(3, 3, d)
+
+
+@pytest.mark.parametrize("route", [class_D_direct, class_D_from_theta])
+@pytest.mark.parametrize("g", range(3, 10))
+def test_effective_locus_is_the_weierstrass_pullback(g, route):
+    # For distinct p_1, p_2, g p_1 - p_2 is effective iff p_1 is a
+    # Weierstrass point, so D for d = (g, -1) is the pullback along the map
+    # forgetting p_2 of the Weierstrass divisor on M_{g,1}-bar,
+    # W = -lambda1 + C(g+1, 2) psi - sum_h C(g-h+1, 2) delta_h (Cukierman,
+    # Duke Math. J. 58 (1989)); in this basis psi becomes K1 and delta_h
+    # the two classes delta_h^{1} and delta_h^{1,2}.  The two routes share
+    # the ledger and the boundary coefficients; this derivation shares
+    # neither, and it is the one check of D's lambda1.
+    coeffs = {LAMBDA1: Fraction(-1), K(1): Fraction(math.comb(g + 1, 2))}
+    for h in range(1, g):
+        for P in ((1,), (1, 2)):
+            coeffs[bgen(g, 2, h, P)] = Fraction(-math.comb(g - h + 1, 2))
+    assert route(g, 2, (g, -1)) == DivisorClass(g, 2, coeffs)
 
 
 def test_theta_intersection_values():
