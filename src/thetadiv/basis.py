@@ -66,7 +66,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 def _check_gn(g: int, n: int) -> None:
@@ -570,8 +570,10 @@ def psi_to_k(divclass: DivisorClass) -> DivisorClass:
 
 
 def _check_permutation(sigma: tuple[int, ...], n: int) -> None:
-    # an int test first: True and 1.0 sort like 1
-    if len(sigma) != n or any(type(i) is not int for i in sigma) or sorted(sigma) != list(range(1, n + 1)):
+    # a sequence first: a dict, a set, an int, None or an iterator has no
+    # len or no positions; then an int test: True and 1.0 sort like 1
+    seq = isinstance(sigma, Sequence) and len(sigma) == n
+    if not seq or any(type(i) is not int for i in sigma) or sorted(sigma) != list(range(1, n + 1)):
         raise ValueError(f"{sigma!r} is not a permutation of 1..{n}")
 
 

@@ -43,14 +43,16 @@ Every coefficient depends on (h, P) only through h, d_P and
 Each class is one O(B) pass of :func:`_pullback` over the boundary
 generators of the basis table for (g, n), which is enumerated once per
 (g, n) and cached in :mod:`thetadiv.basis`; its generators key the
-coefficients as they stand.  A D route first scans the same generators
-for the ledger and hands the pass each class's multiplicity, which is
-taken off that class's integer numerator.  Those numbers come from one
-subset-sum table, built after the table's work-budget check, each entry
-from that of P without its largest element; the arithmetic is in ints,
-with one Fraction per distinct nonzero coefficient value.  Each class is
-built as one dict and a zero coefficient, a corrected one included, is
-dropped by an integer test where it arises, before any Fraction is made.
+coefficients as they stand.  The vanishing rule is stated once, in
+:func:`_vanishing`: a D route is that same one pass, which takes each
+class's order, doubled, off its integer numerator, and the ledger is one
+pass that keeps the classes whose order is nonzero.  Those numbers come
+from one subset-sum table, built after the table's work-budget check,
+each entry from that of P without its largest element; the arithmetic is
+in ints, with one Fraction per distinct nonzero coefficient value.  Each
+class is built as one dict and a zero coefficient, a corrected one
+included, is dropped by an integer test where it arises, before any
+Fraction is made.
 
 The effective-divisor locus (Mueller, *The pullback of a theta divisor
 to M_{g,n}-bar*, Math. Nachr. 286 (2013)) depends only on the line bundle
@@ -129,9 +131,23 @@ def _subset_sums(d: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, int, in
     return sums
 
 
+def _vanishing(h: int, dP: int, neg: int, negatives: int) -> int:
+    """Vanishing order of theta along the class of the enumerated (h, P),
+    where P carries d_P and ``neg`` of the ``negatives`` >= 1 negative
+    weights: h - d_P if P holds no negative weight and h > d_P; that of the
+    mirror (g-h, P complement), d_P - h + 1 since d_{P complement} =
+    g-1-d_P, if P holds every negative weight and d_P >= h; 0 otherwise.
+    Some weight is negative, so the two cases exclude each other."""
+    if neg == 0 and h > dP:
+        return h - dP
+    if neg == negatives and dP >= h:
+        return dP - h + 1
+    return 0
+
+
 def _pullback(
     d: tuple[int, ...], shift: int, deltas: Sequence[Generator], sums: dict, lead: tuple = (),
-    mults: dict = {},
+    negatives: int = 0,
 ) -> dict[Generator, Fraction]:
     """Point and boundary coefficients of the theta pullback, after the
     (generator, coefficient) pairs ``lead``, in one fresh dict with no
@@ -139,9 +155,10 @@ def _pullback(
     shift 1 for degree g-1 (K_i: d_i(d_i+1)/2, delta_h^P:
     -(d_P-h)(d_P-h+1)/2).  Genus-0 classes take
     -(d_P^2 - sum_{i in P} d_i^2)/2 either way.  ``deltas`` are the
-    boundary generators in enumeration order, ``sums``
-    :func:`_subset_sums` of d, and ``mults`` the vanishing multiplicity
-    of each ledger class (from :func:`_scan`), subtracted from its
+    boundary generators in enumeration order and ``sums``
+    :func:`_subset_sums` of d.  A nonzero ``negatives``, the number of
+    negative weights in d, makes this the effective-locus class: each
+    class's :func:`_vanishing` order, doubled, comes off its integer
     numerator before any Fraction is made."""
     coeffs = dict(lead)
     for i, w in enumerate(d, start=1):
@@ -150,14 +167,14 @@ def _pullback(
     halves: dict[int, Fraction] = {}  # one Fraction per distinct numerator
     for gen in deltas:
         h, P = gen.boundary
-        dP, squares, _ = sums[P]
+        dP, squares, neg = sums[P]
         if h == 0:
             num = squares - dP * dP
         else:
             e = dP - shift * h
             num = -e * (e + shift)
-        if mults:
-            num -= 2 * mults.get(gen, 0)
+        if negatives:
+            num -= 2 * _vanishing(h, dP, neg, negatives)
         if num:
             c = halves.get(num)
             if c is None:
@@ -225,57 +242,42 @@ class CorrectionLedger:
     delta_irr_order: ClassVar[Fraction] = Fraction(1, 8)
 
 
-def correction_ledger(g: int, n: int, d: Sequence[int]) -> CorrectionLedger:
-    """Scan both representatives of every boundary class and record the
-    vanishing multiplicity h - d_P wherever P lies inside the plus set and
-    h > d_P.  At most one representative per class can qualify because some
-    weight is negative.
-    """
-    return _scan(g, n, d)[0]
-
-
-def _scan(
-    g: int, n: int, d: Sequence[int]
-) -> tuple[CorrectionLedger, dict[Generator, int], tuple[int, ...], tuple[Generator, ...], dict]:
-    """:func:`correction_ledger`, returned with the multiplicity of each
-    term keyed by the generator of its class, and with the checked
-    weights, the boundary generators and the subset-sum table it read.
-
-    The enumerated (h, P) qualifies iff P holds no negative weight and
-    h > d_P.  Its mirror (g-h, P complement) qualifies iff P holds every
-    negative weight and d_P >= h, since d_{P complement} = g-1-d_P, with
-    multiplicity d_P - h + 1.  The two conditions exclude each other."""
+def _effective_weights(g: int, n: int, d: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Weights of total degree g-1, checked, and the number of negative
+    ones, which the effective-divisor locus needs to be at least 1."""
     d = check_weights(g, n, d, degree=g - 1)
-    if min(d) >= 0:
-        raise ValueError("the effective-divisor locus needs at least one negative weight")
-    deltas, sums = _deltas(g, n), _subset_sums(d)
     negatives = sum(w < 0 for w in d)
+    if not negatives:
+        raise ValueError("the effective-divisor locus needs at least one negative weight")
+    return d, negatives
+
+
+def correction_ledger(g: int, n: int, d: Sequence[int]) -> CorrectionLedger:
+    """Every boundary class with a nonzero :func:`_vanishing` order, in
+    enumeration order, recorded through the representative whose genus-h
+    side carries only plus-weights: the enumerated (h, P) when P holds no
+    negative weight, its mirror otherwise."""
+    d, negatives = _effective_weights(g, n, d)
+    deltas, sums = _deltas(g, n), _subset_sums(d)
     terms: list[CorrectionTerm] = []
-    mults: dict[Generator, int] = {}
     for gen in deltas:
-        h, P = b = gen.boundary
-        dP, _, neg = sums[P]
-        if neg == 0:
-            if h > dP:
-                terms.append(CorrectionTerm(h, P, h - dP))
-                mults[gen] = h - dP
-        elif neg == negatives and dP >= h:
-            terms.append(CorrectionTerm(g - h, b.complement(n), dP - h + 1))
-            mults[gen] = dP - h + 1
-    return CorrectionLedger(g, n, tuple(terms)), mults, d, deltas, sums
+        b = gen.boundary
+        dP, _, neg = sums[b.P]
+        mult = _vanishing(b.h, dP, neg, negatives)
+        if mult:
+            terms.append(CorrectionTerm(*(b if neg == 0 else b.mirror(g, n)), mult))
+    return CorrectionLedger(g, n, tuple(terms))
 
 
 def class_D_from_theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     """Class of the closed effective-divisor locus, computed by stripping
     the identically-vanishing boundary multiplicities (and the 1/8 along
     the irreducible boundary) off :func:`class_Theta`."""
-    ledger, mults, d, deltas, sums = _scan(g, n, d)
+    d, negatives = _effective_weights(g, n, d)
     _warn_small_genus(g)
-    coeffs = _pullback(d, 1, deltas, sums, _THETA_LEAD, mults)
-    irr = coeffs[DELTA_IRR] - ledger.delta_irr_order
-    if irr.numerator:
-        coeffs[DELTA_IRR] = irr
-    else:  # Theta's 1/8 is the whole generic order
+    coeffs = _pullback(d, 1, _deltas(g, n), _subset_sums(d), _THETA_LEAD, negatives)
+    coeffs[DELTA_IRR] -= CorrectionLedger.delta_irr_order
+    if not coeffs[DELTA_IRR].numerator:  # Theta's 1/8 is the whole generic order
         del coeffs[DELTA_IRR]
     return DivisorClass._trusted(g, n, coeffs)
 
@@ -285,9 +287,9 @@ def class_D_direct(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     closed formula: -lambda1, zero delta_irr, d_i(d_i+1)/2 on the point
     classes, the usual boundary coefficients, minus the vanishing
     corrections.  Agrees with :func:`class_D_from_theta`."""
-    _, mults, d, deltas, sums = _scan(g, n, d)
+    d, negatives = _effective_weights(g, n, d)
     _warn_small_genus(g)
-    return DivisorClass._trusted(g, n, _pullback(d, 1, deltas, sums, _D_LEAD, mults))
+    return DivisorClass._trusted(g, n, _pullback(d, 1, _deltas(g, n), _subset_sums(d), _D_LEAD, negatives))
 
 
 def _theta(dual: Generator, d: Sequence[int], shift: int, g: int) -> int:

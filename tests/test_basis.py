@@ -480,9 +480,14 @@ def test_every_relabel_refuses_a_non_permutation():
         relabel_generator(delta(BoundaryIndex(2, (2,))), (2, 1), 3, 2)
 
 
-@pytest.mark.parametrize("sigma", [(True, 2), (1.0, 2.0), (2, 1.0), (2, True)])
+@pytest.mark.parametrize(
+    "sigma",
+    [(True, 2), (1.0, 2.0), (2, 1.0), (2, True), {1: 2, 2: 1}, {1, 2}, 5, None, iter((1, 2))],
+)
 def test_every_relabel_refuses_a_sigma_entry_that_is_not_an_int(sigma):
-    # True == 1 and 1.0 == 1 sort like the permutation they stand for
+    # True == 1 and 1.0 == 1 sort like the permutation they stand for; a
+    # sigma that is no sequence (a dict, a set, an int, None, an iterator)
+    # used to escape as KeyError or TypeError
     relabels = [
         lambda: relabel_boundary(BoundaryIndex(1, (1,)), sigma, 3, 2),
         lambda: relabel_generator(K(1), sigma, 3, 2),

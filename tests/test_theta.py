@@ -237,6 +237,61 @@ def test_effective_locus_is_the_weierstrass_pullback(g, route):
     assert route(g, 2, (g, -1)) == DivisorClass(g, 2, coeffs)
 
 
+def glue_pullback(c, h, P):
+    """xi^* of a class in the psi basis (the K(i) slot holds psi_i) along
+    the gluing map xi at a separating node, M_{h,P+{x}}-bar x
+    M_{g-h,P^c+{y}}-bar -> M_{g,n}-bar, as one class per side in the psi
+    basis, each side's markings numbered in order and its branch x or y
+    last.  lambda1 and delta_irr go to both sides, psi_i to the side that
+    carries i, delta_h^P negated to psi_x and psi_y, and each side's
+    boundary class (a, S) takes the coefficient of its global class."""
+    g, n = c.g, c.n
+    Pc = tuple(i for i in range(1, n + 1) if i not in P)
+    sides = []
+    for a, S, rest, other in ((h, P, Pc, g - h), (g - h, Pc, P, h)):
+        m = len(S) + 1
+        coeffs = {LAMBDA1: c.coeff(LAMBDA1), DELTA_IRR: c.coeff(DELTA_IRR), K(m): -c.coeff(bgen(g, n, h, P))}
+        coeffs.update({K(j): c.coeff(K(i)) for j, i in enumerate(S, start=1)})
+        for b in enumerate_boundary(a, m):
+            Q = tuple(S[j - 1] for j in b.P if j < m)
+            glued = (b.h, Q) if m not in b.P else (b.h + other, Q + rest)
+            coeffs[delta(b)] = c.coeff(bgen(g, n, *glued))
+        sides.append(DivisorClass(a, m, coeffs))
+    return tuple(sides)
+
+
+@st.composite
+def separating_nodes(draw):
+    """(g, n, h, P, the first n-1 weights): a node splitting off genus h
+    with the markings P, 1 <= h <= g-1."""
+    g, n = draw(st.integers(2, 7)), draw(st.integers(1, 5))
+    h = draw(st.integers(1, g - 1))
+    P = tuple(i for i in range(1, n + 1) if draw(st.booleans()))
+    head = draw(st.lists(st.integers(-6, 6), min_size=n - 1, max_size=n - 1))
+    return g, n, h, P, tuple(head)
+
+
+@pytest.mark.filterwarnings("ignore:divisor-basis completeness")
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=separating_nodes())
+def test_gluing_at_a_separating_node(case):
+    # Arbarello-Cornalba (Publ. IHES 88 (1998)): s_d restricted to the
+    # image of xi is s on each side, with the node's branch weighted so
+    # that each side has the right degree, so xi^* T_d = (T_(d_P, -d_P),
+    # T_(d_P^c, d_P)) and xi^* Theta_d = (Theta_(d_P, h-1-d_P),
+    # Theta_(d_P^c, d_P-h)).  It ties each boundary and K coefficient to
+    # those of lower genus or fewer markings, but not lambda1: a shift of
+    # it moves both sides alike, and the Weierstrass test pins it.
+    g, n, h, P, head = case
+    Pc = tuple(i for i in range(1, n + 1) if i not in P)
+    for f, shift in ((class_T, 0), (class_Theta, 1)):
+        d = head + (shift * (g - 1) - sum(head),)
+        dP = weight_sum(d, P)
+        left = f(h, len(P) + 1, tuple(d[i - 1] for i in P) + (shift * (h - 1) - dP,))
+        right = f(g - h, len(Pc) + 1, tuple(d[i - 1] for i in Pc) + (dP - shift * h,))
+        assert glue_pullback(k_to_psi(f(g, n, d)), h, P) == (k_to_psi(left), k_to_psi(right))
+
+
 def test_theta_intersection_values():
     assert theta_intersection(point_curve(1), (1, -1), "T", 3, 2) == 3
     z = boundary_curve(canonicalize_boundary(1, (1,), 3, 2))
