@@ -35,12 +35,13 @@ Conventions, for a fixed genus ``g >= 1`` and marking set ``I = {1, .., n}``:
   :meth:`DivisorClass._trusted`, which stores the dict it is given as it
   stands: each producer builds a fresh dict and drops its zeros where they
   arise, by an integer test before any Fraction is made.
-* The boundary enumeration, the generators in basis order and the
-  ``(h, P) -> column`` dict of the canonical classes depend only on
-  (g, n): one private table, :func:`_basis_table`, holds them, and every
-  reader of the basis goes through it.  The tables used last are kept up
-  to :data:`_TABLE_CLASSES` boundary classes in all.  The work budget is
-  still checked on every call.
+* The generators in basis order and the ``(h, P) -> column`` dict of the
+  canonical classes depend only on (g, n): one private table,
+  :func:`_basis_table`, holds these two, and every reader of the basis
+  goes through it.  The dict's keys, in order, are the boundary
+  enumeration, so no third copy of it is kept.  The tables used last are
+  kept up to :data:`_TABLE_CLASSES` boundary classes in all.  The work
+  budget is still checked on every call.
 * All coefficients are :class:`fractions.Fraction`; no floating point is
   used anywhere.  Every value is immutable and every function is pure, so
   concurrent use needs no locking; the table cache takes its own lock.
@@ -263,21 +264,18 @@ def _check_generator(gen: Generator, g: int, n: int) -> None:
         raise ValueError(f"{gen!r} is not a generator of the basis for (g={g}, n={n})")
 
 
-def _build_basis_table(g: int, n: int) -> tuple[tuple, tuple, dict]:
-    """The boundary enumeration for (g, n), the generators in basis order
-    and the ``(h, P) -> column`` dict of the canonical classes; see
-    :func:`_basis_table`."""
-    boundary: list[BoundaryIndex] = []
-    for h in range(0, g // 2 + 1):
-        if h == 0:
-            subsets: Iterable[tuple[int, ...]] = _subsets(n, min_size=2)
-        elif 2 * h == g:
-            subsets = (P for P in _subsets(n) if 1 in P)
-        else:
-            subsets = _subsets(n)
-        boundary.extend(BoundaryIndex(h, P) for P in subsets)
+def _build_basis_table(g: int, n: int) -> tuple[tuple, dict]:
+    """The generators for (g, n) in basis order and the ``(h, P) -> column``
+    dict of the canonical boundary classes; see :func:`_basis_table`."""
+    # h = 0 needs two markings, and the tie h = g/2 keeps the side holding 1
+    boundary = [
+        BoundaryIndex(h, P)
+        for h in range(g // 2 + 1)
+        for P in _subsets(n, min_size=2 if h == 0 else 0)
+        if 2 * h != g or 1 in P
+    ]
     gens = (LAMBDA1, DELTA_IRR, *map(K, range(1, n + 1)), *map(delta, boundary))
-    return tuple(boundary), gens, {b: c for c, b in enumerate(boundary, start=n + 2)}
+    return gens, {b: c for c, b in enumerate(boundary, start=n + 2)}
 
 
 # boundary classes kept over all cached tables: one table of the largest
@@ -287,16 +285,16 @@ _tables: OrderedDict = OrderedDict()  # (g, n) -> table, least recently used fir
 _tables_lock = threading.Lock()
 
 
-def _basis_table(g: int, n: int) -> tuple[tuple, tuple, dict]:
-    """``(boundary, gens, column)`` for (g, n), refused above the work
-    budget at 8 units a class on every call, cached or not.  ``boundary``
-    is :func:`enumerate_boundary`, ``gens`` :func:`basis_generators`
-    (boundary generators from ``gens[n + 2]`` on, genus 0 first) and
-    ``column[h, P]`` the position in ``gens`` of a canonical class, with
-    no key for a mirror label.  Built once per (g, n) and kept while the
-    tables used since hold at most :data:`_TABLE_CLASSES` boundary classes
-    in all (a larger table is built for each call and not kept); callers
-    must not change what it holds."""
+def _basis_table(g: int, n: int) -> tuple[tuple, dict]:
+    """``(gens, column)`` for (g, n), refused above the work budget at 8
+    units a class on every call, cached or not.  ``gens`` is
+    :func:`basis_generators` (boundary generators from ``gens[n + 2]`` on,
+    genus 0 first) and ``column[h, P]`` the position in ``gens`` of a
+    canonical class, with no key for a mirror label; its keys, in order,
+    are :func:`enumerate_boundary`.  Built once per (g, n) and kept while
+    the tables used since hold at most :data:`_TABLE_CLASSES` boundary
+    classes in all (a larger table is built for each call and not kept);
+    callers must not change what it holds."""
     check_work(g, n, 8)
     with _tables_lock:
         table = _tables.get((g, n))
@@ -304,9 +302,9 @@ def _basis_table(g: int, n: int) -> tuple[tuple, tuple, dict]:
             _tables.move_to_end((g, n))
         else:
             table = _build_basis_table(g, n)
-            if len(table[0]) <= _TABLE_CLASSES:
+            if len(table[1]) <= _TABLE_CLASSES:
                 _tables[g, n] = table
-                while sum(len(t[0]) for t in _tables.values()) > _TABLE_CLASSES:
+                while sum(len(t[1]) for t in _tables.values()) > _TABLE_CLASSES:
                     _tables.popitem(last=False)
     return table
 
@@ -315,12 +313,12 @@ def enumerate_boundary(g: int, n: int) -> list[BoundaryIndex]:
     """All boundary classes, one canonical representative each, ordered by
     genus part, then size of the marking set, then lexicographically.
     Refused, before any enumeration, above the work budget at 8 units a class."""
-    return list(_basis_table(g, n)[0])
+    return list(_basis_table(g, n)[1])
 
 
 def basis_generators(g: int, n: int) -> list[Generator]:
     """The ordered divisor basis: lambda1, delta_irr, K_1..K_n, boundary classes."""
-    return list(_basis_table(g, n)[1])
+    return list(_basis_table(g, n)[0])
 
 
 def _exact(value, what: str) -> Fraction:
@@ -452,7 +450,7 @@ class DivisorClass:
     def to_json_dict(self) -> dict:
         """Full-basis JSON form; rationals as lowest-terms "p/q" strings."""
         get, zero = self.coeffs.get, Fraction(0)
-        boundary, gens, _ = _basis_table(self.g, self.n)
+        gens, column = _basis_table(self.g, self.n)
         # str per entry: printing a Fraction is cheaper than hashing one
         return {
             "g": self.g,
@@ -463,7 +461,7 @@ class DivisorClass:
                 "K": [str(get(K(i), zero)) for i in range(1, self.n + 1)],
                 "boundary": [
                     {"h": b.h, "P": list(b.P), "c": str(get(gen, zero))}
-                    for b, gen in zip(boundary, gens[self.n + 2 :])
+                    for b, gen in zip(column, gens[self.n + 2 :])
                 ],
             },
         }
@@ -490,7 +488,7 @@ class DivisorClass:
         put(DELTA_IRR, raw["delta_irr"])
         for i, text in enumerate(_json_list(raw["K"]), start=1):
             put(K(i), text)
-        _, gens, column = _basis_table(g, n)
+        gens, column = _basis_table(g, n)
         seen = bytearray(len(gens))  # the columns given so far, zeros too
         for entry in _json_list(raw["boundary"]):
             h, P = entry["h"], tuple(_json_list(entry["P"]))
@@ -524,7 +522,7 @@ def _substitute_psi(g: int, n: int, coeffs: Mapping[Generator, Fraction], sign: 
     each genus-0 class delta_0^P, |P| >= 2 (all canonical as they stand):
     sign -1 reads the slots as K_i, +1 as psi_i.  Refused, as
     :func:`enumerate_boundary` is, above the work budget at 8 units a class."""
-    gens = _basis_table(g, n)[1]
+    gens = _basis_table(g, n)[0]
     a = [coeffs.get(K(i), 0) for i in range(1, n + 1)]  # an absent slot is the int 0
     den = math.lcm(*(x.denominator for x in a))
     nums = [sign * x.numerator * (den // x.denominator) for x in a]

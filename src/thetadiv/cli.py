@@ -153,6 +153,18 @@ def _emit(fmt: str, doc, header: list[str], rows, lines) -> int:
     return 0
 
 
+def _check_digits(values) -> None:
+    """Refuse with ``ValueError``, before the first byte of output, a
+    result whose ``values`` (ints or Fractions) hold an integer with more
+    digits than ``sys.get_int_max_str_digits()`` allows: printing it would
+    end the output part-way.  A limit of 0, or no such function, means
+    none; the process-wide setting is left alone."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = 10**limit if limit else 0
+    if bound and any(abs(x.numerator) >= bound or x.denominator >= bound for x in values):
+        raise ValueError(f"a value has more than {limit} digits, the interpreter's int-to-str limit")
+
+
 def _cmd_basis(args) -> int:
     labels = [generator_label(gen) for gen in basis_generators(args.g, args.n)]
     return _emit(args.format, lambda: {"generators": labels}, ["generators"], zip(labels), labels)
@@ -176,6 +188,7 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_class(args) -> int:
     divclass = _CLASSES[args.kind](args.g, args.n, _parse_weights(args.d))
+    _check_digits(divclass.coeffs.values())
     rows = ((generator_label(gen), divclass.coeff(gen)) for gen in basis_generators(args.g, args.n))
     lines = (f"{label} = {c}" for label, c in rows)
     return _emit(args.format, divclass.to_json_dict, ["generator", "coefficient"], rows, lines)
@@ -198,6 +211,7 @@ def _cmd_ledger(args) -> int:
 
 def _cmd_dr(args) -> int:
     cycle = dr_expansion(args.g, args.n, _parse_weights(args.d))
+    _check_digits(cycle.terms.values())
     rows = cycle._labelled_terms()
     lines = (f"{label}: {c}" for label, c in rows)
     return _emit(args.format, cycle.to_json_dict, ["monomial", "coefficient"], rows, lines)

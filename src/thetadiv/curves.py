@@ -34,13 +34,14 @@ No entry is canonicalized: for a canonical node class (h, P) and j not in
 P, (h, P + {j}) is canonical as a sorted tuple, since h <= g-h still
 holds and at the tie h = g/2 the set P already contains 1; a point row's
 (0, {i, j}) is canonical as (min, max).  Only delta_1^{} is canonicalized,
-once per elliptic-tail or irreducible-node row.  :func:`intersect` and
-:func:`pair` validate the curve once, by the generator check of its dual,
-and read its one row with each class (h, P) keyed by itself, building no
-O(B) dict; like :func:`thetadiv.basis.canonicalize_boundary`, they first
-refuse an n whose boundary enumeration the work budget refuses, since a
-point row visits every marking.  The pairing matrix is invertible for
-g >= 3.
+once per elliptic-tail or irreducible-node row.  :func:`intersect` is
+:func:`pair` of a class of one generator.  :func:`pair` refuses anything
+but a :class:`DivisorClass`, validates the curve once, by the generator
+check of its dual, and reads its one row with each class (h, P) keyed by
+itself, building no O(B) dict; like
+:func:`thetadiv.basis.canonicalize_boundary`, it first refuses an n whose
+boundary enumeration the work budget refuses, since a point row visits
+every marking.  The pairing matrix is invertible for g >= 3.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def _rows(g: int, n: int) -> tuple[tuple[Generator, ...], Callable[[int], dict]]
     """The basis for (g, n) and its row source: ``row(c)`` is the row of
     the family dual to column c."""
     _check_dual(g, n)
-    _, gens, column = _basis_table(g, n)
+    gens, column = _basis_table(g, n)
     return gens, lambda c: _row(gens[c], g, n, column)
 
 
@@ -183,17 +184,19 @@ def _key(gen: Generator):
 
 
 def intersect(curve: TestCurve, gen: Generator, g: int, n: int) -> Fraction:
-    """Exact intersection number of a test-curve family with a basis divisor."""
+    """Exact intersection number of a test-curve family with a basis
+    divisor: :func:`pair` with the class of ``gen`` alone.  ``gen`` is
+    checked as the :class:`DivisorClass` constructor would check it, but
+    before it is hashed, so that a list is refused as a non-generator."""
     _check_gn(g, n)
-    if n > BUDGET.bit_length():  # one comparison before the O(n) point row
-        check_work(g, n, 8)
-    _check_curve(curve, g, n)
     _check_generator(gen, g, n)
-    return Fraction(_row(curve.dual, g, n, _ByClass()).get(_key(gen), 0))
+    return pair(curve, DivisorClass._trusted(g, n, {gen: Fraction(1)}))
 
 
 def pair(curve: TestCurve, divclass: DivisorClass) -> Fraction:
     """Intersection number of a test curve with an arbitrary divisor class."""
+    if not isinstance(divclass, DivisorClass):
+        raise ValueError(f"expected a DivisorClass, got {divclass!r}")
     if divclass.n > BUDGET.bit_length():  # one comparison before the O(n) point row
         check_work(divclass.g, divclass.n, 8)
     _check_curve(curve, divclass.g, divclass.n)

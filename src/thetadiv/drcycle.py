@@ -5,11 +5,11 @@ principal divisor (total weight 0) is the pullback of the zero section of
 the universal Jacobian, and its class in codimension g is the g-th power
 of the trivialized theta pullback divided by g!.  This module produces
 that power as a formal homogeneous polynomial in the compact-type
-generators (``delta_irr`` is dropped by :func:`restrict_to_compact_type`;
-no ring relations are imposed), so the result is a symbolic normal form
-whose one verifiable identity is the multinomial theorem:
-evaluating the expansion at any assignment equals
-``(value of the degree-1 class)^g / g!``.
+generators (every generator but ``delta_irr``, which
+:func:`restrict_to_compact_type` drops; no ring relations are imposed),
+so the result is a symbolic normal form whose one verifiable identity is
+the multinomial theorem: evaluating the expansion at any assignment
+equals ``(value of the degree-1 class)^g / g!``.
 
 A monomial is a multiset of g picks from the k generators with nonzero
 coefficient c_j, so there are C(k + g - 1, g) of them.  ``terms`` always
@@ -17,17 +17,20 @@ holds them in output order, by the list of their factors' (basis order,
 exponent) pairs: the constructor, :meth:`FormalCycle.from_json_dict` and
 :func:`relabel_cycle` sort through :func:`_in_output_order`, its one
 definition, and the renderers read ``terms`` as it stands, rendering each
-distinct factor once per call.  The expansion is born in that order: a
-depth-first walk over a k x (g + 1) table of the factors (generator, e)
-and c_j^e / e! as integer pairs, built once per call, takes the first
-generator by rank, then its exponent from 1 up to the degree left, then
-the later generators, multiplying numerator and denominator along the
-path (O(1) amortized steps and one Fraction a monomial).  It returns
-through :meth:`FormalCycle._trusted`, which checks nothing.
-Generators are values, so every per-generator table here (the validation
-keys, sort codes, labels, evaluation powers and relabelled images) is
-keyed by the generator itself, and a cycle written with equal but distinct
-generators behaves as the expansion does.
+distinct factor once per call.  The expansion reads T as
+:func:`thetadiv.theta._pullback` builds it: no zero coefficient, no
+``lambda1`` and no ``delta_irr`` term (so no restriction to compact type
+is needed), and its keys in basis order (so no sort is needed).  It is
+born in output order: a depth-first walk over a k x (g + 1) table of the
+factors (generator, e) and c_j^e / e! as integer pairs, built once per
+call, takes the first generator by rank, then its exponent from 1 up to
+the degree left, then the later generators, multiplying numerator and
+denominator along the path (O(1) amortized steps and one Fraction a
+monomial).  It returns through :meth:`FormalCycle._trusted`, which
+checks nothing.  Generators are values, so every per-generator table here
+(the validation keys, sort codes, labels, evaluation powers and
+relabelled images) is keyed by the generator itself, and a cycle written
+with equal but distinct generators behaves as the expansion does.
 An expansion estimated above the work budget of
 :func:`thetadiv.basis.check_work` (10 g units a monomial on top of the
 class T) is refused before any monomial is built.
@@ -228,18 +231,16 @@ def dr_expansion(g: int, n: int, d: Sequence[int]) -> FormalCycle:
     the product of the c_j^e_j / e_j! over its factors."""
     d = check_weights(g, n, d, degree=0)
     _warn_small_genus(g)
-    base = restrict_to_compact_type(_class_T(g, n, d))
-    gens = sorted(base.coeffs, key=generator_sort_key)
-    k = len(gens)
-    check_work(g, n, 8, 10 * g * math.comb(k + g - 1, g))  # 0 monomials when k = 0
-    # row j, column e >= 1: the factor (gens[j], e) and c_j^e / e! as
+    coeffs = _class_T(g, n, d).coeffs  # in basis order, with no delta_irr: see the module notes
+    check_work(g, n, 8, 10 * g * math.comb(len(coeffs) + g - 1, g))  # 0 monomials for T = 0
+    # row j, column e >= 1: the factor (gen_j, e) and c_j^e / e! as
     # (numerator, denominator); column 0 is unused
     table = []
-    for gen in gens:
+    for gen, c in coeffs.items():
         weight = Fraction(1)
         row = [None]
         for e in range(1, g + 1):
-            weight = weight * base.coeffs[gen] / e
+            weight = weight * c / e
             row.append(((gen, e), weight.numerator, weight.denominator))
         table.append(row)
     terms: dict[Monomial, Fraction] = {}

@@ -159,7 +159,12 @@ def _pullback(
     :func:`_subset_sums` of d.  A nonzero ``negatives``, the number of
     negative weights in d, makes this the effective-locus class: each
     class's :func:`_vanishing` order, doubled, comes off its integer
-    numerator before any Fraction is made."""
+    numerator before any Fraction is made.
+
+    The dict holds its keys in basis order: the ``lead`` pairs, then K_i
+    by i, then the boundary classes in the order of ``deltas``.
+    :func:`thetadiv.drcycle.dr_expansion` reads T in that order, with no
+    sort."""
     coeffs = dict(lead)
     for i, w in enumerate(d, start=1):
         if w * (w + shift):
@@ -186,7 +191,7 @@ def _pullback(
 def _deltas(g: int, n: int) -> tuple[Generator, ...]:
     """The boundary generators of the basis table for (g, n), in
     enumeration order, refused above the work budget as it is."""
-    return _basis_table(g, n)[1][n + 2 :]
+    return _basis_table(g, n)[0][n + 2 :]
 
 
 # the leading (generator, coefficient) pairs of Theta and of D

@@ -20,6 +20,7 @@ from thetadiv.basis import (
     check_work,
     delta,
     enumerate_boundary,
+    generator_sort_key,
     k_to_psi,
     parse_generator_label,
     psi_in_k_basis,
@@ -111,6 +112,17 @@ def test_enumerate_boundary_ordering():
     for g, n in [(3, 3), (4, 2), (5, 3), (6, 3)]:
         keys = [(b.h, len(b.P), b.P) for b in enumerate_boundary(g, n)]
         assert keys == sorted(keys)
+
+
+def test_basis_generators_are_in_generator_sort_key_order(monkeypatch):
+    # one basis order: the DR expansion reads T in the table's order, while
+    # FormalCycle checks its monomials, and relabel_cycle sorts them, by
+    # generator_sort_key; the default budget admits every table here
+    monkeypatch.delenv("THETADIV_BUDGET", raising=False)
+    for g in range(1, 9):
+        for n in range(1, 8):
+            keys = [generator_sort_key(gen) for gen in basis_generators(g, n)]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (g, n)
 
 
 def test_enumerate_boundary_is_image_of_canonicalize():
@@ -714,4 +726,4 @@ def test_the_basis_table_cache_holds_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert sum(len(table[0]) for table in basis._tables.values()) <= 150
+    assert sum(len(column) for _, column in basis._tables.values()) <= 150

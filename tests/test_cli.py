@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -533,6 +534,53 @@ def test_help_and_usage_output_bytes(capsys, monkeypatch, argv):
     out, err = capsys.readouterr()
     blob = f"{exc.value.code}\0{out}\0{err}"
     assert hashlib.sha256(blob.encode()).hexdigest() == HELP_DIGESTS[argv]
+
+
+@pytest.fixture
+def int_str_limit():
+    """The interpreter's int-to-str limit at its default of 4300 digits for
+    one test, whatever the environment set, and restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["class", "T", "--g", "3", "--n", "2", f"--d={'9' * 3000},-{'9' * 3000}"],
+        ["class", "T", "--g", "3", "--n", "2", f"--d={'9' * 3000},-{'9' * 3000}", "--format", "csv"],
+        ["dr", "--g", "3", "--n", "2", f"--d={10**1000},-{10**1000}", "--format", "csv"],
+    ],
+    ids=["class-pretty", "class-csv", "dr-csv"],
+)
+def test_a_value_past_the_int_str_limit_is_refused_before_any_output(capsys, int_str_limit, argv):
+    # these wrote their first rows (26 and 21 bytes), then exited 2 part-way
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: a value has more than 4300 digits, the interpreter's int-to-str limit\n"
+    assert sys.get_int_max_str_digits() == int_str_limit  # left alone
+
+
+def test_values_under_the_int_str_limit_print_whole(capsys, int_str_limit):
+    # weights of 2,000 digits give coefficients of about 4,000
+    D = 10**2000 - 1
+    code, out, err = run(capsys, "class", "T", "--g", "3", "--n", "2", f"--d={D},-{D}")
+    half = Fraction(D * D, 2)
+    rows = [
+        ("lambda1", 0), ("delta_irr", 0), ("K1", half), ("K2", half), ("delta_0^{1,2}", D * D),
+        ("delta_1^{}", 0), ("delta_1^{1}", -half), ("delta_1^{2}", -half), ("delta_1^{1,2}", 0),
+    ]
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{label} = {c}\n" for label, c in rows)
+    # the ledger's orders are at most g whatever the weights, even of 4,300 digits
+    M = 10**4299
+    code, out, err = run(capsys, "ledger", "--g", "3", "--n", "2", f"--d={M + 2},-{M}")
+    assert (code, err) == (0, "")
+    assert out == "3 * delta_3^{}\n1 * delta_1^{}\n2 * delta_2^{}\ndelta_irr order = 1/8\n"
 
 
 def package_env():

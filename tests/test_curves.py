@@ -9,6 +9,7 @@ import pytest
 from thetadiv.basis import (
     DELTA_IRR,
     LAMBDA1,
+    BoundaryIndex,
     DivisorClass,
     K,
     basis_generators,
@@ -118,6 +119,32 @@ def test_pair_validates_curve_for_every_class():
             pair(boundary_curve(canonicalize_boundary(1, (4,), 3, 4)), divclass)
     assert pair(point_curve(1), DivisorClass.zero(3, 3)) == 0
     assert pair(point_curve(1), DivisorClass(3, 3, {K(1): 2, bgen(3, 3, 0, (1, 3)): 5})) == 8 + 5
+
+
+@pytest.mark.parametrize("divclass", ["x", {K(1): 1}])
+def test_pair_refuses_what_is_not_a_divisor_class(divclass):
+    # a string or a plain dict raised AttributeError on its missing .n
+    with pytest.raises(ValueError, match="^expected a DivisorClass, got "):
+        pair(point_curve(1), divclass)
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [["K", 1], ("K", 1, None), delta(BoundaryIndex(1, [1])), K(3)],
+    ids=["list", "plain tuple", "list P", "K3"],
+)
+def test_intersect_refuses_a_bad_generator_with_value_error(gen):
+    # intersect is pair of the class of gen alone; gen is checked before it
+    # is hashed, so a list is refused as a non-generator, not with TypeError
+    with pytest.raises(ValueError):
+        intersect(point_curve(1), gen, 3, 2)
+
+
+def test_intersect_reports_a_bad_generator_before_a_bad_curve():
+    with pytest.raises(ValueError, match="point index 9 out of range"):
+        intersect(point_curve(9), K(1), 3, 2)
+    with pytest.raises(ValueError, match="point index 3 out of range"):
+        intersect(point_curve(9), K(3), 3, 2)
 
 
 def test_matching_is_class_equality():
