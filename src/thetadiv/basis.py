@@ -35,13 +35,15 @@ Conventions, for a fixed genus ``g >= 1`` and marking set ``I = {1, .., n}``:
   :meth:`DivisorClass._trusted`, which stores the dict it is given as it
   stands: each producer builds a fresh dict and drops its zeros where they
   arise, by an integer test before any Fraction is made.
-* The generators in basis order and the ``(h, P) -> column`` dict of the
-  canonical classes depend only on (g, n): one private table,
-  :func:`_basis_table`, holds these two, and every reader of the basis
-  goes through it.  The dict's keys, in order, are the boundary
-  enumeration, so no third copy of it is kept.  The tables used last are
-  kept up to :data:`_TABLE_CLASSES` boundary classes in all.  The work
-  budget is still checked on every call.
+* The generators in basis order, the ``(h, P) -> column`` dict of the
+  canonical classes and each boundary class's marking set as a bit mask
+  depend only on (g, n): one private table, :func:`_basis_table`, holds
+  these three, and every reader of the basis goes through it.  The dict's
+  keys, in order, are the boundary enumeration, so no further copy of it
+  is kept; the masks let a pass over the boundary read per-subset values
+  by list index (:func:`_mask_sums`), with no P hashed.  The tables used
+  last are kept up to :data:`_TABLE_CLASSES` boundary classes in all.
+  The work budget is still checked on every call.
 * All coefficients are :class:`fractions.Fraction`; no floating point is
   used anywhere.  Every value is immutable and every function is pure, so
   concurrent use needs no locking; the table cache takes its own lock.
@@ -64,6 +66,7 @@ import math
 import os
 import re
 import threading
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,6 +86,16 @@ def _subsets(n: int, min_size: int = 0) -> Iterator[tuple[int, ...]]:
     """Subsets of {1..n} as sorted tuples, ordered by size then lexicographically."""
     for size in range(min_size, n + 1):
         yield from itertools.combinations(range(1, n + 1), size)
+
+
+def _mask_sums(values: Sequence[int]) -> list[int]:
+    """The sum of ``values[i - 1]`` over i in P for every subset P of
+    {1..len(values)}, at the index of P's bit mask (bit i - 1 for marking
+    i): each value doubles the list, its new half the old one plus it."""
+    sums = [0]
+    for v in values:
+        sums += [s + v for s in sums]
+    return sums
 
 
 class BoundaryIndex(NamedTuple):
@@ -149,7 +162,9 @@ def canonicalize_boundary(h: int, P: Iterable[int], g: int, n: int) -> BoundaryI
     genus-0 side with fewer than two markings, checked on both
     representatives), for a marking that is not an int and, before any
     O(n) work, for an n above 23, the bit length of :data:`BUDGET`, whose
-    boundary enumeration the work budget refuses.
+    boundary enumeration the work budget refuses.  A marking set that
+    repeats a marking is refused too, not read as the set without the
+    repeat.
     """
     _check_gn(g, n)
     if n > BUDGET.bit_length():  # B(g, n) > BUDGET: one comparison before any O(n) work
@@ -158,7 +173,9 @@ def canonicalize_boundary(h: int, P: Iterable[int], g: int, n: int) -> BoundaryI
     for p in pts:  # type(), as in _check_gn: a bool or a float is no marking
         if type(p) is not int:
             raise ValueError(f"markings must be integers, got {p!r}")
-    pts = tuple(sorted(set(pts)))
+    if len(set(pts)) != len(pts):
+        raise ValueError(f"marking set {pts} repeats a marking")
+    pts = tuple(sorted(pts))
     if not (type(h) is int and 0 <= h <= g):
         raise ValueError(f"genus part {h!r} out of range for genus {g}")
     if pts and (pts[0] < 1 or pts[-1] > n):
@@ -264,10 +281,18 @@ def _check_generator(gen: Generator, g: int, n: int) -> None:
         raise ValueError(f"{gen!r} is not a generator of the basis for (g={g}, n={n})")
 
 
-def _build_basis_table(g: int, n: int) -> tuple[tuple, dict]:
-    """The generators for (g, n) in basis order and the ``(h, P) -> column``
-    dict of the canonical boundary classes; see :func:`_basis_table`."""
+def _build_basis_table(g: int, n: int) -> tuple[tuple, dict, array]:
+    """The generators for (g, n) in basis order, the ``(h, P) -> column``
+    dict of the canonical boundary classes and their marking sets as bit
+    masks; see :func:`_basis_table`."""
+    # the masks of _subsets(n), in its order: the same combinations, of bits.
+    # "Q" holds 64 markings; a larger n has over 2^63 classes, past any memory.
+    bits = [1 << i for i in range(n)]
+    rank = array("Q", (sum(c) for size in range(n + 1) for c in itertools.combinations(bits, size)))
     # h = 0 needs two markings, and the tie h = g/2 keeps the side holding 1
+    masks = rank[n + 1 :] + rank * ((g - 1) // 2)
+    if g % 2 == 0:
+        masks += array("Q", (m for m in rank if m & 1))
     boundary = [
         BoundaryIndex(h, P)
         for h in range(g // 2 + 1)
@@ -275,7 +300,7 @@ def _build_basis_table(g: int, n: int) -> tuple[tuple, dict]:
         if 2 * h != g or 1 in P
     ]
     gens = (LAMBDA1, DELTA_IRR, *map(K, range(1, n + 1)), *map(delta, boundary))
-    return gens, {b: c for c, b in enumerate(boundary, start=n + 2)}
+    return gens, {b: c for c, b in enumerate(boundary, start=n + 2)}, masks
 
 
 # boundary classes kept over all cached tables: one table of the largest
@@ -285,16 +310,18 @@ _tables: OrderedDict = OrderedDict()  # (g, n) -> table, least recently used fir
 _tables_lock = threading.Lock()
 
 
-def _basis_table(g: int, n: int) -> tuple[tuple, dict]:
-    """``(gens, column)`` for (g, n), refused above the work budget at 8
-    units a class on every call, cached or not.  ``gens`` is
+def _basis_table(g: int, n: int) -> tuple[tuple, dict, array]:
+    """``(gens, column, masks)`` for (g, n), refused above the work budget
+    at 8 units a class on every call, cached or not.  ``gens`` is
     :func:`basis_generators` (boundary generators from ``gens[n + 2]`` on,
-    genus 0 first) and ``column[h, P]`` the position in ``gens`` of a
-    canonical class, with no key for a mirror label; its keys, in order,
-    are :func:`enumerate_boundary`.  Built once per (g, n) and kept while
-    the tables used since hold at most :data:`_TABLE_CLASSES` boundary
-    classes in all (a larger table is built for each call and not kept);
-    callers must not change what it holds."""
+    genus 0 first); ``column[h, P]`` is the position in ``gens`` of a
+    canonical class, with no key for a mirror label, and its keys, in
+    order, are :func:`enumerate_boundary`; ``masks[j]`` is the P of
+    ``gens[n + 2 + j]`` as a bit mask, bit i - 1 for marking i: P's index
+    in :func:`_mask_sums`.  Built once per (g, n) and kept while the tables
+    used since hold at most :data:`_TABLE_CLASSES` boundary classes in all
+    (a larger table is built for each call and not kept); callers must not
+    change what it holds."""
     check_work(g, n, 8)
     with _tables_lock:
         table = _tables.get((g, n))
@@ -329,13 +356,21 @@ def _exact(value, what: str) -> Fraction:
     return Fraction(value)
 
 
+_PLAIN_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _json_coefficient(value) -> Fraction:
     """A JSON coefficient: a string ``Fraction()`` reads, or an int that is
     not a bool; anything else (a float, true, null) and a zero denominator
-    raise ``ValueError``."""
+    raise ``ValueError``.  ASCII digits, with an optional leading ``-`` and
+    ``/`` denominator, are read by ``int()`` and ``Fraction(p, q)``: the
+    value, and the error, that ``Fraction()`` gives, without its own parse."""
     if type(value) not in (str, int):
         raise ValueError(f"JSON coefficients must be strings or integers, got {value!r}")
     try:
+        if type(value) is str and _PLAIN_RATIONAL.fullmatch(value):
+            p, _, q = value.partition("/")
+            return Fraction(int(p), int(q or 1))
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"coefficient {value!r} has a zero denominator") from None
@@ -450,7 +485,7 @@ class DivisorClass:
     def to_json_dict(self) -> dict:
         """Full-basis JSON form; rationals as lowest-terms "p/q" strings."""
         get, zero = self.coeffs.get, Fraction(0)
-        gens, column = _basis_table(self.g, self.n)
+        gens, column, _ = _basis_table(self.g, self.n)
         # str per entry: printing a Fraction is cheaper than hashing one
         return {
             "g": self.g,
@@ -473,8 +508,26 @@ class DivisorClass:
         parsed: dict[str, Fraction] = {}  # one parse per distinct coefficient string
         coeffs: dict[Generator, Fraction] = {}
 
-        def put(gen: Generator, text) -> None:
-            """Store the coefficient ``text`` on ``gen`` unless it is zero."""
+        def entries() -> Iterator[tuple[Generator, object]]:
+            """Each generator given, with its coefficient as given."""
+            yield LAMBDA1, raw["lambda1"]
+            yield DELTA_IRR, raw["delta_irr"]
+            yield from zip(map(K, itertools.count(1)), _json_list(raw["K"]))
+            gens, column, _ = _basis_table(g, n)
+            seen = bytearray(len(gens))  # the columns given so far, zeros too
+            for entry in _json_list(raw["boundary"]):
+                h, P = entry["h"], tuple(_json_list(entry["P"]))
+                # type() first: True, 1.0 and [1] must not reach the dict, and a
+                # miss (a mirror label, a bad entry) canonicalizes or refuses
+                col = column.get((h, P)) if type(h) is int and {*map(type, P)} <= {int} else None
+                if col is None:
+                    col = column[canonicalize_boundary(h, P, g, n)]
+                if seen[col]:
+                    raise ValueError(f"boundary class {generator_label(gens[col])} given twice")
+                seen[col] = 1
+                yield gens[col], entry["c"]
+
+        for gen, text in entries():
             # only strings are looked up: an unhashable value is refused unhashed
             c = parsed.get(text) if type(text) is str else None
             if c is None:
@@ -483,24 +536,6 @@ class DivisorClass:
                     parsed[text] = c
             if c.numerator:
                 coeffs[gen] = c
-
-        put(LAMBDA1, raw["lambda1"])
-        put(DELTA_IRR, raw["delta_irr"])
-        for i, text in enumerate(_json_list(raw["K"]), start=1):
-            put(K(i), text)
-        gens, column = _basis_table(g, n)
-        seen = bytearray(len(gens))  # the columns given so far, zeros too
-        for entry in _json_list(raw["boundary"]):
-            h, P = entry["h"], tuple(_json_list(entry["P"]))
-            # type() first: True, 1.0 and [1] must not reach the dict, and a
-            # miss (a mirror label, a bad entry) canonicalizes or refuses
-            col = column.get((h, P)) if type(h) is int and {*map(type, P)} <= {int} else None
-            if col is None:
-                col = column[canonicalize_boundary(h, P, g, n)]
-            if seen[col]:
-                raise ValueError(f"boundary class {generator_label(gens[col])} given twice")
-            seen[col] = 1
-            put(gens[col], entry["c"])
         # generators canonical and coefficients nonzero Fractions by now:
         # only the number of K entries is left to check
         if len(raw["K"]) > n:
@@ -520,23 +555,20 @@ def psi_in_k_basis(i: int, g: int, n: int) -> DivisorClass:
 def _substitute_psi(g: int, n: int, coeffs: Mapping[Generator, Fraction], sign: int) -> DivisorClass:
     """Add ``sign`` times the sum of the point-slot coefficients over P to
     each genus-0 class delta_0^P, |P| >= 2 (all canonical as they stand):
-    sign -1 reads the slots as K_i, +1 as psi_i.  Refused, as
+    sign -1 reads the slots as K_i, +1 as psi_i.  The sums over P are read
+    by P's bit mask from :func:`_mask_sums` of the slots.  Refused, as
     :func:`enumerate_boundary` is, above the work budget at 8 units a class."""
-    gens = _basis_table(g, n)[0]
+    gens, _, masks = _basis_table(g, n)
     a = [coeffs.get(K(i), 0) for i in range(1, n + 1)]  # an absent slot is the int 0
     den = math.lcm(*(x.denominator for x in a))
     nums = [sign * x.numerator * (den // x.denominator) for x in a]
     out = dict(coeffs)
-    # integer subset sums over the common denominator, one addition each:
-    # P's is that of P without its largest element, which comes earlier in
-    # the order, plus that element's slot
-    sums = {(i,): x for i, x in enumerate(nums, start=1)}
+    sums = _mask_sums(nums)  # integer subset sums over the common denominator
     # one Fraction, or None for a zero, per distinct (sum, old p, old q):
     # total / den + p / q made from integers, with no Fraction addition
     made: dict[tuple[int, int, int], Fraction | None] = {}
-    for gen in gens[n + 2 : 2**n + 1]:  # the 2^n - n - 1 genus-0 classes
-        P = gen.boundary.P
-        sums[P] = total = sums[P[:-1]] + nums[P[-1] - 1]
+    for gen, mask in zip(gens[n + 2 : 2**n + 1], masks):  # the 2^n - n - 1 genus-0 classes
+        total = sums[mask]
         if not total:  # the old coefficient stands
             continue
         old = out.get(gen)

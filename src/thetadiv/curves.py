@@ -167,7 +167,7 @@ def _rows(g: int, n: int) -> tuple[tuple[Generator, ...], Callable[[int], dict]]
     """The basis for (g, n) and its row source: ``row(c)`` is the row of
     the family dual to column c."""
     _check_dual(g, n)
-    gens, column = _basis_table(g, n)
+    gens, column, _ = _basis_table(g, n)
     return gens, lambda c: _row(gens[c], g, n, column)
 
 

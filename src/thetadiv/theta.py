@@ -46,13 +46,15 @@ generators of the basis table for (g, n), which is enumerated once per
 coefficients as they stand.  The vanishing rule is stated once, in
 :func:`_vanishing`: a D route is that same one pass, which takes each
 class's order, doubled, off its integer numerator, and the ledger is one
-pass that keeps the classes whose order is nonzero.  Those numbers come
-from one subset-sum table, built after the table's work-budget check,
-each entry from that of P without its largest element; the arithmetic is
-in ints, with one Fraction per distinct nonzero coefficient value.  Each
-class is built as one dict and a zero coefficient, a corrected one
-included, is dropped by an integer test where it arises, before any
-Fraction is made.
+pass that keeps the classes whose order is nonzero.  Those numbers are
+three int lists indexed by P's bit mask (d_P, ``sum_{i in P} d_i^2`` and
+the negative count), each built by doubling, one weight at a time, after
+the table's work-budget check; the table keeps each boundary generator's
+mask beside it, so a pass reads them by list index and hashes no P.  The
+arithmetic is in ints, with one Fraction per distinct nonzero
+coefficient value.  Each class is built as one dict and a zero
+coefficient, a corrected one included, is dropped by an integer test
+where it arises, before any Fraction is made.
 
 The effective-divisor locus (Mueller, *The pullback of a theta divisor
 to M_{g,n}-bar*, Math. Nachr. 286 (2013)) depends only on the line bundle
@@ -67,7 +69,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Iterable, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 from .basis import (
     DELTA_IRR,
@@ -78,7 +80,7 @@ from .basis import (
     Generator,
     _basis_table,
     _check_gn,
-    _subsets,
+    _mask_sums,
     canonicalize_boundary,
 )
 from .curves import TestCurve, _check_curve, curve_label
@@ -117,18 +119,13 @@ def plus_set(d: Sequence[int]) -> frozenset[int]:
     return frozenset(i for i, w in enumerate(d, start=1) if w >= 0)
 
 
-def _subset_sums(d: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, int, int]]:
-    """(d_P, sum_{i in P} d_i^2, number of negative weights in P) for every
-    subset P of the markings, keyed by P as a sorted tuple; each entry is
-    that of P without its largest element, which comes earlier in the
-    order, plus that element's terms.  Callers read the basis table
-    first, so the work budget refuses before these 2^n entries are built."""
-    sums = {(): (0, 0, 0)}
-    for P in _subsets(len(d), min_size=1):
-        s, q, neg = sums[P[:-1]]
-        w = d[P[-1] - 1]
-        sums[P] = (s + w, q + w * w, neg + (w < 0))
-    return sums
+def _subset_sums(d: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+    """Three int lists over the subsets P of the markings, each indexed by
+    P's bit mask (bit i - 1 for marking i, as the basis table's masks):
+    d_P, sum_{i in P} d_i^2 and the number of negative weights in P.
+    Callers read the basis table first, so the work budget refuses before
+    these 3 * 2^n entries are built."""
+    return _mask_sums(d), _mask_sums([w * w for w in d]), _mask_sums([int(w < 0) for w in d])
 
 
 def _vanishing(h: int, dP: int, neg: int, negatives: int) -> int:
@@ -146,7 +143,7 @@ def _vanishing(h: int, dP: int, neg: int, negatives: int) -> int:
 
 
 def _pullback(
-    d: tuple[int, ...], shift: int, deltas: Sequence[Generator], sums: dict, lead: tuple = (),
+    d: tuple[int, ...], shift: int, deltas: Iterable[tuple[Generator, int]], sums: tuple, lead: tuple = (),
     negatives: int = 0,
 ) -> dict[Generator, Fraction]:
     """Point and boundary coefficients of the theta pullback, after the
@@ -155,11 +152,12 @@ def _pullback(
     shift 1 for degree g-1 (K_i: d_i(d_i+1)/2, delta_h^P:
     -(d_P-h)(d_P-h+1)/2).  Genus-0 classes take
     -(d_P^2 - sum_{i in P} d_i^2)/2 either way.  ``deltas`` are the
-    boundary generators in enumeration order and ``sums``
-    :func:`_subset_sums` of d.  A nonzero ``negatives``, the number of
-    negative weights in d, makes this the effective-locus class: each
-    class's :func:`_vanishing` order, doubled, comes off its integer
-    numerator before any Fraction is made.
+    boundary generators in enumeration order, each paired with its P's bit
+    mask, as :func:`_deltas` gives them, and ``sums`` is
+    :func:`_subset_sums` of d, read at those masks.  A nonzero
+    ``negatives``, the number of negative weights in d, makes this the
+    effective-locus class: each class's :func:`_vanishing` order, doubled,
+    comes off its integer numerator before any Fraction is made.
 
     The dict holds its keys in basis order: the ``lead`` pairs, then K_i
     by i, then the boundary classes in the order of ``deltas``.
@@ -170,16 +168,17 @@ def _pullback(
         if w * (w + shift):
             coeffs[K(i)] = Fraction(w * (w + shift), 2)
     halves: dict[int, Fraction] = {}  # one Fraction per distinct numerator
-    for gen in deltas:
-        h, P = gen.boundary
-        dP, squares, neg = sums[P]
+    dPs, squares, negs = sums
+    for gen, mask in deltas:
+        h = gen.boundary.h
+        dP = dPs[mask]
         if h == 0:
-            num = squares - dP * dP
+            num = squares[mask] - dP * dP
         else:
             e = dP - shift * h
             num = -e * (e + shift)
         if negatives:
-            num -= 2 * _vanishing(h, dP, neg, negatives)
+            num -= 2 * _vanishing(h, dP, negs[mask], negatives)
         if num:
             c = halves.get(num)
             if c is None:
@@ -188,10 +187,12 @@ def _pullback(
     return coeffs
 
 
-def _deltas(g: int, n: int) -> tuple[Generator, ...]:
+def _deltas(g: int, n: int) -> Iterator[tuple[Generator, int]]:
     """The boundary generators of the basis table for (g, n), in
-    enumeration order, refused above the work budget as it is."""
-    return _basis_table(g, n)[0][n + 2 :]
+    enumeration order, each paired with its P's bit mask; refused above
+    the work budget as the table is."""
+    gens, _, masks = _basis_table(g, n)
+    return zip(gens[n + 2 :], masks)
 
 
 # the leading (generator, coefficient) pairs of Theta and of D
@@ -263,12 +264,11 @@ def correction_ledger(g: int, n: int, d: Sequence[int]) -> CorrectionLedger:
     side carries only plus-weights: the enumerated (h, P) when P holds no
     negative weight, its mirror otherwise."""
     d, negatives = _effective_weights(g, n, d)
-    deltas, sums = _deltas(g, n), _subset_sums(d)
+    deltas, (dPs, _, negs) = _deltas(g, n), _subset_sums(d)
     terms: list[CorrectionTerm] = []
-    for gen in deltas:
-        b = gen.boundary
-        dP, _, neg = sums[b.P]
-        mult = _vanishing(b.h, dP, neg, negatives)
+    for gen, mask in deltas:
+        b, neg = gen.boundary, negs[mask]
+        mult = _vanishing(b.h, dPs[mask], neg, negatives)
         if mult:
             terms.append(CorrectionTerm(*(b if neg == 0 else b.mirror(g, n)), mult))
     return CorrectionLedger(g, n, tuple(terms))

@@ -1,10 +1,13 @@
 """Tests for the divisor basis: canonicalization, enumeration, arithmetic."""
 
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import thetadiv.basis as basis
 from thetadiv.basis import (
@@ -30,7 +33,7 @@ from thetadiv.basis import (
     relabel_generator,
 )
 from thetadiv.curves import ELLIPTIC_TAIL, intersect, pair, point_curve, relabel_curve
-from thetadiv.drcycle import dr_expansion, relabel_cycle
+from thetadiv.drcycle import FormalCycle, dr_expansion, relabel_cycle
 from thetadiv.solve import certify_basis, reconstruct_T
 from thetadiv.theta import class_T
 
@@ -206,6 +209,22 @@ def test_markings_must_be_ints():
             DivisorClass.from_json_dict(data)
 
 
+def test_a_marking_set_that_repeats_a_marking_is_refused():
+    # the repeat was dropped: (1, (2, 2)) was read as (1, (2,)), the label
+    # delta_1^{2,2} as delta_1^{2} and a JSON P of [1, 2, 2, 1] as {1, 2}
+    with pytest.raises(ValueError, match=r"^marking set \(2, 2\) repeats a marking$"):
+        canonicalize_boundary(1, (2, 2), 3, 2)
+    with pytest.raises(ValueError, match="repeats a marking"):
+        parse_generator_label("delta_1^{2,2}", 3, 2)
+    data = DivisorClass.zero(3, 2).to_json_dict()
+    data["coeffs"]["boundary"] = [{"h": 0, "P": [1, 2, 2, 1], "c": "1"}]
+    with pytest.raises(ValueError, match=r"^marking set \(1, 2, 2, 1\) repeats a marking$"):
+        DivisorClass.from_json_dict(data)
+    cycle = {"g": 3, "n": 2, "terms": [{"monomial": [["delta_1^{2,2}", 1]], "c": "1"}]}
+    with pytest.raises(ValueError, match="repeats a marking"):
+        FormalCycle.from_json_dict(cycle)
+
+
 def test_generators_are_tuples_compared_by_value():
     b = BoundaryIndex(0, (1, 2))
     assert b == (0, (1, 2)) and hash(b) == hash((0, (1, 2)))
@@ -306,6 +325,19 @@ def test_boundary_count_matches_enumeration():
     for g in range(1, 9):
         for n in range(1, 10):
             assert _boundary_count(g, n) == len(enumerate_boundary(g, n)), (g, n)
+
+
+def test_the_basis_table_holds_each_marking_set_as_a_bit_mask():
+    # the closed forms and the psi/K change of basis read per-subset sums
+    # at these masks: entry j is P's mask for the j-th boundary class
+    from thetadiv.basis import _boundary_count
+
+    for g in range(1, 9):
+        for n in range(1, 9):
+            masks = basis._basis_table(g, n)[2]
+            assert len(masks) == _boundary_count(g, n), (g, n)
+            expected = [sum(2 ** (i - 1) for i in b.P) for b in enumerate_boundary(g, n)]
+            assert list(masks) == expected, (g, n)
 
 
 BUDGET_REFUSAL = "above the budget of 5000000; set THETADIV_BUDGET to override"
@@ -476,6 +508,49 @@ def test_json_read_refuses_inexact_coefficients(value):
     data["coeffs"]["K"] = [2, "0"]  # an int that is not a bool is exact
     data["coeffs"]["boundary"][0]["c"] = "0"
     assert DivisorClass.from_json_dict(data) == DivisorClass(3, 2, {K(1): 2})
+
+
+def read_coefficient(text):
+    """The general reader: ``Fraction(text)``, a zero denominator refused."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {text!r} has a zero denominator") from None
+
+
+def outcome(read, text):
+    try:
+        c = read(text)
+    except ValueError as exc:
+        return str(exc)
+    return type(c), c
+
+
+# a digit run past the int-to-str limit (4300 where there is none)
+_LONG = "7" * ((getattr(sys, "get_int_max_str_digits", int)() or 4300) + 1)
+
+
+@example(text="-0")
+@example(text="0/5")
+@example(text="1/0")
+@example(text="-0/0")
+@example(text="007/010")
+@example(text="1_000")
+@example(text=" 3")
+@example(text="+3")
+@example(text="\u0663")  # an Arabic-Indic three
+@example(text=_LONG)
+@example(text="1/" + _LONG)
+@example(text=_LONG + "/0")
+# at most 8 characters: Fraction("1e999999") takes 0.25 s, and each
+# further exponent digit about 40 times as long
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(text=st.text(alphabet="0123456789\u0663-+/._e ", max_size=8))
+def test_json_coefficients_read_as_fraction_reads_them(text):
+    # plain ASCII "-p/q" strings skip Fraction's own parse; every string
+    # must still give Fraction's value, or the same refusal; the
+    # IntersectionMatrix reader shares this path
+    assert outcome(basis._json_coefficient, text) == outcome(read_coefficient, text)
 
 
 def test_every_relabel_refuses_a_non_permutation():
@@ -726,4 +801,4 @@ def test_the_basis_table_cache_holds_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert sum(len(column) for _, column in basis._tables.values()) <= 150
+    assert sum(len(column) for _, column, _ in basis._tables.values()) <= 150

@@ -4,7 +4,7 @@ import contextlib
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -462,7 +462,8 @@ def test_closed_forms_match_the_subset_loop(case):
     d1 = head + (g - 1 - sum(head),)
     for d, shift in ((d0, 0), (d1, 1)):
         table = theta._subset_sums(d)
-        deltas = [delta(b) for b in enumerate_boundary(g, n)]
+        # each P's bit mask, bit i - 1 for marking i, made from P itself
+        deltas = [(delta(b), sum(1 << (i - 1) for i in b.P)) for b in enumerate_boundary(g, n)]
         # _pullback drops its zeros where they arise: compare without them
         expected = {gen: c for gen, c in reference_pullback(g, n, d, shift).items() if c != 0}
         assert theta._pullback(d, shift, deltas, table) == expected
@@ -477,3 +478,20 @@ def test_closed_forms_match_the_subset_loop(case):
     for f in (class_D_direct, class_D_from_theta):
         with small_genus_warning(g):
             assert f(g, n, d1) == expected
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(d=st.lists(st.integers(-9, 9), min_size=1, max_size=8).map(tuple))
+def test_subset_sums_are_indexed_by_bit_mask(d):
+    # each list is read at P's bit mask, bit i - 1 for marking i
+    n = len(d)
+    lists = theta._subset_sums(d)
+    assert [len(values) for values in lists] == [2**n] * 3
+    assert all(type(x) is int for values in lists for x in values)
+    sums, squares, negatives = lists
+    for size in range(n + 1):
+        for P in combinations(range(1, n + 1), size):
+            mask = sum(1 << (i - 1) for i in P)
+            assert sums[mask] == weight_sum(d, P), P
+            assert squares[mask] == sum(d[i - 1] ** 2 for i in P), P
+            assert negatives[mask] == sum(d[i - 1] < 0 for i in P), P
