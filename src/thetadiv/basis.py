@@ -65,11 +65,12 @@ import itertools
 import math
 import os
 import re
+import sys
 import threading
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from fractions import Fraction
+from fractions import _RATIONAL_FORMAT, Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
@@ -364,16 +365,45 @@ def _json_coefficient(value) -> Fraction:
     not a bool; anything else (a float, true, null) and a zero denominator
     raise ``ValueError``.  ASCII digits, with an optional leading ``-`` and
     ``/`` denominator, are read by ``int()`` and ``Fraction(p, q)``: the
-    value, and the error, that ``Fraction()`` gives, without its own parse."""
+    value, and the error, that ``Fraction()`` gives, without its own parse.
+    A decimal exponent above the int-to-str digit limit (4300 where there
+    is none) is refused before ``Fraction()`` builds its power of ten,
+    which takes 0.4 s at ``1e999999``."""
     if type(value) not in (str, int):
         raise ValueError(f"JSON coefficients must be strings or integers, got {value!r}")
     try:
         if type(value) is str and _PLAIN_RATIONAL.fullmatch(value):
             p, _, q = value.partition("/")
             return Fraction(int(p), int(q or 1))
+        match = type(value) is str and _RATIONAL_FORMAT.match(value)  # Fraction()'s own pattern
+        bound = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300  # 0: no limit
+        if match and match["exp"] and abs(int(match["exp"])) > bound:
+            raise ValueError(f"coefficient {value!r} has a decimal exponent above {bound}")
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"coefficient {value!r} has a zero denominator") from None
+
+
+class _Memo(dict):
+    """A dict that makes the value of a missing key as ``make(key)`` and
+    keeps it: a memo for the length of one call, held by that call."""
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _texts(values: Iterable) -> dict[int, str]:
+    """``str(c)`` for each distinct object c among ``values``, keyed by
+    ``id(c)``, so that a renderer prints each coefficient object once.  An
+    id names its object only while the object lives: the caller holds
+    every one of them (a class or a cycle its own coefficients) for as
+    long as it reads the result.  Objects, not values, are the keys:
+    hashing a Fraction costs more than printing it."""
+    return {key: str(c) for key, c in {id(c): c for c in values}.items()}
 
 
 def _json_list(value) -> list | tuple:
@@ -486,16 +516,16 @@ class DivisorClass:
         """Full-basis JSON form; rationals as lowest-terms "p/q" strings."""
         get, zero = self.coeffs.get, Fraction(0)
         gens, column, _ = _basis_table(self.g, self.n)
-        # str per entry: printing a Fraction is cheaper than hashing one
+        text = _texts([zero, *self.coeffs.values()])  # each object printed once, read by id
         return {
             "g": self.g,
             "n": self.n,
             "coeffs": {
-                "lambda1": str(get(LAMBDA1, zero)),
-                "delta_irr": str(get(DELTA_IRR, zero)),
-                "K": [str(get(K(i), zero)) for i in range(1, self.n + 1)],
+                "lambda1": text[id(get(LAMBDA1, zero))],
+                "delta_irr": text[id(get(DELTA_IRR, zero))],
+                "K": [text[id(get(K(i), zero))] for i in range(1, self.n + 1)],
                 "boundary": [
-                    {"h": b.h, "P": list(b.P), "c": str(get(gen, zero))}
+                    {"h": b.h, "P": list(b.P), "c": text[id(get(gen, zero))]}
                     for b, gen in zip(column, gens[self.n + 2 :])
                 ],
             },
@@ -505,7 +535,7 @@ class DivisorClass:
     def from_json_dict(cls, data: Mapping) -> "DivisorClass":
         g, n = data["g"], data["n"]
         raw = data["coeffs"]
-        parsed: dict[str, Fraction] = {}  # one parse per distinct coefficient string
+        parsed = _Memo(_json_coefficient)  # one parse per distinct coefficient string
         coeffs: dict[Generator, Fraction] = {}
 
         def entries() -> Iterator[tuple[Generator, object]]:
@@ -529,11 +559,7 @@ class DivisorClass:
 
         for gen, text in entries():
             # only strings are looked up: an unhashable value is refused unhashed
-            c = parsed.get(text) if type(text) is str else None
-            if c is None:
-                c = _json_coefficient(text)
-                if type(text) is str:
-                    parsed[text] = c
+            c = parsed[text] if type(text) is str else _json_coefficient(text)
             if c.numerator:
                 coeffs[gen] = c
         # generators canonical and coefficients nonzero Fractions by now:

@@ -16,21 +16,25 @@ coefficient c_j, so there are C(k + g - 1, g) of them.  ``terms`` always
 holds them in output order, by the list of their factors' (basis order,
 exponent) pairs: the constructor, :meth:`FormalCycle.from_json_dict` and
 :func:`relabel_cycle` sort through :func:`_in_output_order`, its one
-definition, and the renderers read ``terms`` as it stands, rendering each
-distinct factor once per call.  The expansion reads T as
-:func:`thetadiv.theta._pullback` builds it: no zero coefficient, no
-``lambda1`` and no ``delta_irr`` term (so no restriction to compact type
-is needed), and its keys in basis order (so no sort is needed).  It is
-born in output order: a depth-first walk over a k x (g + 1) table of the
-factors (generator, e) and c_j^e / e! as integer pairs, built once per
-call, takes the first generator by rank, then its exponent from 1 up to
-the degree left, then the later generators, multiplying numerator and
-denominator along the path (O(1) amortized steps and one Fraction a
-monomial).  It returns through :meth:`FormalCycle._trusted`, which
-checks nothing.  Generators are values, so every per-generator table here
-(the validation keys, sort codes, labels, evaluation powers and
-relabelled images) is keyed by the generator itself, and a cycle written
-with equal but distinct generators behaves as the expansion does.
+definition, and the renderers read ``terms`` as it stands, rendering
+each distinct factor and each distinct coefficient object once per
+call.  The expansion reads T as :func:`thetadiv.theta._pullback` builds
+it: no zero coefficient, no ``lambda1`` and no ``delta_irr`` term (so no
+restriction to compact type is needed), and its keys in basis order (so
+no sort is needed).  It is born in output order: a depth-first walk over
+a k x (g + 1) table of the factors (generator, e) and c_j^e / e! as
+integer pairs, built once per call, takes the first generator by rank,
+then its exponent from 1 up to the degree left, then the later
+generators, multiplying numerator and denominator along the path (O(1)
+amortized steps).  Its coefficients take few distinct values (66 over
+3,876 monomials at (4, 3, (1, -2, 1))), so one Fraction is made per
+distinct unreduced product, in a dict that lives for the call, and the
+monomials with that product share it.  It returns through
+:meth:`FormalCycle._trusted`, which checks nothing.  Generators are
+values, so every per-generator table here (the validation keys, sort
+codes, labels, evaluation powers and relabelled images) is keyed by the
+generator itself, and a cycle written with equal but distinct
+generators behaves as the expansion does.
 An expansion estimated above the work budget of
 :func:`thetadiv.basis.check_work` (10 g units a monomial on top of the
 class T) is refused before any monomial is built.
@@ -55,7 +59,9 @@ from .basis import (
     _json_coefficient,
     _json_list,
     _json_reader,
+    _Memo,
     _relabel,
+    _texts,
     _write_csv,
     check_work,
     generator_label,
@@ -111,7 +117,13 @@ class FormalCycle:
     their factors in strictly increasing basis order, so ``==`` is exact
     equality; ``terms`` holds the monomials in output order (see the
     module notes).  The constructor validates; the package's own producers
-    use :meth:`_trusted`."""
+    use :meth:`_trusted`.
+
+    Monomials may share one coefficient object, as those of an expansion
+    or of a cycle read from JSON do.  The renderers and :func:`evaluate`
+    work once per distinct object, which they look up by ``id`` for the
+    length of one call, while the cycle holds every object; a cycle whose
+    equal coefficients are distinct objects gives the same results."""
 
     g: int
     n: int
@@ -177,13 +189,17 @@ class FormalCycle:
         the order ``terms`` holds."""
         return list(self.terms.items())
 
-    def _labelled_terms(self) -> Iterator[tuple[str, Fraction]]:
-        """(monomial label, coefficient) in output order, each made when read."""
+    def _labelled_terms(self) -> Iterator[tuple[str, str]]:
+        """(monomial label, coefficient as text) in output order, each made
+        when read; each distinct coefficient object is printed once."""
         pieces: dict[tuple[Generator, int], str] = {}
-        return ((_join_factors(mono, pieces), c) for mono, c in self.terms.items())
+        text = _texts(self.terms.values())
+        for mono, c in self.terms.items():
+            yield _join_factors(mono, pieces), text[id(c)]
 
     def to_json_dict(self) -> dict:
         labels: dict[Generator, str] = {}  # filled on a miss
+        text = _texts(self.terms.values())
         terms = []
         for mono, c in self.terms.items():
             factors = []
@@ -192,7 +208,7 @@ class FormalCycle:
                 if label is None:
                     label = labels[gen] = generator_label(gen)
                 factors.append([label, e])
-            terms.append({"monomial": factors, "c": str(c)})
+            terms.append({"monomial": factors, "c": text[id(c)]})
         return {"g": self.g, "n": self.n, "terms": terms}
 
     def to_csv(self) -> str:
@@ -204,8 +220,9 @@ class FormalCycle:
     def from_json_dict(cls, data: Mapping) -> "FormalCycle":
         g, n = data["g"], data["n"]
         terms: dict[Monomial, Fraction] = {}
-        # each distinct label is parsed once
+        # each distinct label and each distinct coefficient string is parsed once
         generators: dict[str, Generator] = {}
+        parsed = _Memo(_json_coefficient)
         for entry in _json_list(data["terms"]):
             if not isinstance(entry, Mapping) or not entry.keys() >= {"monomial", "c"}:
                 raise ValueError(f"a JSON term needs a 'monomial' and a 'c', got {entry!r}")
@@ -221,7 +238,8 @@ class FormalCycle:
             mono = tuple(mono)
             if mono in terms:
                 raise ValueError(f"monomial {monomial_label(mono)} given twice")
-            terms[mono] = _json_coefficient(entry["c"])
+            c = entry["c"]  # only strings are looked up, as in DivisorClass.from_json_dict
+            terms[mono] = parsed[c] if type(c) is str else _json_coefficient(c)
         return cls(g, n, terms)
 
 
@@ -244,26 +262,28 @@ def dr_expansion(g: int, n: int, d: Sequence[int]) -> FormalCycle:
             row.append(((gen, e), weight.numerator, weight.denominator))
         table.append(row)
     terms: dict[Monomial, Fraction] = {}
-    _walk(table, 0, g, (), 1, 1, terms)
+    _walk(table, 0, g, (), 1, 1, terms, _Memo(lambda pair: Fraction(*pair)))
     return FormalCycle._trusted(g, n, terms)
 
 
 def _walk(
-    table: list, start: int, left: int, head: Monomial, num: int, den: int, terms: dict
+    table: list, start: int, left: int, head: Monomial, num: int, den: int, terms: dict, made: _Memo
 ) -> None:
     """Add to ``terms``, in output order, each monomial ``head`` times factors
     of total degree ``left`` from rows ``start..`` of the table of
-    :func:`dr_expansion`; ``num / den`` is the coefficient of ``head``.  A
-    module function, not a closure: a closure that calls itself is a
+    :func:`dr_expansion`; ``num / den`` is the coefficient of ``head``.
+    ``made`` makes and keeps the coefficient Fractions of this expansion,
+    by their unreduced (numerator, denominator): equal products share one.
+    A module function, not a closure: a closure that calls itself is a
     reference cycle and would keep each expansion alive until garbage
     collection."""
     for j in range(start, len(table)):
         row = table[j]
         for e in range(1, left):
             factor, p, q = row[e]
-            _walk(table, j + 1, left - e, head + (factor,), num * p, den * q, terms)
+            _walk(table, j + 1, left - e, head + (factor,), num * p, den * q, terms, made)
         factor, p, q = row[left]
-        terms[head + (factor,)] = Fraction(num * p, den * q)
+        terms[head + (factor,)] = made[num * p, den * q]
 
 
 def evaluate(cycle: FormalCycle, assignment: Mapping[Generator, Fraction]) -> Fraction:
@@ -289,10 +309,12 @@ def evaluate(cycle: FormalCycle, assignment: Mapping[Generator, Fraction]) -> Fr
         row = powers[gen] = [1]
         for _ in range(cycle.g):
             row.append(row[-1] * P)
-    L = math.lcm(*(c.denominator for c in cycle.terms.values()))
+    coeffs = {id(c): c for c in cycle.terms.values()}  # each distinct object once
+    L = math.lcm(*(c.denominator for c in coeffs.values()))
+    scaled = {key: c.numerator * (L // c.denominator) for key, c in coeffs.items()}
     total = 0
     for mono, c in cycle.terms.items():
-        value = c.numerator * (L // c.denominator)
+        value = scaled[id(c)]
         for gen, e in mono:
             value *= powers[gen][e]
         total += value

@@ -32,7 +32,15 @@ from thetadiv.basis import (
     relabel_class,
     relabel_generator,
 )
-from thetadiv.curves import ELLIPTIC_TAIL, intersect, pair, point_curve, relabel_curve
+from thetadiv.curves import (
+    ELLIPTIC_TAIL,
+    IntersectionMatrix,
+    build_matrix,
+    intersect,
+    pair,
+    point_curve,
+    relabel_curve,
+)
 from thetadiv.drcycle import FormalCycle, dr_expansion, relabel_cycle
 from thetadiv.solve import certify_basis, reconstruct_T
 from thetadiv.theta import class_T
@@ -510,12 +518,23 @@ def test_json_read_refuses_inexact_coefficients(value):
     assert DivisorClass.from_json_dict(data) == DivisorClass(3, 2, {K(1): 2})
 
 
+# the int-to-str limit (4300 where there is none): a bound on digit runs
+# and on a decimal exponent
+LIMIT = getattr(sys, "get_int_max_str_digits", int)() or 4300
+
+
 def read_coefficient(text):
-    """The general reader: ``Fraction(text)``, a zero denominator refused."""
+    """The general reader: ``Fraction(text)``, a zero denominator refused,
+    and a decimal exponent above LIMIT refused; in a string Fraction reads,
+    the exponent is what follows its last e."""
     try:
-        return Fraction(text)
+        c = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"coefficient {text!r} has a zero denominator") from None
+    _, e, exponent = text.lower().rpartition("e")
+    if e and abs(int(exponent)) > LIMIT:
+        raise ValueError(f"coefficient {text!r} has a decimal exponent above {LIMIT}")
+    return c
 
 
 def outcome(read, text):
@@ -526,8 +545,8 @@ def outcome(read, text):
     return type(c), c
 
 
-# a digit run past the int-to-str limit (4300 where there is none)
-_LONG = "7" * ((getattr(sys, "get_int_max_str_digits", int)() or 4300) + 1)
+# a digit run past the int-to-str limit
+_LONG = "7" * (LIMIT + 1)
 
 
 @example(text="-0")
@@ -542,8 +561,12 @@ _LONG = "7" * ((getattr(sys, "get_int_max_str_digits", int)() or 4300) + 1)
 @example(text=_LONG)
 @example(text="1/" + _LONG)
 @example(text=_LONG + "/0")
-# at most 8 characters: Fraction("1e999999") takes 0.25 s, and each
-# further exponent digit about 40 times as long
+@example(text=f"1e{LIMIT}")
+@example(text=f"-.5E+{LIMIT + 1} ")
+@example(text=f"1e-{LIMIT + 1}")
+# at most 8 characters: the reference still asks Fraction, and
+# Fraction("1e999999") takes 0.4 s, each further exponent digit about 40
+# times as long
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
 @given(text=st.text(alphabet="0123456789\u0663-+/._e ", max_size=8))
 def test_json_coefficients_read_as_fraction_reads_them(text):
@@ -551,6 +574,27 @@ def test_json_coefficients_read_as_fraction_reads_them(text):
     # must still give Fraction's value, or the same refusal; the
     # IntersectionMatrix reader shares this path
     assert outcome(basis._json_coefficient, text) == outcome(read_coefficient, text)
+
+
+def test_a_json_coefficient_with_a_large_exponent_is_refused():
+    # Fraction("1e999999") builds 10**999999 (0.4 s; "1e9999999" about
+    # 10 s), so a JSON document of a few bytes could hang any of its readers
+    refused = f"has a decimal exponent above {LIMIT}"
+    for text in ("1e999999", "-2.5E-999999", " 1e+999999 ", f"1e{LIMIT + 1}"):
+        with pytest.raises(ValueError, match=refused):
+            basis._json_coefficient(text)
+    assert basis._json_coefficient(f"1e{LIMIT}") == 10**LIMIT
+    assert basis._json_coefficient(f"7e-{LIMIT}") == Fraction(7, 10**LIMIT)
+    # every JSON reader goes through it
+    x = DivisorClass(3, 2, {K(1): 1}).to_json_dict()
+    x["coeffs"]["K"][1] = "1e999999"
+    cycle = dr_expansion(3, 2, (1, -1)).to_json_dict()
+    cycle["terms"][0]["c"] = "1e999999"
+    mat = build_matrix(3, 1).to_json_dict()
+    mat["entries"][0][0] = "1e999999"
+    for reader, data in ((DivisorClass, x), (FormalCycle, cycle), (IntersectionMatrix, mat)):
+        with pytest.raises(ValueError, match=refused):
+            reader.from_json_dict(data)
 
 
 def test_every_relabel_refuses_a_non_permutation():

@@ -1,21 +1,30 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
+import math
 import random
 import os
 import shlex
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import thetadiv
 from thetadiv.cli import FORMATS, main, sample_degree_weights, verify_mueller
+from thetadiv.drcycle import dr_expansion, monomial_label, restrict_to_compact_type
 from thetadiv.solve import SingularMatrixError
+from thetadiv.theta import class_T
 
 
 def readme_commands():
@@ -312,13 +321,72 @@ DR_DIGESTS = {
 }
 
 
+# the same at the benchmark's two large sizes, at weights whose
+# coefficients repeat most (66 values over 3,876 monomials, 21 over
+# 2,925), taken while the expansion made one Fraction a monomial and the
+# renderers printed each term
+DR_REPEATING_WEIGHTS = {(4, 3): "1,-2,1", (3, 4): "1,-1,1,-1"}
+DR_REPEATING_DIGESTS = {
+    (4, 3, "pretty"): "5164b325058333487539e5d681c646d8d9cf3597363e29802a9b436cfdd826dc",
+    (4, 3, "json"): "92d30fb4a572b19a70e1d77e98b456944afa0884886b2408362d934d5072e8ac",
+    (4, 3, "csv"): "84211675dd1b529668308c2ca15cd98cdba3c5c7384936295b771efe2cb256db",
+    (3, 4, "pretty"): "f153b3d1112a5810b57508e43c80c223d9d6335e6465841758b6189368750c80",
+    (3, 4, "json"): "ee052cfba41f2c5fd6d92deac78f61ac3c2dea0b9cb1996caf260c5cc3716690",
+    (3, 4, "csv"): "8d0b495ce026c27ab14b9acf2305591e6dcc1844104e07e0ec2d7dcd0ca95513",
+}
+
+
+def dr_output_digest(capsys, g, n, d, fmt):
+    code, out, err = run(capsys, "dr", "--g", str(g), "--n", str(n), "--d", d, "--format", fmt)
+    assert (code, err) == (0, "")
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("g, n, fmt", sorted(DR_DIGESTS))
 def test_dr_output_bytes(capsys, g, n, fmt):
-    code, out, err = run(
-        capsys, "dr", "--g", str(g), "--n", str(n), "--d", DR_WEIGHTS[g, n], "--format", fmt
-    )
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == DR_DIGESTS[g, n, fmt]
+    assert dr_output_digest(capsys, g, n, DR_WEIGHTS[g, n], fmt) == DR_DIGESTS[g, n, fmt]
+
+
+@pytest.mark.parametrize("g, n, fmt", sorted(DR_REPEATING_DIGESTS))
+def test_dr_output_bytes_where_coefficients_repeat(capsys, g, n, fmt):
+    digest = dr_output_digest(capsys, g, n, DR_REPEATING_WEIGHTS[g, n], fmt)
+    assert digest == DR_REPEATING_DIGESTS[g, n, fmt]
+
+
+@st.composite
+def dr_commands(draw):
+    """(g, n, weights) of total degree 0 with at most 400 monomials."""
+    g, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    head = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+    d = (*head, -sum(head))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        k = len(restrict_to_compact_type(class_T(g, n, d)).coeffs)
+    assume(math.comb(k + g - 1, g) <= 400)
+    return g, n, d
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # genus 1 and 2 warn
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(case=dr_commands())
+def test_dr_formats_carry_the_expansion(case):
+    # every format prints each monomial's label and its coefficient as str
+    # prints it, in output order: the renderers share each coefficient's text
+    g, n, d = case
+    want = [(monomial_label(mono), str(c)) for mono, c in dr_expansion(g, n, d).terms.items()]
+    out = {}
+    for fmt in FORMATS:
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            argv = ["dr", "--g", str(g), "--n", str(n), f"--d={','.join(map(str, d))}"]
+            assert main([*argv, "--format", fmt]) == 0
+        out[fmt] = buf.getvalue()
+    terms = json.loads(out["json"])["terms"]
+    # JSON carries factors, not labels: join them as the label does
+    labels = ["*".join(lab if e == 1 else f"{lab}^{e}" for lab, e in t["monomial"]) for t in terms]
+    assert list(zip(labels, (t["c"] for t in terms))) == want
+    rows = list(csv.reader(io.StringIO(out["csv"])))
+    assert rows[0] == ["monomial", "coefficient"] and [tuple(r) for r in rows[1:]] == want
+    assert [tuple(line.rsplit(": ", 1)) for line in out["pretty"].splitlines()] == want
 
 
 # sha256 of the stdout of `thetadiv class` and `thetadiv ledger`, taken

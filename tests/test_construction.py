@@ -8,7 +8,18 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetadiv.basis import DivisorClass, k_to_psi, psi_in_k_basis, psi_to_k, relabel_class
+from thetadiv.basis import (
+    DELTA_IRR,
+    LAMBDA1,
+    DivisorClass,
+    K,
+    delta,
+    enumerate_boundary,
+    k_to_psi,
+    psi_in_k_basis,
+    psi_to_k,
+    relabel_class,
+)
 from thetadiv.drcycle import restrict_to_compact_type
 from thetadiv.solve import reconstruct_T, reconstruct_Theta
 from thetadiv.theta import class_D_direct, class_D_from_theta, class_T, class_Theta
@@ -93,3 +104,30 @@ def test_closed_forms_make_no_zero_filter_and_few_fractions(monkeypatch):
     # for these 129 values, one per ledger term and two per psi key
     assert counts["new"] <= 2 * sum(len(set(c.coeffs.values())) for c in results)
     assert results[-1] == results[2] and psi_to_k(results[4]) == Th
+
+
+def test_class_json_prints_each_coefficient_object_once(monkeypatch):
+    # at (5, 8) a class has 769 slots; one str a slot made 769 strings
+    # per document, most of them "0"
+    g, n = 5, 8
+    D = class_D_direct(g, n, (3, -1, 2, 0, -2, 1, 0, 1))
+    calls, text = [], Fraction.__str__
+
+    def counted_str(self):
+        calls.append(self)
+        return text(self)
+
+    monkeypatch.setattr(Fraction, "__str__", counted_str)
+    doc = D.to_json_dict()
+    monkeypatch.undo()
+    # each coefficient object once, and one zero for every absent slot
+    assert len(calls) == len({id(c) for c in D.coeffs.values()}) + 1 < 100
+    # the document a plain str per slot writes
+    assert doc["coeffs"] == {
+        "lambda1": str(D.coeff(LAMBDA1)),
+        "delta_irr": str(D.coeff(DELTA_IRR)),
+        "K": [str(D.coeff(K(i))) for i in range(1, n + 1)],
+        "boundary": [
+            {"h": b.h, "P": list(b.P), "c": str(D.coeff(delta(b)))} for b in enumerate_boundary(g, n)
+        ],
+    }

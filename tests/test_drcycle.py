@@ -454,6 +454,48 @@ def test_monomial_cap_bounds_the_count(monkeypatch):
     assert len(dr_expansion(3, 2, (1, -1)).terms) == 35
 
 
+def test_expansion_and_renderers_make_each_coefficient_once(monkeypatch):
+    # (4, 3, (1, -2, 1)): 3,876 monomials over 66 distinct values.  One
+    # Fraction a monomial made 4,028, and one str a term in to_json_dict
+    # and to_csv made 7,752 strings
+    g, n, d = 4, 3, (1, -2, 1)
+    basis_generators(g, n)  # the basis table is built by now
+    counts = {"new": 0, "str": 0}
+    new, text = Fraction.__new__, Fraction.__str__
+
+    def counted_new(cls, *args, **kwargs):
+        counts["new"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_str(self):
+        counts["str"] += 1
+        return text(self)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    cycle = dr_expansion(g, n, d)
+    monkeypatch.undo()
+    monkeypatch.setattr(Fraction, "__str__", counted_str)
+    as_json, as_csv = cycle.to_json_dict(), cycle.to_csv()
+    monkeypatch.undo()
+    objects = {id(c) for c in cycle.terms.values()}
+    assert (len(cycle.terms), len(set(cycle.terms.values()))) == (3876, 66)
+    assert counts["new"] < 300 and len(objects) < 100
+    assert counts["str"] == 2 * len(objects) < 200  # each object once per renderer
+    # a cycle read back shares one object per distinct string, and one
+    # whose every coefficient is an object of its own renders the same
+    read = FormalCycle.from_json_dict(as_json)
+    assert read == cycle and len({id(c) for c in read.terms.values()}) == 66
+    apart = FormalCycle._trusted(
+        g, n, {mono: Fraction(c.numerator, c.denominator) for mono, c in cycle.terms.items()}
+    )
+    assert len({id(c) for c in apart.terms.values()}) == 3876
+    values = {gen: Fraction(j - 7, j % 3 + 1) for j, gen in enumerate(basis_generators(g, n))}
+    for copy in (read, apart):
+        assert (copy.to_json_dict(), copy.to_csv()) == (as_json, as_csv)
+        assert list(copy._labelled_terms()) == list(cycle._labelled_terms())
+        assert evaluate(copy, values) == evaluate(cycle, values)
+
+
 def test_relabel_cycle_refuses_a_non_permutation():
     for cycle in (dr_expansion(3, 2, (1, -1)), FormalCycle(3, 2, {})):
         with pytest.raises(ValueError, match="not a permutation"):
