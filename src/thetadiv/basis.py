@@ -396,6 +396,14 @@ class _Memo(dict):
         return value
 
 
+def _json_coefficients():
+    """:func:`_json_coefficient` for the length of one JSON read: each
+    distinct string is parsed once, and any other value is read unhashed,
+    so that an unhashable one is refused with the same ``ValueError``."""
+    parsed = _Memo(_json_coefficient)
+    return lambda value: parsed[value] if type(value) is str else _json_coefficient(value)
+
+
 def _texts(values: Iterable) -> dict[int, str]:
     """``str(c)`` for each distinct object c among ``values``, keyed by
     ``id(c)``, so that a renderer prints each coefficient object once.  An
@@ -535,7 +543,7 @@ class DivisorClass:
     def from_json_dict(cls, data: Mapping) -> "DivisorClass":
         g, n = data["g"], data["n"]
         raw = data["coeffs"]
-        parsed = _Memo(_json_coefficient)  # one parse per distinct coefficient string
+        read = _json_coefficients()
         coeffs: dict[Generator, Fraction] = {}
 
         def entries() -> Iterator[tuple[Generator, object]]:
@@ -558,8 +566,7 @@ class DivisorClass:
                 yield gens[col], entry["c"]
 
         for gen, text in entries():
-            # only strings are looked up: an unhashable value is refused unhashed
-            c = parsed[text] if type(text) is str else _json_coefficient(text)
+            c = read(text)
             if c.numerator:
                 coeffs[gen] = c
         # generators canonical and coefficients nonzero Fractions by now:

@@ -26,19 +26,24 @@ divisors are stated once, as its sparse row of nonzero entries (they
 follow from the standard boundary-restriction computations; the
 elliptic-tail values already account for the 1/2 weighting), keyed by
 column position: 0 ``lambda1``, 1 ``delta_irr``, 1 + i ``K_i``, then the
-boundary classes through the ``(h, P) -> column`` dict of the basis
-table, built once per (g, n) and shared by every solve.  Entries are
-ints but for the elliptic tail's 1/24, 1/2 and -1/24.
+boundary classes through their flat key ``h << n | mask``, where P's bit
+mask has bit i - 1 for marking i, as the basis table's masks.
+:func:`_rows` resolves flat keys through one list, built once per call
+from the table's masks in O(B), holding each canonical class's column at
+its flat key.  Entries are ints but for the elliptic tail's 1/24, 1/2
+and -1/24.
 
 No entry is canonicalized: for a canonical node class (h, P) and j not in
-P, (h, P + {j}) is canonical as a sorted tuple, since h <= g-h still
-holds and at the tie h = g/2 the set P already contains 1; a point row's
-(0, {i, j}) is canonical as (min, max).  Only delta_1^{} is canonicalized,
-once per elliptic-tail or irreducible-node row.  :func:`intersect` is
+P, (h, P + {j}) is canonical, since h <= g-h still holds and at the tie
+h = g/2 the set P already contains 1; its flat key is the node's with bit
+j - 1 set.  A point row's (0, {i, j}) is canonical, at the flat key
+``bit_i | bit_j``.  Only delta_1^{} is canonicalized, once per
+elliptic-tail or irreducible-node row.  :func:`intersect` is
 :func:`pair` of a class of one generator.  :func:`pair` refuses anything
 but a :class:`DivisorClass`, validates the curve once, by the generator
 check of its dual, and reads its one row with each class (h, P) keyed by
-itself, building no O(B) dict; like
+the complement ``~k`` of its flat key k, below every position, building
+no O(B) list; like
 :func:`thetadiv.basis.canonicalize_boundary`, it first refuses an n whose
 boundary enumeration the work budget refuses, since a point row visits
 every marking.  The pairing matrix is invertible for g >= 3.
@@ -64,7 +69,7 @@ from .basis import (
     _boundary_label,
     _check_generator,
     _check_gn,
-    _json_coefficient,
+    _json_coefficients,
     _json_list,
     _json_reader,
     _write_csv,
@@ -130,27 +135,37 @@ def enumerate_test_curves(g: int, n: int) -> list[TestCurve]:
     return [TestCurve(gen) for gen in gens[2:] + gens[:2]]
 
 
-def _row(dual: Generator, g: int, n: int, column: Mapping) -> dict:
+def _flat(h: int, P, n: int) -> int:
+    """The flat key ``h << n | mask`` of the class (h, P) at n markings,
+    P's bit mask as the basis table's: bit i - 1 for marking i."""
+    key = h << n
+    for i in P:
+        key |= 1 << i - 1
+    return key
+
+
+def _row(dual: Generator, g: int, n: int, column: list | dict) -> dict:
     """The pairings of the family dual to a valid generator with the basis
     for (g, n) that can be nonzero, keyed as the module notes say, with
-    the canonical class (h, P) at ``column[h, P]``; absent keys pair to 0."""
+    the canonical class (h, P) at ``column[k]`` for its flat key k
+    (:func:`_flat`); absent keys pair to 0."""
     if dual.kind == "K":
-        i = dual.i
-        row = {1 + i: 2 * g - 2}
-        for j in range(1, n + 1):
-            if j != i:
+        own, row = 1 << dual.i - 1, {1 + dual.i: 2 * g - 2}
+        for j in range(n):
+            if j != dual.i - 1:
                 # the moving point collides with another marking: a rational tail
-                row[column[0, (min(i, j), max(i, j))]] = 1
+                row[column[own | 1 << j]] = 1
         return row  # lambda1 and delta_irr restrict trivially
     if dual.kind == "delta":
         h, P = dual.boundary
-        comp = [j for j in range(1, n + 1) if j not in P]
-        row = {1 + i: 2 * g - 2 for i in P} if h == 0 else {1 + i: 1 for i in comp}
+        own = _flat(h, P, n)
+        comp = [j for j in range(n) if not own >> j & 1]  # bit j: the marking j + 1
+        row = {1 + i: 2 * g - 2 for i in P} if h == 0 else {2 + j: 1 for j in comp}
         # self-intersection: minus the degree of the normal direction
-        row[column[h, P]] = 2 - 2 * (g - h) - len(comp)
+        row[column[own]] = 2 - 2 * (g - h) - len(comp)
         for j in comp:
-            # moving attach point hits the marking j: one transverse point
-            row[column[h, tuple(sorted(P + (j,)))]] = 1
+            # moving attach point hits the marking j + 1: one transverse point
+            row[column[own | 1 << j]] = 1
         return row  # lambda1 and delta_irr restrict trivially
     if dual == LAMBDA1:
         # K_i: all markings sit on the fixed component
@@ -159,27 +174,34 @@ def _row(dual: Generator, g: int, n: int, column: Mapping) -> dict:
         row, tail = {1: -1}, 1
     # delta_1^{} is unstable, so no generator, only at (g, n) = (1, 1)
     if (g, n) != (1, 1):
-        row[column[canonicalize_boundary(1, (), g, n)]] = tail
+        row[column[_flat(*canonicalize_boundary(1, (), g, n), n)]] = tail
     return row
 
 
 def _rows(g: int, n: int) -> tuple[tuple[Generator, ...], Callable[[int], dict]]:
     """The basis for (g, n) and its row source: ``row(c)`` is the row of
-    the family dual to column c."""
+    the family dual to column c.  Boundary entries are placed through one
+    list, built per call from the table's masks, holding at each flat key
+    its canonical class's column and None where no class is."""
     _check_dual(g, n)
-    gens, column, _ = _basis_table(g, n)
+    gens, _, masks = _basis_table(g, n)
+    column = [None] * ((g // 2 + 1) << n)
+    for c, gen, mask in zip(range(n + 2, len(gens)), gens[n + 2 :], masks):
+        column[gen.boundary.h << n | mask] = c
     return gens, lambda c: _row(gens[c], g, n, column)
 
 
 class _ByClass(dict):
-    def __missing__(self, key):  # a row read on its own: (h, P) keys itself
-        return key
+    def __missing__(self, key):  # a row read on its own: flat key k at ~k < 0
+        return ~key
 
 
-def _key(gen: Generator):
-    """Where a generator sits in a row placed by :class:`_ByClass`."""
+def _key(gen: Generator, n: int) -> int:
+    """Where a generator sits in a row placed by :class:`_ByClass`: its
+    column position, or ``~k`` for a boundary class of flat key k, which
+    no position can equal."""
     if gen.kind == "delta":
-        return gen.boundary
+        return ~_flat(*gen.boundary, n)
     return 1 + gen.i if gen.kind == "K" else int(gen == DELTA_IRR)
 
 
@@ -201,7 +223,8 @@ def pair(curve: TestCurve, divclass: DivisorClass) -> Fraction:
         check_work(divclass.g, divclass.n, 8)
     _check_curve(curve, divclass.g, divclass.n)
     row = _row(curve.dual, divclass.g, divclass.n, _ByClass())
-    return sum((c * row.get(_key(gen), 0) for gen, c in divclass.coeffs.items()), Fraction(0))
+    n = divclass.n
+    return sum((c * row.get(_key(gen, n), 0) for gen, c in divclass.coeffs.items()), Fraction(0))
 
 
 def relabel_curve(curve: TestCurve, sigma: tuple[int, ...], g: int, n: int) -> TestCurve:
@@ -255,7 +278,8 @@ class IntersectionMatrix:
             raise ValueError("row labels do not match the curve enumeration")
         if list(_json_list(data["cols"])) != [generator_label(gen) for gen in cols]:
             raise ValueError("column labels do not match the basis enumeration")
-        entries = tuple(tuple(map(_json_coefficient, _json_list(r))) for r in _json_list(data["entries"]))
+        read = _json_coefficients()  # at (5, 5), 15 distinct strings among 9,409 entries
+        entries = tuple(tuple(map(read, _json_list(r))) for r in _json_list(data["entries"]))
         m = len(rows)
         if len(entries) != m or any(len(row) != m for row in entries):
             raise ValueError(f"entries must be {m} rows of {m} values")

@@ -56,7 +56,7 @@ from .basis import (
     _check_gn,
     _check_permutation,
     _exact,
-    _json_coefficient,
+    _json_coefficients,
     _json_list,
     _json_reader,
     _Memo,
@@ -222,7 +222,7 @@ class FormalCycle:
         terms: dict[Monomial, Fraction] = {}
         # each distinct label and each distinct coefficient string is parsed once
         generators: dict[str, Generator] = {}
-        parsed = _Memo(_json_coefficient)
+        read = _json_coefficients()
         for entry in _json_list(data["terms"]):
             if not isinstance(entry, Mapping) or not entry.keys() >= {"monomial", "c"}:
                 raise ValueError(f"a JSON term needs a 'monomial' and a 'c', got {entry!r}")
@@ -238,8 +238,7 @@ class FormalCycle:
             mono = tuple(mono)
             if mono in terms:
                 raise ValueError(f"monomial {monomial_label(mono)} given twice")
-            c = entry["c"]  # only strings are looked up, as in DivisorClass.from_json_dict
-            terms[mono] = parsed[c] if type(c) is str else _json_coefficient(c)
+            terms[mono] = read(entry["c"])
         return cls(g, n, terms)
 
 

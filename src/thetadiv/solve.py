@@ -5,8 +5,9 @@ no dense elimination.  Rows and columns are both indexed by column
 position in ``basis_generators(g, n)``: 0 ``lambda1`` (the elliptic-tail
 row), 1 ``delta_irr`` (the irreducible-node row), 2 .. n+1 ``K_1 .. K_n``
 (the point rows) and then the boundary classes (their node rows).  Each
-row is read once per solve from ``curves._rows``; the solved node forms
-are a list by column, and generators appear only in the result.
+row is read once per solve from ``curves._rows``, which places its
+boundary entries by bit mask; the solved node forms are a list by
+column, and generators appear only in the result.
 
 * Node rows, last to first, give each boundary coefficient as an affine
   form in the K's.  The node family (h, P) meets the boundary only in its
@@ -26,7 +27,11 @@ are a list by column, and generators appear only in the result.
   to integers: a point row by its form's denominator, a last row by the
   lcm of its denominators.  One fraction-free Gauss-Jordan elimination
   (Bareiss 1968) with a gcd cut solves both, so Fractions are made only
-  for the results, the determinant and the two last right sides.
+  for the results, the determinant and the two last right sides.  The
+  boundary results take few distinct values: one Fraction is made per
+  distinct (numerator, denominator) that the node forms give, and a zero
+  is dropped there, before any Fraction, so the result is the class's
+  dict as it stands.
 * No point or node row meets ``lambda1`` or ``delta_irr``, and moving
   those two columns last is an even permutation, so
 
@@ -51,7 +56,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
-from .basis import DivisorClass, _boundary_count, check_work, generator_label
+from .basis import DivisorClass, _boundary_count, _Memo, check_work, generator_label
 from .curves import TestCurve, _rows, curve_label
 from .theta import _theta, check_weights
 
@@ -90,10 +95,11 @@ def _reduce(row: dict, value, solved: list, n: int) -> tuple[list[int], int]:
     return vec, den
 
 
-def _value(form: tuple[list[int], int], xs: list[int], common: int) -> Fraction:
-    """Right side minus the K terms of a form, at x_K = xs[K] / common."""
+def _value(form: tuple[list[int], int], xs: list[int], common: int) -> tuple[int, int]:
+    """Right side minus the K terms of a form, at x_K = xs[K] / common, as
+    (numerator, denominator), the denominator positive."""
     vec, den = form
-    return Fraction(vec[-1] * common - sum(map(operator.mul, vec, xs)), den * common)
+    return vec[-1] * common - sum(map(operator.mul, vec, xs)), den * common
 
 
 def _gauss(rows: list[list[int]]) -> tuple[Fraction, list[int], list[int]]:
@@ -136,8 +142,9 @@ def _eliminate(g: int, n: int, rhs, pins=None) -> tuple[Fraction, list[str], lis
     irreducible-node rows, or the ``pins``, each (label, sparse row by
     column, right side).  Returns the determinant, the labels of the rows
     and the generators of the columns left without a pivot, and the
-    solution (None when a column has no pivot).  Refused, before any work,
-    above the work budget at :func:`_solve_units` a boundary class."""
+    solution without its zeros (None when a column has no pivot).  Refused,
+    before any work, above the work budget at :func:`_solve_units` a
+    boundary class."""
     check_work(g, n, _solve_units(n))
     gens, row_of = _rows(g, n)
     m = len(gens)
@@ -169,7 +176,8 @@ def _eliminate(g: int, n: int, rhs, pins=None) -> tuple[Fraction, list[str], lis
     xs = [x.numerator * (common // x.denominator) for x in x_k]
     last_block = []
     for _, row, value in last:  # fresh dicts, the pins too
-        entries = [row.pop(0, 0), row.pop(1, 0), _value(_reduce(row, value, solved, n), xs, common)]
+        entries = [row.pop(0, 0), row.pop(1, 0)]
+        entries.append(Fraction(*_value(_reduce(row, value, solved, n), xs, common)))
         lcm = math.lcm(*(x.denominator for x in entries))
         last_block.append([x.numerator * (lcm // x.denominator) for x in entries])
         scale *= lcm
@@ -181,9 +189,11 @@ def _eliminate(g: int, n: int, rhs, pins=None) -> tuple[Fraction, list[str], lis
     if missing:
         return det, failed, missing, None
     (lam, _, lam_value), (_, irr, irr_value) = last_block
-    values = {gens[0]: Fraction(lam_value, lam), gens[1]: Fraction(irr_value, irr)}
-    values.update(zip(gens[2 : n + 2], x_k))
-    values.update((gens[c], _value(solved[c], xs, common)) for c in range(n + 2, m))
+    firsts = [Fraction(lam_value, lam), Fraction(irr_value, irr), *x_k]
+    values = {gen: x for gen, x in zip(gens, firsts) if x}
+    made = _Memo(lambda pair: Fraction(*pair))  # one Fraction per distinct (numerator, denominator)
+    pairs = zip(gens[n + 2 :], (_value(form, xs, common) for form in solved[n + 2 :]))
+    values.update((gen, made[pair]) for gen, pair in pairs if pair[0])
     return det, failed, missing, values
 
 
@@ -213,7 +223,7 @@ def _solve_class(g: int, n: int, rhs, pins=None) -> DivisorClass:
     _, _, missing, values = _eliminate(g, n, rhs, pins)
     if missing:
         raise SingularMatrixError(generator_label(missing[0]))
-    return DivisorClass._trusted(g, n, {gen: c for gen, c in values.items() if c.numerator})
+    return DivisorClass._trusted(g, n, values)
 
 
 def reconstruct_T(g: int, n: int, d: Sequence[int]) -> DivisorClass:

@@ -1,10 +1,13 @@
 """Tests for the test-curve families and their intersection numbers."""
 
 import json
+import operator
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetadiv.basis import (
     DELTA_IRR,
@@ -195,9 +198,9 @@ def test_node_rows_are_triangular():
 
 
 def test_row_keys_are_canonical_as_they_stand():
-    # the row source places (h, P + {j}) by its sorted tuple and a point
-    # pair by (min, max), with no canonicalization: both must be the
-    # canonical form and a key of the column dict
+    # the row source places (h, P + {j}) at the node's flat key with bit
+    # j - 1 set and a point pair (0, {i, j}) at bit_i | bit_j, with no
+    # canonicalization: both must be the canonical form, a class of the basis
     for g in range(3, 9):
         for n in range(1, 8):
             gens, row_of = _rows(g, n)
@@ -322,3 +325,48 @@ def test_matrix_json_reads_entries_as_coefficients(value):
     with pytest.raises(ValueError) as info:
         IntersectionMatrix.from_json_dict(data)
     assert str(info.value) == message
+
+
+def test_matrix_json_parses_each_distinct_entry_once(monkeypatch):
+    # every entry was parsed: 9,409 parses for 15 distinct strings at (5, 5)
+    import thetadiv.basis as basis
+    from thetadiv.curves import IntersectionMatrix
+
+    mat = build_matrix(5, 5)
+    data = mat.to_json_dict()
+    parsed, unwrapped = [], basis._json_coefficient
+
+    def counting(value):
+        parsed.append(value)
+        return unwrapped(value)
+
+    monkeypatch.setattr(basis, "_json_coefficient", counting)
+    assert IntersectionMatrix.from_json_dict(data) == mat
+    assert sum(map(len, data["entries"])) == 9409
+    assert len(parsed) == len({x for row in data["entries"] for x in row}) == 15
+    # a value that is no string is read unhashed, and refused as before
+    for value in ([1], 1.0, True):
+        entries = [list(row) for row in data["entries"]]
+        entries[40][7] = value
+        with pytest.raises(ValueError) as info:
+            IntersectionMatrix.from_json_dict(dict(data, entries=entries))
+        assert str(info.value) == f"JSON coefficients must be strings or integers, got {value!r}"
+
+
+@st.composite
+def sparse_classes(draw):
+    """A class of up to 12 random nonzero coefficients at g 3..6, n 1..5."""
+    g, n = draw(st.integers(3, 6)), draw(st.integers(1, 5))
+    gens = basis_generators(g, n)
+    picked = draw(st.lists(st.sampled_from(gens), max_size=12, unique=True))
+    values = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool)
+    return DivisorClass(g, n, {gen: draw(values) for gen in picked})
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(cls=sparse_classes())
+def test_pair_is_the_dense_row_dotted_with_the_class(cls):
+    mat = build_matrix(cls.g, cls.n)
+    vector = [cls.coeff(gen) for gen in mat.cols]
+    for curve, row in zip(mat.rows, mat.entries):
+        assert pair(curve, cls) == sum(map(operator.mul, row, vector)), curve_label(curve)
