@@ -35,15 +35,18 @@ Conventions, for a fixed genus ``g >= 1`` and marking set ``I = {1, .., n}``:
   :meth:`DivisorClass._trusted`, which stores the dict it is given as it
   stands: each producer builds a fresh dict and drops its zeros where they
   arise, by an integer test before any Fraction is made.
-* The generators in basis order, the ``(h, P) -> column`` dict of the
-  canonical classes and each boundary class's marking set as a bit mask
-  depend only on (g, n): one private table, :func:`_basis_table`, holds
-  these three, and every reader of the basis goes through it.  The dict's
-  keys, in order, are the boundary enumeration, so no further copy of it
-  is kept; the masks let a pass over the boundary read per-subset values
-  by list index (:func:`_mask_sums`), with no P hashed.  The tables used
-  last are kept up to :data:`_TABLE_CLASSES` boundary classes in all.
-  The work budget is still checked on every call.
+* The generators in basis order, each boundary class's marking set as a
+  bit mask and the column of each canonical class at its flat key
+  ``h << n | mask`` (:func:`_flat`) depend only on (g, n): one private
+  table, :func:`_basis_table`, holds these three, built in one pass that
+  states the stability rules once, and every reader of the basis goes
+  through it.  The boundary generators, in order, are the boundary
+  enumeration, so no further copy of it is kept; the masks let a pass
+  over the boundary read per-subset values by list index
+  (:func:`_mask_sums`), and the flat keys let the test-curve rows place
+  their entries by list index, with no P hashed.  The tables used last
+  are kept up to :data:`_TABLE_CLASSES` boundary classes in all.  The
+  work budget is still checked on every call.
 * All coefficients are :class:`fractions.Fraction`; no floating point is
   used anywhere.  Every value is immutable and every function is pure, so
   concurrent use needs no locking; the table cache takes its own lock.
@@ -83,10 +86,19 @@ def _check_gn(g: int, n: int) -> None:
         raise ValueError(f"number of marked points must be an integer >= 1, got {n!r}")
 
 
-def _subsets(n: int, min_size: int = 0) -> Iterator[tuple[int, ...]]:
+def _subsets(n: int) -> Iterator[tuple[int, ...]]:
     """Subsets of {1..n} as sorted tuples, ordered by size then lexicographically."""
-    for size in range(min_size, n + 1):
+    for size in range(n + 1):
         yield from itertools.combinations(range(1, n + 1), size)
+
+
+def _flat(h: int, P: Iterable[int], n: int) -> int:
+    """The flat key ``h << n | mask`` of the class (h, P) at n markings,
+    P's bit mask having bit i - 1 for marking i."""
+    key = h << n
+    for i in P:
+        key |= 1 << i - 1
+    return key
 
 
 def _mask_sums(values: Sequence[int]) -> list[int]:
@@ -134,7 +146,8 @@ def check_work(g: int, n: int, per_class: int, extra: int = 0) -> None:
     B(g, n) boundary classes plus ``extra``.  The budget is :data:`BUDGET`
     unless ``THETADIV_BUDGET`` gives a nonnegative integer (empty means the
     default).  B(g, n) >= 2^(n-1) - 1, so an n more than 64 bits past the
-    budget is refused before 2**n is formed."""
+    budget is refused before 2**n is formed; a ``per_class`` of 0 charges
+    ``extra`` alone, at any n."""
     _check_gn(g, n)
     value = os.environ.get(BUDGET_ENV)
     try:
@@ -143,10 +156,10 @@ def check_work(g: int, n: int, per_class: int, extra: int = 0) -> None:
         budget = -1
     if budget < 0:
         raise ValueError(f"{BUDGET_ENV} must be a nonnegative integer, got {value!r}")
-    if n > budget.bit_length() + 64:
+    if per_class and n > budget.bit_length() + 64:
         estimate = f"over 2^{n - 1}"
     else:
-        estimate = per_class * _boundary_count(g, n) + extra
+        estimate = (per_class and per_class * _boundary_count(g, n)) + extra
         if estimate <= budget:
             return
     raise ValueError(
@@ -282,26 +295,22 @@ def _check_generator(gen: Generator, g: int, n: int) -> None:
         raise ValueError(f"{gen!r} is not a generator of the basis for (g={g}, n={n})")
 
 
-def _build_basis_table(g: int, n: int) -> tuple[tuple, dict, array]:
-    """The generators for (g, n) in basis order, the ``(h, P) -> column``
-    dict of the canonical boundary classes and their marking sets as bit
+def _build_basis_table(g: int, n: int) -> tuple[tuple, list, array]:
+    """The generators for (g, n) in basis order, each canonical class's
+    column at its flat key and the boundary classes' marking sets as bit
     masks; see :func:`_basis_table`."""
-    # the masks of _subsets(n), in its order: the same combinations, of bits.
-    # "Q" holds 64 markings; a larger n has over 2^63 classes, past any memory.
-    bits = [1 << i for i in range(n)]
-    rank = array("Q", (sum(c) for size in range(n + 1) for c in itertools.combinations(bits, size)))
-    # h = 0 needs two markings, and the tie h = g/2 keeps the side holding 1
-    masks = rank[n + 1 :] + rank * ((g - 1) // 2)
-    if g % 2 == 0:
-        masks += array("Q", (m for m in rank if m & 1))
-    boundary = [
-        BoundaryIndex(h, P)
-        for h in range(g // 2 + 1)
-        for P in _subsets(n, min_size=2 if h == 0 else 0)
-        if 2 * h != g or 1 in P
-    ]
-    gens = (LAMBDA1, DELTA_IRR, *map(K, range(1, n + 1)), *map(delta, boundary))
-    return gens, {b: c for c, b in enumerate(boundary, start=n + 2)}, masks
+    gens = [LAMBDA1, DELTA_IRR, *map(K, range(1, n + 1))]
+    column = [None] * ((g // 2 + 1) << n)
+    # "Q" holds 64 markings; a larger n has over 2^63 classes, past any memory
+    masks = array("Q")
+    subsets = [(P, _flat(0, P, n)) for P in _subsets(n)]  # one P tuple for every genus part
+    for h, (P, mask) in itertools.product(range(g // 2 + 1), subsets):
+        # h = 0 needs two markings, and the tie h = g/2 keeps the side holding 1
+        if (h or len(P) > 1) and (2 * h != g or mask & 1):
+            column[h << n | mask] = len(gens)
+            gens.append(Generator("delta", 0, BoundaryIndex(h, P)))
+            masks.append(mask)
+    return tuple(gens), column, masks
 
 
 # boundary classes kept over all cached tables: one table of the largest
@@ -311,18 +320,19 @@ _tables: OrderedDict = OrderedDict()  # (g, n) -> table, least recently used fir
 _tables_lock = threading.Lock()
 
 
-def _basis_table(g: int, n: int) -> tuple[tuple, dict, array]:
+def _basis_table(g: int, n: int) -> tuple[tuple, list, array]:
     """``(gens, column, masks)`` for (g, n), refused above the work budget
     at 8 units a class on every call, cached or not.  ``gens`` is
     :func:`basis_generators` (boundary generators from ``gens[n + 2]`` on,
-    genus 0 first); ``column[h, P]`` is the position in ``gens`` of a
-    canonical class, with no key for a mirror label, and its keys, in
-    order, are :func:`enumerate_boundary`; ``masks[j]`` is the P of
-    ``gens[n + 2 + j]`` as a bit mask, bit i - 1 for marking i: P's index
-    in :func:`_mask_sums`.  Built once per (g, n) and kept while the tables
-    used since hold at most :data:`_TABLE_CLASSES` boundary classes in all
-    (a larger table is built for each call and not kept); callers must not
-    change what it holds."""
+    genus 0 first, their boundary indices :func:`enumerate_boundary`);
+    ``column[k]`` is the position in ``gens`` of the canonical class of
+    flat key k (:func:`_flat`), and None where no canonical class is, as at
+    a mirror label's key; ``masks[j]`` is the P of ``gens[n + 2 + j]`` as
+    a bit mask, bit i - 1 for marking i: P's index in :func:`_mask_sums`.
+    Built once per (g, n) and kept while the tables used since hold at
+    most :data:`_TABLE_CLASSES` boundary classes in all (a larger table is
+    built for each call and not kept); callers must not change what it
+    holds."""
     check_work(g, n, 8)
     with _tables_lock:
         table = _tables.get((g, n))
@@ -330,9 +340,9 @@ def _basis_table(g: int, n: int) -> tuple[tuple, dict, array]:
             _tables.move_to_end((g, n))
         else:
             table = _build_basis_table(g, n)
-            if len(table[1]) <= _TABLE_CLASSES:
+            if len(table[2]) <= _TABLE_CLASSES:
                 _tables[g, n] = table
-                while sum(len(t[1]) for t in _tables.values()) > _TABLE_CLASSES:
+                while sum(len(t[2]) for t in _tables.values()) > _TABLE_CLASSES:
                     _tables.popitem(last=False)
     return table
 
@@ -341,7 +351,7 @@ def enumerate_boundary(g: int, n: int) -> list[BoundaryIndex]:
     """All boundary classes, one canonical representative each, ordered by
     genus part, then size of the marking set, then lexicographically.
     Refused, before any enumeration, above the work budget at 8 units a class."""
-    return list(_basis_table(g, n)[1])
+    return [gen.boundary for gen in _basis_table(g, n)[0][n + 2 :]]
 
 
 def basis_generators(g: int, n: int) -> list[Generator]:
@@ -523,7 +533,7 @@ class DivisorClass:
     def to_json_dict(self) -> dict:
         """Full-basis JSON form; rationals as lowest-terms "p/q" strings."""
         get, zero = self.coeffs.get, Fraction(0)
-        gens, column, _ = _basis_table(self.g, self.n)
+        gens = _basis_table(self.g, self.n)[0]
         text = _texts([zero, *self.coeffs.values()])  # each object printed once, read by id
         return {
             "g": self.g,
@@ -533,8 +543,8 @@ class DivisorClass:
                 "delta_irr": text[id(get(DELTA_IRR, zero))],
                 "K": [text[id(get(K(i), zero))] for i in range(1, self.n + 1)],
                 "boundary": [
-                    {"h": b.h, "P": list(b.P), "c": text[id(get(gen, zero))]}
-                    for b, gen in zip(column, gens[self.n + 2 :])
+                    {"h": gen.boundary.h, "P": list(gen.boundary.P), "c": text[id(get(gen, zero))]}
+                    for gen in gens[self.n + 2 :]
                 ],
             },
         }
@@ -553,13 +563,16 @@ class DivisorClass:
             yield from zip(map(K, itertools.count(1)), _json_list(raw["K"]))
             gens, column, _ = _basis_table(g, n)
             seen = bytearray(len(gens))  # the columns given so far, zeros too
+            col = n + 1  # each entry is tried as the class after the one before
             for entry in _json_list(raw["boundary"]):
-                h, P = entry["h"], tuple(_json_list(entry["P"]))
-                # type() first: True, 1.0 and [1] must not reach the dict, and a
-                # miss (a mirror label, a bad entry) canonicalizes or refuses
-                col = column.get((h, P)) if type(h) is int and {*map(type, P)} <= {int} else None
-                if col is None:
-                    col = column[canonicalize_boundary(h, P, g, n)]
+                h, P, col = entry["h"], tuple(_json_list(entry["P"])), col + 1
+                # type() first: True, 1.0 and [1] compare equal to labels.  A miss
+                # (a gap, a mirror label, a bad entry, the end of the table)
+                # canonicalizes or refuses, and the next entry is tried after
+                # the column it gives
+                labelled = type(h) is int and {*map(type, P)} <= {int}
+                if not (labelled and col < len(gens) and gens[col].boundary == (h, P)):
+                    col = column[_flat(*canonicalize_boundary(h, P, g, n), n)]
                 if seen[col]:
                     raise ValueError(f"boundary class {generator_label(gens[col])} given twice")
                 seen[col] = 1

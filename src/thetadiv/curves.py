@@ -26,12 +26,12 @@ divisors are stated once, as its sparse row of nonzero entries (they
 follow from the standard boundary-restriction computations; the
 elliptic-tail values already account for the 1/2 weighting), keyed by
 column position: 0 ``lambda1``, 1 ``delta_irr``, 1 + i ``K_i``, then the
-boundary classes through their flat key ``h << n | mask``, where P's bit
-mask has bit i - 1 for marking i, as the basis table's masks.
-:func:`_rows` resolves flat keys through one list, built once per call
-from the table's masks in O(B), holding each canonical class's column at
-its flat key.  Entries are ints but for the elliptic tail's 1/24, 1/2
-and -1/24.
+boundary classes through their flat key ``h << n | mask``
+(:func:`thetadiv.basis._flat`), where P's bit mask has bit i - 1 for
+marking i, as the basis table's masks.  :func:`_rows` resolves flat keys
+through the basis table's own list of each canonical class's column at
+its flat key, so a solve builds no index.  Entries are ints but for the
+elliptic tail's 1/24, 1/2 and -1/24.
 
 No entry is canonicalized: for a canonical node class (h, P) and j not in
 P, (h, P + {j}) is canonical, since h <= g-h still holds and at the tie
@@ -69,6 +69,7 @@ from .basis import (
     _boundary_label,
     _check_generator,
     _check_gn,
+    _flat,
     _json_coefficients,
     _json_list,
     _json_reader,
@@ -135,15 +136,6 @@ def enumerate_test_curves(g: int, n: int) -> list[TestCurve]:
     return [TestCurve(gen) for gen in gens[2:] + gens[:2]]
 
 
-def _flat(h: int, P, n: int) -> int:
-    """The flat key ``h << n | mask`` of the class (h, P) at n markings,
-    P's bit mask as the basis table's: bit i - 1 for marking i."""
-    key = h << n
-    for i in P:
-        key |= 1 << i - 1
-    return key
-
-
 def _row(dual: Generator, g: int, n: int, column: list | dict) -> dict:
     """The pairings of the family dual to a valid generator with the basis
     for (g, n) that can be nonzero, keyed as the module notes say, with
@@ -180,14 +172,10 @@ def _row(dual: Generator, g: int, n: int, column: list | dict) -> dict:
 
 def _rows(g: int, n: int) -> tuple[tuple[Generator, ...], Callable[[int], dict]]:
     """The basis for (g, n) and its row source: ``row(c)`` is the row of
-    the family dual to column c.  Boundary entries are placed through one
-    list, built per call from the table's masks, holding at each flat key
-    its canonical class's column and None where no class is."""
+    the family dual to column c.  Boundary entries are placed through the
+    basis table's list of each canonical class's column at its flat key."""
     _check_dual(g, n)
-    gens, _, masks = _basis_table(g, n)
-    column = [None] * ((g // 2 + 1) << n)
-    for c, gen, mask in zip(range(n + 2, len(gens)), gens[n + 2 :], masks):
-        column[gen.boundary.h << n | mask] = c
+    gens, column, _ = _basis_table(g, n)
     return gens, lambda c: _row(gens[c], g, n, column)
 
 

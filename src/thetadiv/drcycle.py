@@ -37,7 +37,8 @@ generator itself, and a cycle written with equal but distinct
 generators behaves as the expansion does.
 An expansion estimated above the work budget of
 :func:`thetadiv.basis.check_work` (10 g units a monomial on top of the
-class T) is refused before any monomial is built.
+class T) is refused before any monomial is built, and an evaluation
+whose power table is estimated above it before any power is built.
 """
 
 from __future__ import annotations
@@ -291,7 +292,10 @@ def evaluate(cycle: FormalCycle, assignment: Mapping[Generator, Fraction]) -> Fr
 
     Every monomial has degree g, so with the values over one denominator Q
     (a = P/Q) and the coefficients over one denominator L (c = N/L), the
-    value is sum(N * prod P^e) / (L * Q^g): integer powers, one division."""
+    value is sum(N * prod P^e) / (L * Q^g): integer powers, one division.
+    The powers P^0 .. P^g of each generator take about g^2/2 times P's
+    bits, so they are charged to the work budget, one unit a 64-bit word,
+    and refused with ``ValueError`` above it before any power is built."""
     values: dict[Generator, Fraction] = {}
     for mono in cycle.terms:
         for gen, _ in mono:
@@ -302,9 +306,10 @@ def evaluate(cycle: FormalCycle, assignment: Mapping[Generator, Fraction]) -> Fr
                     assignment[gen], f"assignment value of {generator_label(gen)}"
                 )
     Q = math.lcm(*(a.denominator for a in values.values()))
+    base = {gen: a.numerator * (Q // a.denominator) for gen, a in values.items()}
+    check_work(cycle.g, cycle.n, 0, cycle.g**2 * sum(P.bit_length() for P in base.values()) // 128)
     powers: dict[Generator, list[int]] = {}  # P^0 .. P^g per generator
-    for gen, a in values.items():
-        P = a.numerator * (Q // a.denominator)
+    for gen, P in base.items():
         row = powers[gen] = [1]
         for _ in range(cycle.g):
             row.append(row[-1] * P)

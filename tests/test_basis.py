@@ -337,15 +337,36 @@ def test_boundary_count_matches_enumeration():
 
 def test_the_basis_table_holds_each_marking_set_as_a_bit_mask():
     # the closed forms and the psi/K change of basis read per-subset sums
-    # at these masks: entry j is P's mask for the j-th boundary class
+    # at these masks: entry j is P's mask for the j-th boundary class.  The
+    # test-curve rows and the JSON reader find a class's column at its flat
+    # key h << n | mask, and every genus part shares one tuple per P
+    import tracemalloc
+
     from thetadiv.basis import _boundary_count
 
     for g in range(1, 9):
         for n in range(1, 9):
-            masks = basis._basis_table(g, n)[2]
-            assert len(masks) == _boundary_count(g, n), (g, n)
+            gens, column, masks = basis._basis_table(g, n)
+            B = _boundary_count(g, n)
+            assert len(masks) == B, (g, n)
             expected = [sum(2 ** (i - 1) for i in b.P) for b in enumerate_boundary(g, n)]
             assert list(masks) == expected, (g, n)
+            shared = {}
+            for j, mask in enumerate(masks):
+                h, P = gens[n + 2 + j].boundary
+                assert column[h << n | mask] == n + 2 + j, (g, n, j)
+                assert shared.setdefault(P, P) is P, (g, n, P)
+            assert sum(c is not None for c in column) == B, (g, n)
+    # the table's own memory: 329 bytes a class with an (h, P) -> column
+    # dict beside the masks, 222 with the flat-key list
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = basis._build_basis_table(5, 14)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 260 * len(table[2]) == 260 * _boundary_count(5, 14)
 
 
 BUDGET_REFUSAL = "above the budget of 5000000; set THETADIV_BUDGET to override"
@@ -668,6 +689,42 @@ def test_json_read_canonicalizes_each_boundary_entry_once(monkeypatch):
     assert len(calls) == len(mirrored) == _boundary_count(5, 8) == 759
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_json_read_tries_each_entry_as_the_next_class(data):
+    # the reader tries each entry as the class after the one before: a
+    # document the package wrote reads with no canonicalization, a gap costs
+    # one (the reader resumes from the column it finds), and any order of
+    # the entries reads back to the same class
+    g, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+    gens = basis_generators(g, n)
+    values = data.draw(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)))
+    x = DivisorClass(g, n, dict(zip(gens, values)))
+    doc = x.to_json_dict()
+    entries = doc["coeffs"]["boundary"]
+    dropped = data.draw(st.sets(st.sampled_from(range(len(entries))))) if entries else set()
+    kept = [e for j, e in enumerate(entries) if j not in dropped]
+    gone = {gens[n + 2 + j] for j in dropped}
+    rest = DivisorClass(g, n, {gen: c for gen, c in x.coeffs.items() if gen not in gone})
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return canonicalize_boundary(*args)
+
+    def read(boundary):
+        calls.clear()
+        return DivisorClass.from_json_dict({**doc, "coeffs": {**doc["coeffs"], "boundary": boundary}})
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(basis, "canonicalize_boundary", counted)
+        assert read(entries) == x
+        assert calls == []
+        assert read(kept) == rest
+        assert len(calls) <= len(dropped)
+        assert read(data.draw(st.permutations(entries))) == x
+
+
 def test_json_read_keeps_its_refusals():
     good = DivisorClass(3, 2, {K(1): 1, LAMBDA1: Fraction(1, 2)}).to_json_dict()
 
@@ -845,4 +902,4 @@ def test_the_basis_table_cache_holds_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert sum(len(column) for _, column, _ in basis._tables.values()) <= 150
+    assert sum(len(masks) for _, _, masks in basis._tables.values()) <= 150

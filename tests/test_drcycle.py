@@ -227,6 +227,30 @@ def test_single_generator_power():
     assert evaluate(cycle, {K(1): Fraction(0)}) == 0
 
 
+def test_evaluate_charges_its_power_table_to_the_budget(monkeypatch):
+    # evaluate built P^0 .. P^g for every generator, O(g^2) bits: this
+    # 72-byte cycle took 162 MB of RSS to evaluate at K1 = 3.  Either the
+    # exact value within 10 MB, or a refusal by check_work before any power
+    import tracemalloc
+
+    monkeypatch.delenv("THETADIV_BUDGET", raising=False)
+    g = 40000
+    cycle = FormalCycle.from_json_dict({"g": g, "n": 1, "terms": [{"monomial": [["K1", g]], "c": "1"}]})
+    tracemalloc.start()
+    try:
+        try:
+            assert evaluate(cycle, {K(1): Fraction(3)}) == 3**g
+        except ValueError as exc:
+            assert "units of work, above the budget of 5000000" in str(exc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    # small tables are still evaluated, at any n: no 2**n is formed
+    assert evaluate(FormalCycle(2000, 1, {((K(1), 2000),): 1}), {K(1): Fraction(3, 2)}) == Fraction(3, 2) ** 2000
+    assert evaluate(FormalCycle(3, 10**6, {((K(1), 3),): 1}), {K(1): Fraction(3)}) == 27
+
+
 def test_missing_assignment_entry():
     cycle = dr_expansion(3, 2, (1, -1))
     with pytest.raises(ValueError, match="missing generator"):
