@@ -151,7 +151,8 @@ def check_work(g: int, n: int, per_class: int, extra: int = 0) -> None:
     unless ``THETADIV_BUDGET`` gives a nonnegative integer (empty means the
     default).  B(g, n) >= 2^(n-1) - 1, so an n more than 64 bits past the
     budget is refused before 2**n is formed; a ``per_class`` of 0 charges
-    ``extra`` alone, at any n."""
+    ``extra`` alone, at any n.  The message gives an estimate past the
+    int-to-str limit as "over 2^k", as it gives that n."""
     _check_gn(g, n)
     value = os.environ.get(BUDGET_ENV)
     try:
@@ -166,6 +167,10 @@ def check_work(g: int, n: int, per_class: int, extra: int = 0) -> None:
         estimate = (per_class and per_class * _boundary_count(g, n)) + extra
         if estimate <= budget:
             return
+        # past the int-to-str limit (4300 digits where there is none) str()
+        # raises, or gives thousands of digits
+        if estimate >= 10 ** (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300):
+            estimate = f"over 2^{(estimate - 1).bit_length() - 1}"
     raise ValueError(
         f"(g={g}, n={n}) is estimated at {estimate} units of work, above the budget of "
         f"{budget}; set {BUDGET_ENV} to override"

@@ -18,8 +18,10 @@ verify rank|T|theta|mueller
 
 Each subcommand is one row of ``_COMMANDS``: its name, help, arguments and
 handler; ``class`` and ``verify`` read their choices from the dicts they
-dispatch through.  Every handler writes through :func:`_emit`: JSON is
-printed whole, CSV and pretty output row by row as each row is made.
+dispatch through.  A call adds only the arguments of the command it runs,
+when argparse parses that command (see :class:`_Command`).  Every handler
+writes through :func:`_emit`: JSON is printed whole, CSV and pretty output
+row by row as each row is made.
 
 Exit codes: 0 success, 1 verification failure (report still printed),
 2 usage or validation error, 3 internal error (one line on stderr), 141
@@ -248,16 +250,27 @@ _COMMANDS = (
 )
 
 
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its ``_COMMANDS`` arguments, in
+    table order and once, when it first parses: argparse parses only the
+    subcommand named in argv, so a call adds no other command's arguments."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        for flag, options in self.arguments:
+            self.add_argument(flag, **options)
+        self.arguments = ()
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thetadiv",
         description="Exact divisor-class calculator on moduli of stable pointed curves",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
     for name, summary, arguments, handler in _COMMANDS:
         command = sub.add_parser(name, help=summary)
-        for flag, options in arguments:
-            command.add_argument(flag, **options)
+        command.arguments = arguments
         command.set_defaults(func=handler)
     return parser
 

@@ -435,6 +435,30 @@ def test_work_estimate_is_per_class_units_plus_extra(monkeypatch):
         check_work(3, 0, 8)
 
 
+@pytest.mark.parametrize("limit", [4300, 0], ids=["default-limit", "no-limit"])
+def test_an_estimate_past_the_int_str_limit_is_shown_as_a_power_of_two(monkeypatch, limit):
+    # str(estimate) raised the interpreter's "Exceeds the limit (4300 digits)"
+    # in place of the refusal, or with no limit printed all 4,820 digits
+    from thetadiv.drcycle import dr_expansion
+
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str limit")
+    monkeypatch.delenv("THETADIV_BUDGET", raising=False)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        with pytest.raises(ValueError) as info:
+            dr_expansion(8000, 2, (1, -1))
+        assert str(info.value) == f"(g=8000, n=2) is estimated at over 2^16009 units of work, {BUDGET_REFUSAL}"
+        # 4300 digits still print whole; "over 2^k" is strict at a power of two
+        for extra, shown in ((10**4300 - 1, 10**4300 - 1), (10**4300, "over 2^14284"), (2**16000, "over 2^15999")):
+            with pytest.raises(ValueError) as info:
+                check_work(3, 2, 0, extra)
+            assert str(info.value) == f"(g=3, n=2) is estimated at {shown} units of work, {BUDGET_REFUSAL}"
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_zero_coefficients_dropped():
     assert DivisorClass(3, 2, {K(1): 0, LAMBDA1: Fraction(0)}) == DivisorClass.zero(3, 2)
     assert DELTA_IRR not in DivisorClass(3, 2, {DELTA_IRR: Fraction(0)}).coeffs

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -21,7 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import thetadiv
-from thetadiv.cli import FORMATS, main, sample_degree_weights, verify_mueller
+from thetadiv.cli import FORMATS, build_parser, main, sample_degree_weights, verify_mueller
 from thetadiv.drcycle import dr_expansion, monomial_label, restrict_to_compact_type
 from thetadiv.solve import SingularMatrixError
 from thetadiv.theta import class_T
@@ -577,9 +578,11 @@ def test_plus_option_is_gone(capsys):
 
 
 # sha256 of the exit code, stdout and stderr of `thetadiv --help`, of each
-# subcommand's --help and of two usage errors, joined by NUL, taken on
-# Python 3.11 before the parser was built from one table; argparse wraps
-# at $COLUMNS, and its layout differs between Python versions
+# subcommand's --help and of usage errors, joined by NUL, taken on Python
+# 3.11: the first ten before the parser was built from one table, the five
+# raised inside a subcommand before its arguments were added only when it
+# parses (3.10 gives the same bytes); argparse wraps at $COLUMNS, and its
+# layout differs between Python versions
 HELP_DIGESTS = {
     "--help": "6822c278de64c6a382ef528b00cabaf3ed4f902d424a4e5ffa8ba4f34bd07d6a",
     "basis --help": "6c2c0ed754f3ae2dbcacc5556f729981cbd6582130e2762ee9c2620b44da7e58",
@@ -591,6 +594,11 @@ HELP_DIGESTS = {
     "verify --help": "e0d6b9633b0d853fdd733ac3e63d6d39b2b438b37e964fd39476a12c8e182172",
     "class": "0d008c24c66adfa388c892e5fd5bfce6412798f749f8fe358ae4ddd666704dcc",
     "class X --g 3 --n 2 --d 1": "1c63c3954abb2cd32bd5ca330372a03085209f6dda631d8df30a7d21ba8c87e5",
+    "basis --g 3": "4f94152986b0e67ce6767ead4525fde342c47d96d2b2962f0e736c3991dd9a6f",
+    "basis --g x --n 1": "7c763429aef1a39bd44a45548f4510b0ae2fc882c098ed6b1c801c7a8be94ffe",
+    "basis --g 3 --n 1 --format xml": "67a8d59d1b50f2677cca4483e3e3cbdcea537ef32e24e215060c60c9e6e4a906",
+    "basis --g 3 --n 1 --bogus": "1f7cd6e29d33297a77119f43da59a06fedb8050740bb67ef453a69294450c35a",
+    "verify": "77ed8f6bf0423d89489f24e2d2d3d329625723824d3116ff82d4dec4e64b8445",
 }
 
 
@@ -602,6 +610,61 @@ def test_help_and_usage_output_bytes(capsys, monkeypatch, argv):
     out, err = capsys.readouterr()
     blob = f"{exc.value.code}\0{out}\0{err}"
     assert hashlib.sha256(blob.encode()).hexdigest() == HELP_DIGESTS[argv]
+
+
+# each command's argv and the number of arguments its row in the table adds
+COMMAND_ARGV = {
+    "basis": ("basis --g 3 --n 1", 3),
+    "curves": ("curves --g 3 --n 1 --format csv", 3),
+    "matrix": ("matrix --g 3 --n 1 --format json", 3),
+    "class": ("class theta --g 3 --n 2 --d 1,1", 5),
+    "ledger": ("ledger --g 3 --n 2 --d 3,-1", 4),
+    "dr": ("dr --g 3 --n 2 --d 1,-1", 4),
+    "verify": ("verify rank --g 3 --n 1", 5),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+def test_a_call_adds_only_the_arguments_of_its_command(capsys, monkeypatch, command):
+    # the top parser's -h, one -h per subcommand, and the named command's
+    # own arguments, not all 35 of every command
+    argv, own = COMMAND_ARGV[command]
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == 8 + own
+
+
+def test_one_parser_parses_every_command_as_a_fresh_one_does():
+    parser = build_parser()
+    for _ in range(2):  # a second parse of the same command adds nothing twice
+        for argv, _own in COMMAND_ARGV.values():
+            args, fresh = parser.parse_args(argv.split()), build_parser().parse_args(argv.split())
+            assert list(vars(args).items()) == list(vars(fresh).items())
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+def test_help_after_other_commands_parsed_is_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def help_text(parser):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    fresh = help_text(build_parser())
+    parser = build_parser()
+    for argv, _own in COMMAND_ARGV.values():
+        parser.parse_args(argv.split())
+    assert help_text(parser) == fresh
 
 
 @pytest.fixture
