@@ -266,24 +266,29 @@ def generator_label(gen: Generator) -> str:
     return _boundary_label("delta", gen.boundary.h, gen.boundary.P)
 
 
-_DELTA_LABEL = re.compile(r"delta_(\d+)\^\{((?:\d+(?:,\d+)*)?)\}")
+_INT = "(?:0|[1-9][0-9]*)"  # an int as str() prints it: ASCII digits, no leading zero
+_LABEL = re.compile(rf"K({_INT})|delta_({_INT})\^\{{((?:{_INT}(?:,{_INT})*)?)\}}")
 
 
 def parse_generator_label(label: str, g: int, n: int) -> Generator:
-    """Inverse of :func:`generator_label`, validating against (g, n)."""
+    """Inverse of :func:`generator_label`, validating against (g, n); the
+    integers in a label are read as ``str(int)`` prints them, and a
+    boundary label may be the mirror one or list its markings unsorted."""
+    if type(label) is not str:
+        raise ValueError(f"generator labels must be strings, got {label!r}")
     if label == "lambda1":
         return LAMBDA1
     if label == "delta_irr":
         return DELTA_IRR
-    if label.startswith("K") and label[1:].isdigit():
-        gen = K(int(label[1:]))
-        _check_generator(gen, g, n)
-        return gen
-    match = _DELTA_LABEL.fullmatch(label)
+    match = _LABEL.fullmatch(label)
     if match is None:
         raise ValueError(f"unrecognized generator label {label!r}")
-    P = tuple(int(x) for x in match.group(2).split(",") if x)
-    return delta(canonicalize_boundary(int(match.group(1)), P, g, n))
+    if match[1] is not None:
+        gen = K(int(match[1]))
+        _check_generator(gen, g, n)
+        return gen
+    P = tuple(int(x) for x in match[3].split(",") if x)
+    return delta(canonicalize_boundary(int(match[2]), P, g, n))
 
 
 def _check_generator(gen: Generator, g: int, n: int) -> None:
@@ -478,6 +483,8 @@ class DivisorClass:
 
     def __post_init__(self) -> None:
         _check_gn(self.g, self.n)
+        if not isinstance(self.coeffs, Mapping):
+            raise ValueError(f"coefficients must be a mapping, got {self.coeffs!r}")
         clean: dict[Generator, Fraction] = {}
         for gen, c in self.coeffs.items():
             _check_generator(gen, self.g, self.n)
@@ -602,7 +609,7 @@ def psi_in_k_basis(i: int, g: int, n: int) -> DivisorClass:
     """The cotangent class psi_i written over the K/boundary basis:
     K_i plus every delta_0^P with i in P and |P| >= 2."""
     _check_gn(g, n)
-    if not 1 <= i <= n:
+    if type(i) is int and not 1 <= i <= n:  # K(i) refuses an i that is no int
         raise ValueError(f"point index {i} out of range 1..{n}")
     return _substitute_psi(g, n, {K(i): Fraction(1)}, 1)
 
@@ -663,6 +670,8 @@ def relabel_boundary(b: BoundaryIndex, sigma: tuple[int, ...], g: int, n: int) -
     """Image of a boundary class (h, P) of (g, n), canonical or not, under
     the marking relabelling i -> sigma[i-1]."""
     _check_permutation(sigma, n)
+    if not isinstance(b, BoundaryIndex):
+        raise ValueError(f"expected a BoundaryIndex, got {b!r}")
     return _relabel(delta(canonicalize_boundary(b.h, b.P, g, n)), sigma, g, n).boundary
 
 

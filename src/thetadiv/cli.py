@@ -75,24 +75,29 @@ def sample_negative_weights(rng: random.Random, n: int, degree: int) -> tuple[in
 
 
 def verify_rank(g: int, n: int) -> dict:
-    report = dict(certify_basis(g, n))
+    report = certify_basis(g, n)
     report["check"] = "rank"
     report["ok"] = report["rank"] == report["expected"] and report["det_nonzero"]
     return report
 
 
-def _sweep(g: int, n: int, trials: int, seed: int, check: str, draw, compare) -> dict:
+def _sweep(g: int, n: int, trials: int, seed: int, check: str, draw, degree: int, left, right) -> dict:
+    """Run ``trials`` comparisons from ``seed`` and report them as ``check``.
+    Each trial draws ``d = draw(rng, n, degree)`` and passes when
+    ``left(g, n, d) == right(g, n, d)``; a system the test curves cannot
+    solve fails it.  Refused before the first draw above the work budget,
+    at one solve a trial."""
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
-    check_work(g, n, trials * _solve_units(n))  # each trial costs at most one solve
+    check_work(g, n, trials * _solve_units(n))
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
-        d = draw(rng)
+        d = draw(rng, n, degree)
         try:
-            ok = compare(d)
+            ok = left(g, n, d) == right(g, n, d)
         except SingularMatrixError:
-            ok = False  # a system the test curves cannot solve fails the trial
+            ok = False
         if not ok:
             failures.append({"d": list(d)})
     return {
@@ -108,20 +113,14 @@ def _sweep(g: int, n: int, trials: int, seed: int, check: str, draw, compare) ->
     }
 
 
+# each sweep names its routes as module globals, read at call time, so a
+# caller that rebinds one (a test, a tracer) reaches the sweep
 def verify_T(g: int, n: int, trials: int, seed: int) -> dict:
-    return _sweep(
-        g, n, trials, seed, "T",
-        lambda rng: sample_degree_weights(rng, n, 0),
-        lambda d: reconstruct_T(g, n, d) == class_T(g, n, d),
-    )
+    return _sweep(g, n, trials, seed, "T", sample_degree_weights, 0, reconstruct_T, class_T)
 
 
 def verify_theta(g: int, n: int, trials: int, seed: int) -> dict:
-    return _sweep(
-        g, n, trials, seed, "theta",
-        lambda rng: sample_degree_weights(rng, n, g - 1),
-        lambda d: reconstruct_Theta(g, n, d) == class_Theta(g, n, d),
-    )
+    return _sweep(g, n, trials, seed, "theta", sample_degree_weights, g - 1, reconstruct_Theta, class_Theta)
 
 
 def verify_mueller(g: int, n: int, trials: int, seed: int, plus_convention: str = "nonneg") -> dict:
@@ -129,9 +128,7 @@ def verify_mueller(g: int, n: int, trials: int, seed: int, plus_convention: str 
     if plus_convention != "nonneg":
         raise ValueError(f'plus_convention must be "nonneg", got {plus_convention!r}')
     report = _sweep(
-        g, n, trials, seed, "mueller",
-        lambda rng: sample_negative_weights(rng, n, g - 1),
-        lambda d: class_D_direct(g, n, d) == class_D_from_theta(g, n, d),
+        g, n, trials, seed, "mueller", sample_negative_weights, g - 1, class_D_direct, class_D_from_theta
     )
     report["plus_convention"] = plus_convention
     return report

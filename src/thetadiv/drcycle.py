@@ -133,6 +133,8 @@ class FormalCycle:
     def __post_init__(self) -> None:
         g, n = self.g, self.n
         _check_gn(g, n)
+        if not isinstance(self.terms, Mapping):
+            raise ValueError(f"terms must be a mapping, got {self.terms!r}")
         # each generator is checked once; a factor that is not a Generator
         # is checked (and refused) even where it equals one checked before
         keys: dict[Generator, tuple] = {}
@@ -140,11 +142,16 @@ class FormalCycle:
         clean = dict(self.terms)
         zeros = []
         for mono, c in clean.items():
+            if type(mono) is not tuple:
+                raise ValueError(f"a monomial must be a tuple of (generator, exponent) pairs, got {mono!r}")
             degree = 0
             prev: tuple = ()  # below every generator key
             descent = False
             repeated = None
-            for gen, e in mono:
+            for factor in mono:
+                if type(factor) is not tuple or len(factor) != 2:
+                    raise ValueError(f"a monomial must be a tuple of (generator, exponent) pairs, got {mono!r}")
+                gen, e = factor
                 key = keys.get(gen) if type(gen) is Generator else None
                 if key is None:
                     _check_generator(gen, g, n)

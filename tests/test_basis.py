@@ -940,3 +940,81 @@ def test_the_basis_table_cache_holds_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert sum(len(masks) for _, _, masks in basis._tables.values()) <= 150
+
+
+@pytest.mark.parametrize(
+    "label", ["K01", "K١", "K²", "delta_01^{1}", "delta_1^{01}", "delta_١^{}", "delta_1^{١}"]
+)
+def test_a_label_generator_label_never_prints_is_refused(label):
+    # str.isdigit, int() and \d read leading zeros and non-ASCII digits:
+    # "K01" and "K١" parsed as K1, "delta_01^{1}" as delta_1^{1}
+    with pytest.raises(ValueError) as info:
+        parse_generator_label(label, 3, 2)
+    assert str(info.value) == f"unrecognized generator label {label!r}"
+    cycle = {"g": 3, "n": 2, "terms": [{"monomial": [[label, 3]], "c": "1"}]}
+    with pytest.raises(ValueError, match="unrecognized generator label"):
+        FormalCycle.from_json_dict(cycle)
+
+
+def test_labels_the_parser_keeps_reading():
+    assert parse_generator_label("K2", 3, 2) == K(2)
+    assert parse_generator_label("K10", 3, 10) == K(10)
+    # a mirror label and an unsorted marking set name a canonical class
+    assert parse_generator_label("delta_2^{2}", 3, 2) == delta(BoundaryIndex(1, (1,)))
+    assert parse_generator_label("delta_0^{3,1}", 3, 3) == delta(BoundaryIndex(0, (1, 3)))
+    with pytest.raises(ValueError, match="point index must be a positive integer, got 0"):
+        parse_generator_label("K0", 3, 2)
+    with pytest.raises(ValueError, match=r"not contained in 1..2"):
+        parse_generator_label("delta_1^{0}", 3, 2)
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        # TypeError: '<=' not supported between instances of 'int' and 'str'
+        (psi_in_k_basis, ("1", 3, 2), "point index must be a positive integer, got '1'"),
+        # AttributeError: 'tuple' object has no attribute 'h'
+        (relabel_boundary, ((1, (1,)), (2, 1), 3, 2), "expected a BoundaryIndex, got (1, (1,))"),
+        # AttributeError: 'list' object has no attribute 'items'
+        (DivisorClass, (3, 2, [1, 2]), "coefficients must be a mapping, got [1, 2]"),
+        (DivisorClass, (3, 2, None), "coefficients must be a mapping, got None"),
+        # TypeError: 'NoneType' object is not iterable
+        (FormalCycle, (3, 2, None), "terms must be a mapping, got None"),
+        # TypeError: cannot unpack non-iterable int object
+        (FormalCycle, (3, 2, {5: 1}), "a monomial must be a tuple of (generator, exponent) pairs, got 5"),
+        (FormalCycle, (3, 2, {(5,): 1}), "a monomial must be a tuple of (generator, exponent) pairs, got (5,)"),
+        # AttributeError: 'int' object has no attribute 'startswith'
+        (parse_generator_label, (5, 3, 2), "generator labels must be strings, got 5"),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_public_entry_points_refuse_bad_input_with_value_error(call, args, message):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert str(info.value) == message
+
+
+def test_refusals_no_other_test_reaches():
+    # each kills the mutant that deletes its refusal
+    with pytest.raises(ValueError, match="^unknown generator kind 'psi'$"):  # accepted, then lost in to_json_dict
+        DivisorClass(3, 2, {Generator("psi"): 1})
+    for i in (0, 3):  # 3 gave a class with a K3 the basis does not have
+        with pytest.raises(ValueError, match=rf"^point index {i} out of range 1..2$"):
+            psi_in_k_basis(i, 3, 2)
+
+
+def test_class_arithmetic_defers_to_the_other_operand():
+    # the NotImplemented returns: without them x + Other() and x - Other()
+    # raised AttributeError or TypeError, and 0.5 * x a ValueError
+    class Other:
+        def __radd__(self, x):
+            return "radd"
+
+        def __rsub__(self, x):
+            return "rsub"
+
+    x = DivisorClass(3, 2, {K(1): 1})
+    assert (x + Other(), x - Other()) == ("radd", "rsub")
+    for op in (lambda: x + 1, lambda: x - 1, lambda: 0.5 * x, lambda: "a" * x):
+        with pytest.raises(TypeError):
+            op()

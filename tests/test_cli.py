@@ -448,6 +448,42 @@ def test_ledger_output_bytes(capsys, g, n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == LEDGER_DIGESTS[g, n, fmt]
 
 
+# sha256 of the stdout of `thetadiv verify`, taken while each sweep was
+# still written as two closures around _sweep.  A key is the argv after
+# `verify` and the route replaced, if any: a failing report lists every d
+# drawn, so these pin each sampler's random stream and degree
+VERIFY_DIGESTS = {
+    ("rank --g 3 --n 2", ""): "2230f38c1d0cbd43d9d0a2aee7c2cbda78d4569e5bfe92bbb46e080a95c36c4e",
+    ("rank --g 4 --n 3", ""): "07566c5a4d7eec29817f28a053e92b36d7e7de05e6ef80f45fb3838451ac4b69",
+    ("T --g 3 --n 2 --trials 6 --seed 0", ""): "30d73c271d529cf7d35dcdb11385e4bdb40f45a5ba606d6e55dc33cb96a21370",
+    ("T --g 4 --n 3 --trials 3 --seed 11", ""): "c61da82fdb7e9141d2c21010cae5cbae1d31ef61167d9a5b3233f3c2d92b0fbc",
+    ("theta --g 3 --n 2 --trials 6 --seed 0", ""): "1be489d04cb3cbb1cdbeeb2d3e30e0704335df9a8387714a2a16632e7bb5aa59",
+    ("theta --g 4 --n 3 --trials 3 --seed 11", ""): "8b0fe37e5572ee48aa9df45e9cef4f08a3e194ff79e75275a6df79982dda35d6",
+    ("mueller --g 3 --n 2 --trials 6 --seed 0", ""): "0c7d1b6da4f6363f98ccaeb80645f04ec27ad9c87049e4172e35e467e3fd705a",
+    ("mueller --g 4 --n 3 --trials 3 --seed 11", ""): "46cca89617e02a0d3e6325c4fa11142e2deacf4daf65d0c680599e71da203d4c",
+    ("T --g 3 --n 2 --trials 4 --seed 2", "class_T"): "e16831c6473e6708d724b907a3bf091501191fa41629dfd68bf5c7eb5f3d1d2a",
+    ("theta --g 3 --n 2 --trials 4 --seed 7", "class_Theta"): "e6ad9a83b7eda6b4b290342b71c0c47532a2ac39ae9ef9e8e76aa98fd2dd198f",
+    # seed 7 draws (0, 2) and (2, 0), which the mueller sampler rejects
+    ("mueller --g 3 --n 2 --trials 4 --seed 7", "class_D_from_theta"): "e16d20b649efb1c5767021f183069fcc122ec86d168501ffb9d5e73d9b4df2c7",
+}
+
+
+@pytest.mark.parametrize("argv, broken", sorted(VERIFY_DIGESTS))
+def test_verify_output_bytes(capsys, monkeypatch, argv, broken):
+    import thetadiv.cli as cli
+
+    wrong = {
+        "class_T": lambda g, n, d: cli.class_Theta(g, n, (g - 1,) + (0,) * (n - 1)),  # as above
+        "class_Theta": lambda g, n, d: thetadiv.DivisorClass.zero(g, n),
+        "class_D_from_theta": lambda g, n, d: thetadiv.DivisorClass.zero(g, n),
+    }
+    if broken:
+        monkeypatch.setattr(cli, broken, wrong[broken])
+    code, out, err = run(capsys, "verify", *argv.split())
+    assert (code, err) == (1 if broken else 0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[argv, broken]
+
+
 def test_mueller_verify_impossible_at_one_marking(capsys):
     # g - 1 >= 0 forces the single weight nonnegative: no admissible vectors
     code, _, err = run(capsys, "verify", "mueller", "--g", "3", "--n", "1")

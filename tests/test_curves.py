@@ -370,3 +370,20 @@ def test_pair_is_the_dense_row_dotted_with_the_class(cls):
     vector = [cls.coeff(gen) for gen in mat.cols]
     for curve, row in zip(mat.rows, mat.entries):
         assert pair(curve, cls) == sum(map(operator.mul, row, vector)), curve_label(curve)
+
+
+def test_pair_refuses_a_curve_that_is_no_test_curve():
+    # kills the mutant without _check_curve's type test: AttributeError on .dual
+    with pytest.raises(ValueError, match=r"^expected a TestCurve, got Generator\(kind='K'"):
+        pair(K(1), DivisorClass(3, 2, {K(1): 1}))
+
+
+def test_matrix_json_refuses_columns_out_of_basis_order():
+    # kills the mutant without the column-label test: the entries were read
+    # against the basis order whatever the labels said
+    from thetadiv.curves import IntersectionMatrix
+
+    bad = build_matrix(3, 2).to_json_dict()
+    bad["cols"][0], bad["cols"][1] = bad["cols"][1], bad["cols"][0]
+    with pytest.raises(ValueError, match="^column labels do not match the basis enumeration$"):
+        IntersectionMatrix.from_json_dict(bad)

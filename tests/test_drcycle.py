@@ -619,3 +619,10 @@ def test_small_genus_warnings_name_the_caller():
         with pytest.warns(UserWarning, match="genus >= 3") as record:
             call()
         assert [w.filename for w in record] == [__file__]
+
+
+def test_a_zero_coefficient_is_not_stored():
+    # kills the mutant that keeps zeros: the cycle compared unequal to the zero cycle
+    cycle = FormalCycle(3, 2, {((K(1), 3),): 0, ((K(2), 3),): Fraction(0)})
+    assert cycle == FormalCycle(3, 2, {})
+    assert cycle.terms == {}
