@@ -90,6 +90,14 @@ def _check_gn(g: int, n: int) -> None:
         raise ValueError(f"number of marked points must be an integer >= 1, got {n!r}")
 
 
+def _check_type(value, cls: type) -> None:
+    # a public entry point's argument of the wrong type is bad input, not
+    # an AttributeError; delta and _check_generator test inline, as they
+    # run once per generator
+    if not isinstance(value, cls):
+        raise ValueError(f"expected a {cls.__name__}, got {value!r}")
+
+
 def _subsets(n: int) -> Iterator[tuple[int, ...]]:
     """Subsets of {1..n} as sorted tuples, ordered by size then lexicographically."""
     for size in range(n + 1):
@@ -187,12 +195,15 @@ def canonicalize_boundary(h: int, P: Iterable[int], g: int, n: int) -> BoundaryI
     O(n) work, for an n above 23, the bit length of :data:`BUDGET`, whose
     boundary enumeration the work budget refuses.  A marking set that
     repeats a marking is refused too, not read as the set without the
-    repeat.
+    repeat, and so is a P that is not iterable.
     """
     _check_gn(g, n)
     if n > BUDGET.bit_length():  # B(g, n) > BUDGET: one comparison before any O(n) work
         check_work(g, n, 8)
-    pts = tuple(P)
+    try:
+        pts = tuple(P)
+    except TypeError:  # an int or None, say
+        raise ValueError(f"marking set {P!r} is not iterable") from None
     for p in pts:  # type(), as in _check_gn: a bool or a float is no marking
         if type(p) is not int:
             raise ValueError(f"markings must be integers, got {p!r}")
@@ -650,11 +661,13 @@ def k_to_psi(divclass: DivisorClass) -> DivisorClass:
     The result stores the psi_i coefficient in the i-th point slot; boundary
     slots absorb the correction.  Inverse of :func:`psi_to_k`.
     """
+    _check_type(divclass, DivisorClass)
     return _substitute_psi(divclass.g, divclass.n, divclass.coeffs, -1)
 
 
 def psi_to_k(divclass: DivisorClass) -> DivisorClass:
     """Substitute psi_i = K_i + sum delta_0^P; inverse of :func:`k_to_psi`."""
+    _check_type(divclass, DivisorClass)
     return _substitute_psi(divclass.g, divclass.n, divclass.coeffs, 1)
 
 
@@ -670,8 +683,7 @@ def relabel_boundary(b: BoundaryIndex, sigma: tuple[int, ...], g: int, n: int) -
     """Image of a boundary class (h, P) of (g, n), canonical or not, under
     the marking relabelling i -> sigma[i-1]."""
     _check_permutation(sigma, n)
-    if not isinstance(b, BoundaryIndex):
-        raise ValueError(f"expected a BoundaryIndex, got {b!r}")
+    _check_type(b, BoundaryIndex)
     return _relabel(delta(canonicalize_boundary(b.h, b.P, g, n)), sigma, g, n).boundary
 
 
@@ -695,6 +707,7 @@ def relabel_generator(gen: Generator, sigma: tuple[int, ...], g: int, n: int) ->
 
 def relabel_class(divclass: DivisorClass, sigma: tuple[int, ...]) -> DivisorClass:
     """Push a divisor class forward along a permutation of the markings."""
+    _check_type(divclass, DivisorClass)
     g, n = divclass.g, divclass.n
     _check_permutation(sigma, n)
     coeffs = {_relabel(gen, sigma, g, n): c for gen, c in divclass.coeffs.items()}

@@ -18,7 +18,7 @@ verify rank|T|theta|mueller
 
 Each subcommand is one row of ``_COMMANDS``: its name, help, arguments and
 handler; ``class`` and ``verify`` read their choices from the dicts they
-dispatch through.  A call adds only the arguments of the command it runs,
+dispatch through.  A call builds only the parser of the command it runs,
 when argparse parses that command (see :class:`_Command`).  Every handler
 writes through :func:`_emit`: JSON is printed whole, CSV and pretty output
 row by row as each row is made.
@@ -248,14 +248,25 @@ _COMMANDS = (
 
 
 class _Command(argparse.ArgumentParser):
-    """A subcommand's parser, which adds its ``_COMMANDS`` arguments, in
-    table order and once, when it first parses: argparse parses only the
-    subcommand named in argv, so a call adds no other command's arguments."""
+    """A subcommand's parser, built when it first parses: argparse parses
+    only the subcommand named in argv, so a call builds no other command's
+    parser.  ``__init__`` keeps the options ``add_parser`` passes; the first
+    :meth:`parse_known_args` runs ``ArgumentParser.__init__`` with them,
+    adds the ``_COMMANDS`` row's arguments in table order and sets ``func``
+    to its handler, once.  Until then the parser has no argparse state, so
+    ``repr()`` of it fails: argparse reads only the subparser map's keys
+    and the help pseudo-actions before it dispatches (3.10–3.13)."""
+
+    def __init__(self, **options):
+        self.pending = options
 
     def parse_known_args(self, args=None, namespace=None):
-        for flag, options in self.arguments:
-            self.add_argument(flag, **options)
-        self.arguments = ()
+        if self.pending is not None:
+            super().__init__(**self.pending)
+            for flag, options in self.arguments:
+                self.add_argument(flag, **options)
+            self.set_defaults(func=self.handler)
+            self.pending = None
         return super().parse_known_args(args, namespace)
 
 
@@ -267,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
     for name, summary, arguments, handler in _COMMANDS:
         command = sub.add_parser(name, help=summary)
-        command.arguments = arguments
-        command.set_defaults(func=handler)
+        command.arguments, command.handler = arguments, handler
     return parser
 
 

@@ -69,6 +69,7 @@ from .basis import (
     _boundary_label,
     _check_generator,
     _check_gn,
+    _check_type,
     _flat,
     _json_coefficients,
     _json_list,
@@ -115,8 +116,7 @@ def curve_label(curve: TestCurve) -> str:
 
 
 def _check_curve(curve: TestCurve, g: int, n: int) -> None:
-    if not isinstance(curve, TestCurve):
-        raise ValueError(f"expected a TestCurve, got {curve!r}")
+    _check_type(curve, TestCurve)
     _check_generator(curve.dual, g, n)
 
 
@@ -205,8 +205,7 @@ def intersect(curve: TestCurve, gen: Generator, g: int, n: int) -> Fraction:
 
 def pair(curve: TestCurve, divclass: DivisorClass) -> Fraction:
     """Intersection number of a test curve with an arbitrary divisor class."""
-    if not isinstance(divclass, DivisorClass):
-        raise ValueError(f"expected a DivisorClass, got {divclass!r}")
+    _check_type(divclass, DivisorClass)
     if divclass.n > BUDGET.bit_length():  # one comparison before the O(n) point row
         check_work(divclass.g, divclass.n, 8)
     _check_curve(curve, divclass.g, divclass.n)

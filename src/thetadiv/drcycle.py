@@ -56,6 +56,7 @@ from .basis import (
     _check_generator,
     _check_gn,
     _check_permutation,
+    _check_type,
     _exact,
     _json_coefficients,
     _json_list,
@@ -77,6 +78,7 @@ Monomial = tuple[tuple[Generator, int], ...]
 def restrict_to_compact_type(divclass: DivisorClass) -> DivisorClass:
     """Drop the delta_irr generator (compact-type curves never carry a
     non-separating node); all other coefficients are unchanged."""
+    _check_type(divclass, DivisorClass)
     coeffs = {gen: c for gen, c in divclass.coeffs.items() if gen != DELTA_IRR}
     return DivisorClass._trusted(divclass.g, divclass.n, coeffs)
 
@@ -302,6 +304,7 @@ def evaluate(cycle: FormalCycle, assignment: Mapping[Generator, Fraction]) -> Fr
     The powers P^0 .. P^g of each generator take about g^2/2 times P's
     bits, so they are charged to the work budget, one unit a 64-bit word,
     and refused with ``ValueError`` above it before any power is built."""
+    _check_type(cycle, FormalCycle)
     values: dict[Generator, Fraction] = {}
     for mono in cycle.terms:
         for gen, _ in mono:
@@ -334,6 +337,7 @@ def evaluate(cycle: FormalCycle, assignment: Mapping[Generator, Fraction]) -> Fr
 def relabel_cycle(cycle: FormalCycle, sigma: tuple[int, ...]) -> FormalCycle:
     """Push a formal cycle forward along a permutation of the markings;
     each distinct generator is relabelled once."""
+    _check_type(cycle, FormalCycle)
     g, n = cycle.g, cycle.n
     _check_permutation(sigma, n)
     image = _Memo(lambda gen: _relabel(gen, sigma, g, n))

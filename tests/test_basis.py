@@ -41,7 +41,13 @@ from thetadiv.curves import (
     point_curve,
     relabel_curve,
 )
-from thetadiv.drcycle import FormalCycle, dr_expansion, relabel_cycle
+from thetadiv.drcycle import (
+    FormalCycle,
+    dr_expansion,
+    evaluate,
+    relabel_cycle,
+    restrict_to_compact_type,
+)
 from thetadiv.solve import certify_basis, reconstruct_T
 from thetadiv.theta import class_T
 
@@ -985,6 +991,17 @@ def test_labels_the_parser_keeps_reading():
         (FormalCycle, (3, 2, {(5,): 1}), "a monomial must be a tuple of (generator, exponent) pairs, got (5,)"),
         # AttributeError: 'int' object has no attribute 'startswith'
         (parse_generator_label, (5, 3, 2), "generator labels must be strings, got 5"),
+        # TypeError: 'int' (or 'NoneType') object is not iterable, from tuple(P)
+        (canonicalize_boundary, (1, 5, 3, 2), "marking set 5 is not iterable"),
+        (DivisorClass, (3, 2, {delta(BoundaryIndex(1, 5)): 1}), "marking set 5 is not iterable"),
+        (relabel_boundary, (BoundaryIndex(1, None), (2, 1), 3, 2), "marking set None is not iterable"),
+        # AttributeError: 'int' object has no attribute 'g' (or 'coeffs', 'terms')
+        (k_to_psi, (5,), "expected a DivisorClass, got 5"),
+        (psi_to_k, (None,), "expected a DivisorClass, got None"),
+        (relabel_class, (5, (1, 2)), "expected a DivisorClass, got 5"),
+        (relabel_cycle, (5, (1, 2)), "expected a FormalCycle, got 5"),
+        (evaluate, (5, {}), "expected a FormalCycle, got 5"),
+        (restrict_to_compact_type, (5,), "expected a DivisorClass, got 5"),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )

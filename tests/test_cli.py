@@ -1,6 +1,7 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
 
 import argparse
+import concurrent.futures
 import contextlib
 import csv
 import hashlib
@@ -12,6 +13,7 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from fractions import Fraction
@@ -617,8 +619,9 @@ def test_plus_option_is_gone(capsys):
 # subcommand's --help and of usage errors, joined by NUL, taken on Python
 # 3.11: the first ten before the parser was built from one table, the five
 # raised inside a subcommand before its arguments were added only when it
-# parses (3.10 gives the same bytes); argparse wraps at $COLUMNS, and its
-# layout differs between Python versions
+# parses (3.10 gives the same bytes), and no command and an unknown one
+# before only the dispatched subcommand's parser was built; argparse wraps
+# at $COLUMNS, and its layout differs between Python versions
 HELP_DIGESTS = {
     "--help": "6822c278de64c6a382ef528b00cabaf3ed4f902d424a4e5ffa8ba4f34bd07d6a",
     "basis --help": "6c2c0ed754f3ae2dbcacc5556f729981cbd6582130e2762ee9c2620b44da7e58",
@@ -635,6 +638,8 @@ HELP_DIGESTS = {
     "basis --g 3 --n 1 --format xml": "67a8d59d1b50f2677cca4483e3e3cbdcea537ef32e24e215060c60c9e6e4a906",
     "basis --g 3 --n 1 --bogus": "1f7cd6e29d33297a77119f43da59a06fedb8050740bb67ef453a69294450c35a",
     "verify": "77ed8f6bf0423d89489f24e2d2d3d329625723824d3116ff82d4dec4e64b8445",
+    "": "85614549d303addd855f3366dc99d888f8f7a78a79f58e2fec04d66d103c2d35",
+    "bogus": "a15c975f264360cd70fabdd3a597597e59eb0d392e9b8f0537ce57fe9ed5eba9",
 }
 
 
@@ -662,8 +667,8 @@ COMMAND_ARGV = {
 
 @pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
 def test_a_call_adds_only_the_arguments_of_its_command(capsys, monkeypatch, command):
-    # the top parser's -h, one -h per subcommand, and the named command's
-    # own arguments, not all 35 of every command
+    # the top parser's -h, the named command's -h and its own arguments,
+    # not all 35 of every command
     argv, own = COMMAND_ARGV[command]
     calls = []
     add_argument = argparse._ActionsContainer.add_argument
@@ -675,7 +680,30 @@ def test_a_call_adds_only_the_arguments_of_its_command(capsys, monkeypatch, comm
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
     assert main(argv.split()) == 0
     assert capsys.readouterr().out
-    assert len(calls) == 8 + own
+    assert len(calls) == 2 + own
+
+
+@pytest.mark.parametrize(
+    "argv, built, code",
+    [*((argv, 2, 0) for argv, _own in COMMAND_ARGV.values()), ("--help", 1, 0), ("", 1, 2), ("bogus", 1, 2)],
+)
+def test_a_call_builds_only_the_parser_of_its_command(capsys, monkeypatch, argv, built, code):
+    # the top parser, and the subcommand's only when argparse dispatches to it
+    inits = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        inits.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    try:
+        status = main(argv.split())
+    except SystemExit as exc:
+        status = exc.code
+    capsys.readouterr()
+    assert status == code
+    assert len(inits) == built
 
 
 def test_one_parser_parses_every_command_as_a_fresh_one_does():
@@ -684,6 +712,27 @@ def test_one_parser_parses_every_command_as_a_fresh_one_does():
         for argv, _own in COMMAND_ARGV.values():
             args, fresh = parser.parse_args(argv.split()), build_parser().parse_args(argv.split())
             assert list(vars(args).items()) == list(vars(fresh).items())
+
+
+def test_parsers_in_threads_parse_as_a_sequential_run():
+    # the threads parse first, so that a parser shared between calls would
+    # be built by several threads at once
+    argvs = [argv.split() for argv, _own in COMMAND_ARGV.values()] * 10
+
+    def parse_all(start):
+        start.wait()  # all four threads build and parse at once
+        return [build_parser().parse_args(argv) for argv in argvs]
+
+    start = threading.Barrier(4, timeout=60)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside each build and parse
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            runs = list(pool.map(parse_all, [start] * 4, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    expected = [build_parser().parse_args(argv) for argv in argvs]
+    assert runs == [expected] * 4
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
