@@ -251,15 +251,16 @@ def delta(b: BoundaryIndex) -> Generator:
     return Generator("delta", boundary=b)
 
 
-_KIND_ORDER = {"lambda1": 0, "delta_irr": 1, "K": 2, "delta": 3}
+_KIND_ORDER = {"lambda1": 0, "delta_irr": 1, "K": 2, "delta": 2}
 
 
 def generator_sort_key(gen: Generator) -> tuple:
-    """Total order on generators matching the basis order."""
-    if gen.kind == "delta":
-        b = gen.boundary
-        return (3, 0, b.h, len(b.P), b.P)
-    return (_KIND_ORDER[gen.kind], gen.i, 0, 0, ())
+    """Total order on generators matching the basis order: lambda1,
+    delta_irr, then ``(h, len(P), P)`` with K_i read as the unstable class
+    (0, {i}), which comes before every stable class.  Only the order is
+    a contract, not the key's values."""
+    h, P = gen.boundary or (0, (gen.i,))
+    return (_KIND_ORDER[gen.kind], h, len(P), P)
 
 
 def _boundary_label(prefix: str, h: int, P: Iterable[int]) -> str:

@@ -87,6 +87,8 @@ def _sweep(g: int, n: int, trials: int, seed: int, check: str, draw, degree: int
     ``left(g, n, d) == right(g, n, d)``; a system the test curves cannot
     solve fails it.  Refused before the first draw above the work budget,
     at one solve a trial."""
+    if type(trials) is not int:  # type(), as in _check_gn: a bool is no count
+        raise ValueError(f"--trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
     check_work(g, n, trials * _solve_units(n))

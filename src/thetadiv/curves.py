@@ -8,7 +8,10 @@ generator; its label, validation and relabelling are read off that
 generator:
 
 * ``point_curve(i)``, dual to ``K_i``: a fixed smooth curve with the i-th
-  marked point sweeping along it.
+  marked point sweeping along it.  It is the node curve of the unstable
+  genus-0 class (0, {i}) once the rational component holding only i and
+  the node is contracted, so its numbers are the node formulas at h = 0,
+  P = {i}, less the self-intersection, as (0, {i}) has no column.
 * ``boundary_curve(b)``, dual to ``delta_b`` for a canonical boundary index
   ``b = (h, P)``: a fixed genus-h component carrying the markings in P,
   attached at a moving point of a fixed genus-(g-h) component carrying the
@@ -140,21 +143,18 @@ def _row(dual: Generator, g: int, n: int, column: list | dict) -> dict:
     """The pairings of the family dual to a valid generator with the basis
     for (g, n) that can be nonzero, keyed as the module notes say, with
     the canonical class (h, P) at ``column[k]`` for its flat key k
-    (:func:`_flat`); absent keys pair to 0."""
-    if dual.kind == "K":
-        own, row = 1 << dual.i - 1, {1 + dual.i: 2 * g - 2}
-        for j in range(n):
-            if j != dual.i - 1:
-                # the moving point collides with another marking: a rational tail
-                row[column[own | 1 << j]] = 1
-        return row  # lambda1 and delta_irr restrict trivially
-    if dual.kind == "delta":
-        h, P = dual.boundary
+    (:func:`_flat`); absent keys pair to 0.  One branch states the node
+    and point families: ``K_i`` reads as (h, P) = (0, {i}), whose row has
+    no self-intersection entry, so a point row is K_i's 2g - 2, then
+    (0, {i, j}) by j."""
+    if dual.kind in ("K", "delta"):
+        h, P = dual.boundary or (0, (dual.i,))  # K_i: the node curve of (0, {i})
         own = _flat(h, P, n)
         comp = [j for j in range(n) if not own >> j & 1]  # bit j: the marking j + 1
         row = {1 + i: 2 * g - 2 for i in P} if h == 0 else {2 + j: 1 for j in comp}
-        # self-intersection: minus the degree of the normal direction
-        row[column[own]] = 2 - 2 * (g - h) - len(comp)
+        if dual.boundary:  # an unstable (0, {i}) has no column
+            # self-intersection: minus the degree of the normal direction
+            row[column[own]] = 2 - 2 * (g - h) - len(comp)
         for j in comp:
             # moving attach point hits the marking j + 1: one transverse point
             row[column[own | 1 << j]] = 1

@@ -100,6 +100,8 @@ def _join_factors(mono: Monomial, pieces: dict[tuple[Generator, int], str]) -> s
 
 
 def monomial_label(mono: Monomial) -> str:
+    if type(mono) is not tuple:  # before _join_factors, which labels any empty value "1"
+        raise ValueError(f"a monomial must be a tuple of (generator, exponent) pairs, got {mono!r}")
     return _join_factors(mono, {})
 
 
@@ -305,6 +307,8 @@ def evaluate(cycle: FormalCycle, assignment: Mapping[Generator, Fraction]) -> Fr
     bits, so they are charged to the work budget, one unit a 64-bit word,
     and refused with ``ValueError`` above it before any power is built."""
     _check_type(cycle, FormalCycle)
+    if not isinstance(assignment, Mapping):  # as DivisorClass refuses its coefficients
+        raise ValueError(f"assignment must be a mapping, got {assignment!r}")
     values: dict[Generator, Fraction] = {}
     for mono in cycle.terms:
         for gen, _ in mono:

@@ -99,7 +99,10 @@ def _warn_small_genus(g: int) -> None:
 def check_weights(g: int, n: int, d: Sequence[int], degree: int) -> tuple[int, ...]:
     """Validate a weight vector and its total degree; returns it as a tuple."""
     _check_gn(g, n)
-    d = tuple(d)
+    try:
+        d = tuple(d)
+    except TypeError:  # None or an int, say, as canonicalize_boundary refuses a P
+        raise ValueError(f"weight vector {d!r} is not iterable") from None
     if len(d) != n:
         raise ValueError(f"expected {n} weights, got {len(d)}")
     if not all(type(w) is int for w in d):
@@ -300,14 +303,15 @@ def class_D_direct(g: int, n: int, d: Sequence[int]) -> DivisorClass:
 
 def _theta(dual: Generator, d: Sequence[int], shift: int, g: int) -> int:
     """:func:`theta_intersection` of the family dual to ``dual``, unchecked;
-    shift 0 for kind "T", 1 for "Theta"."""
-    if dual.kind == "K":
-        return d[dual.i - 1] ** 2 * g
-    if dual.kind == "delta":
-        b = dual.boundary
-        e = weight_sum(d, b.P) - shift * b.h
-        return e * e * (g - b.h)
-    return 0  # T is constant along the elliptic tail and the irreducible node
+    shift 0 for kind "T", 1 for "Theta".  A node family (h, P) gives
+    ``e * e * (g - h)`` with ``e = d_P - shift * h``; the point family of
+    K_i is the node family of (0, {i}), so it gives d_i^2 * g for both
+    kinds."""
+    if dual.kind not in ("K", "delta"):
+        return 0  # T is constant along the elliptic tail and the irreducible node
+    h, P = dual.boundary or (0, (dual.i,))  # K_i: the node curve of (0, {i})
+    e = weight_sum(d, P) - shift * h
+    return e * e * (g - h)
 
 
 def theta_intersection(

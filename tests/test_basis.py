@@ -41,15 +41,26 @@ from thetadiv.curves import (
     point_curve,
     relabel_curve,
 )
+from thetadiv.cli import verify_T
 from thetadiv.drcycle import (
     FormalCycle,
     dr_expansion,
     evaluate,
+    monomial_label,
     relabel_cycle,
     restrict_to_compact_type,
 )
-from thetadiv.solve import certify_basis, reconstruct_T
-from thetadiv.theta import class_T
+from thetadiv.solve import certify_basis, reconstruct_T, reconstruct_Theta
+from thetadiv.theta import (
+    class_D_direct,
+    class_D_from_theta,
+    class_T,
+    class_Theta,
+    correction_ledger,
+    theta_intersection,
+)
+
+CUBE = FormalCycle(3, 2, {((K(1), 3),): 1})  # K1^3 at g = 3
 
 
 def all_subsets(n):
@@ -1002,6 +1013,28 @@ def test_labels_the_parser_keeps_reading():
         (relabel_cycle, (5, (1, 2)), "expected a FormalCycle, got 5"),
         (evaluate, (5, {}), "expected a FormalCycle, got 5"),
         (restrict_to_compact_type, (5,), "expected a DivisorClass, got 5"),
+        # TypeError: 'NoneType' (or 'int') object is not iterable, from tuple(d)
+        (class_T, (3, 2, None), "weight vector None is not iterable"),
+        (class_T, (3, 2, 5), "weight vector 5 is not iterable"),
+        (class_Theta, (3, 2, None), "weight vector None is not iterable"),
+        (class_D_direct, (3, 2, None), "weight vector None is not iterable"),
+        (class_D_from_theta, (3, 2, None), "weight vector None is not iterable"),
+        (correction_ledger, (3, 2, None), "weight vector None is not iterable"),
+        (theta_intersection, (point_curve(1), None, "T", 3, 2), "weight vector None is not iterable"),
+        (reconstruct_T, (3, 2, None), "weight vector None is not iterable"),
+        (reconstruct_Theta, (3, 2, None), "weight vector None is not iterable"),
+        (dr_expansion, (3, 2, None), "weight vector None is not iterable"),
+        # TypeError: argument of type 'NoneType' is not iterable; a list was
+        # read as missing its first generator
+        (evaluate, (CUBE, None), "assignment must be a mapping, got None"),
+        (evaluate, (CUBE, []), "assignment must be a mapping, got []"),
+        # None was labelled "1"; TypeError: 'int' object is not iterable
+        (monomial_label, (None,), "a monomial must be a tuple of (generator, exponent) pairs, got None"),
+        (monomial_label, (5,), "a monomial must be a tuple of (generator, exponent) pairs, got 5"),
+        # True ran one trial and reported "trials": true; TypeError: '<' not
+        # supported between instances of 'str' and 'int'
+        (verify_T, (3, 2, True, 0), "--trials must be an integer, got True"),
+        (verify_T, (3, 2, "5", 0), "--trials must be an integer, got '5'"),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )

@@ -4,7 +4,7 @@ import contextlib
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -305,6 +305,14 @@ def test_theta_intersection_values():
         theta_intersection(IRREDUCIBLE_NODE, (3, -1), "Theta", 3, 2)
     with pytest.raises(ValueError, match="kind"):
         theta_intersection(point_curve(1), (1, -1), "theta", 3, 2)
+    # every point curve, at both kinds: d_i^2 * g, stated here apart from
+    # the node formula that the library reads it from at (0, {i})
+    for g, n, shift in product((3, 4, 5), (1, 2, 3), (0, 1)):
+        kind = ("T", "Theta")[shift]
+        for head in product(range(-2, 3), repeat=n - 1):
+            d = head + (shift * (g - 1) - sum(head),)
+            for i in range(1, n + 1):
+                assert theta_intersection(point_curve(i), d, kind, g, n) == d[i - 1] ** 2 * g, (g, d, kind, i)
 
 
 def test_intersection_numbers_match_pairing_against_classes():

@@ -100,3 +100,27 @@ def test_one_cycle_of_each_workload_passes_its_checks(monkeypatch):
     for name, workload in workloads.WORKLOADS.items():
         for op in workload(thetadiv, seed=1).cycle():
             assert op.check(op.run()) is True, (name, op.kind, op.size)
+
+
+def test_code_lines_counts_only_code():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = (
+        '"""Module docstring,\n\non three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):  # a trailing comment\n"
+        '    """One line."""\n'
+        "    return (x,\n"
+        "            x)\n"
+        "\n"
+        "class C:\n"
+        "    'a docstring'\n"
+        "    y = 'no docstring'\n"
+        "    'no docstring either'\n"
+    )
+    # def, both lines of the return, class, the assignment and the last string
+    assert tool.code_lines(source) == 6
