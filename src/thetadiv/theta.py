@@ -309,7 +309,8 @@ def _theta(dual: Generator, d: Sequence[int], shift: int, g: int) -> int:
     kinds."""
     if dual.kind not in ("K", "delta"):
         return 0  # T is constant along the elliptic tail and the irreducible node
-    h, P = dual.boundary or (0, (dual.i,))  # K_i: the node curve of (0, {i})
+    # K_i: the node curve of (0, {i}), read as basis.generator_sort_key reads it
+    h, P = dual.boundary or (0, (dual.i,))
     e = weight_sum(d, P) - shift * h
     return e * e * (g - h)
 

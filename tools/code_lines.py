@@ -6,8 +6,8 @@ string of a module, class or function body) are excluded.  A statement
 that spans several lines counts each of them.  This is the count that
 ROADMAP.md and CHANGES.md give for ``src/``.
 
-Usage: ``python tools/code_lines.py [DIR]``; DIR defaults to the ``src``
-directory beside this script's parent.  Only the standard library is used.
+Usage: ``python tools/code_lines.py``; it counts the ``src`` directory of
+the repository that holds it.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src"
     total = 0
     for path in sorted(root.rglob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
@@ -56,4 +56,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
