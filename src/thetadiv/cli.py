@@ -40,10 +40,11 @@ import json
 import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
 from .basis import _boundary_label, _write_csv, basis_generators, check_work, generator_label
-from .curves import _matrix_size, build_matrix, curve_label, enumerate_test_curves
+from .curves import _dense_rows, _matrix_size, curve_label, enumerate_test_curves
 from .drcycle import dr_expansion
 from .solve import SingularMatrixError, _solve_units, certify_basis, reconstruct_T, reconstruct_Theta
 from .theta import class_D_direct, class_D_from_theta, class_T, class_Theta, correction_ledger
@@ -91,6 +92,8 @@ def _sweep(g: int, n: int, trials: int, seed: int, check: str, draw, degree: int
         raise ValueError(f"--trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
+    if type(seed) is not int:  # None draws from the OS, "x" and 1.5 hash: no report could be replayed
+        raise ValueError(f"--seed must be an integer, got {seed!r}")
     check_work(g, n, trials * _solve_units(n))
     rng = random.Random(seed)
     failures = []
@@ -136,15 +139,41 @@ def verify_mueller(g: int, n: int, trials: int, seed: int, plus_convention: str 
     return report
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, the same text, for a document whose
+    dict keys are all str, its lines after the first starting with
+    ``newline``.  For an indent the standard library falls back to its
+    pure-Python encoder; this makes each container's text in one join, with
+    each str and int item inline, through the function json.dumps calls for
+    it, and any other leaf (bool, None) through json.dumps."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        texts = [
+            _quote(key) + ": "
+            + (_quote(x) if type(x) is str else int.__repr__(x) if type(x) is int else _json_text(x, inner))
+            for key, x in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(texts) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        texts = [
+            _quote(x) if type(x) is str else int.__repr__(x) if type(x) is int else _json_text(x, inner)
+            for x in value
+        ]
+        return "[" + inner + ("," + inner).join(texts) + newline + "]"
+    return json.dumps(value)  # a leaf, "{}" or "[]"
+
+
 def _emit(fmt: str, doc, header: list[str], rows, lines) -> int:
     """Write one result to stdout in ``fmt``: the JSON document ``doc()``,
-    or the CSV table ``header`` + ``rows``, or the pretty ``lines``.
-    ``rows`` and ``lines`` are lazy iterables, only one of them is read,
-    and each row or line is written as it is made.  Stdout is flushed
-    before returning, so that a reader that closed it early raises here,
-    inside :func:`main`, and not in the interpreter's flush at exit."""
+    as ``json.dumps(doc(), indent=2)`` would print it (see
+    :func:`_json_text`), or the CSV table ``header`` + ``rows``, or the
+    pretty ``lines``.  ``rows`` and ``lines`` are lazy iterables, only one
+    of them is read, and each row or line is written as it is made.
+    Stdout is flushed before returning, so that a reader that closed it
+    early raises here, inside :func:`main`, and not in the interpreter's
+    flush at exit."""
     if fmt == "json":
-        print(json.dumps(doc(), indent=2))
+        print(_json_text(doc()))
     elif fmt == "csv":
         _write_csv(sys.stdout, header, rows)
     else:
@@ -161,8 +190,10 @@ def _check_digits(values) -> None:
     end the output part-way.  A limit of 0, or no such function, means
     none; the process-wide setting is left alone."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    bound = 10**limit if limit else 0
-    if bound and any(abs(x.numerator) >= bound or x.denominator >= bound for x in values):
+    widest = max((max(abs(x.numerator), x.denominator) for x in values), default=0)
+    # below 3 * limit bits it is below 8**limit, so it has at most limit
+    # digits: 10**limit (29 us at the default limit) is built only past that
+    if limit and widest.bit_length() >= 3 * limit and widest >= 10**limit:
         raise ValueError(f"a value has more than {limit} digits, the interpreter's int-to-str limit")
 
 
@@ -178,13 +209,16 @@ def _cmd_curves(args) -> int:
 
 def _cmd_matrix(args) -> int:
     if args.format == "json":
-        # JSON holds every entry as a str and the whole document in memory:
-        # 143 MB peak at (6, 8) against 27 MB as csv, so m^2 units, not m^2/4
+        # JSON holds every entry as a str and the whole document in memory,
+        # so m^2 units, not m^2/4: fit to the dense build's 143 MB peak at
+        # (6, 8) against 27 MB as csv, not yet measured for the sparse rows
         check_work(args.g, args.n, 8, _matrix_size(args.g, args.n) ** 2)
-    mat = build_matrix(args.g, args.n)
-    header, rows = mat._table()
-    lines = ("\t".join(row) for row in itertools.chain([header], rows))
-    return _emit(args.format, mat.to_json_dict, header, rows, lines)
+    gens, curves, entries = _dense_rows(args.g, args.n, "0", str)
+    cols, labels = [generator_label(gen) for gen in gens], [curve_label(c) for c in curves]
+    doc = lambda: {"g": args.g, "n": args.n, "rows": labels, "cols": cols, "entries": list(entries)}
+    rows = ([label, *entry] for label, entry in zip(labels, entries))
+    lines = ("\t".join(row) for row in itertools.chain([["curve", *cols]], rows))
+    return _emit(args.format, doc, ["curve", *cols], rows, lines)
 
 
 def _cmd_class(args) -> int:

@@ -243,16 +243,13 @@ class IntersectionMatrix:
             "entries": [[str(x) for x in row] for row in self.entries],
         }
 
-    def _table(self) -> tuple[list[str], Iterator[list[str]]]:
-        """The header ("curve", then the column labels) and the rows (each
-        curve's label, then its entries), as strings made when read."""
+    def to_csv(self) -> str:
+        """The header ("curve", then the column labels) and one row per
+        curve (its label, then its entries), as CSV."""
+        buf = io.StringIO()
         header = ["curve"] + [generator_label(gen) for gen in self.cols]
         rows = ([curve_label(c)] + [str(x) for x in row] for c, row in zip(self.rows, self.entries))
-        return header, rows
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        _write_csv(buf, *self._table())
+        _write_csv(buf, header, rows)
         return buf.getvalue()
 
     @_json_reader
@@ -283,18 +280,27 @@ def _matrix_size(g: int, n: int) -> int:
     return m
 
 
+def _dense_rows(g: int, n: int, zero, entry) -> tuple[tuple[Generator, ...], list[TestCurve], Iterator]:
+    """The basis, the test curves in their order and, made when read, each
+    curve's dense row: ``entry(v)`` for each nonzero v of its sparse row
+    and ``zero`` for each absent one.  Refused as :func:`build_matrix` is."""
+    m = _matrix_size(g, n)
+    gens, row = _rows(g, n)
+    order = [*range(2, m), 0, 1]  # the test-curve order
+
+    def rows() -> Iterator[list]:
+        for c in order:
+            dense = [zero] * m
+            for j, value in row(c).items():
+                dense[j] = entry(value)
+            yield dense
+
+    return gens, [TestCurve(gens[c]) for c in order], rows()
+
+
 def build_matrix(g: int, n: int) -> IntersectionMatrix:
     """Assemble the full test-curve / divisor-basis intersection matrix,
     refused before any enumeration above the work budget at 8 units a
     boundary class plus m^2/4 for the dense entries."""
-    m = _matrix_size(g, n)
-    gens, row = _rows(g, n)
-    order = [*range(2, m), 0, 1]  # the test-curve order
-    entries = []
-    for c in order:
-        entry = [Fraction(0)] * m
-        for j, value in row(c).items():
-            entry[j] = Fraction(value)
-        entries.append(tuple(entry))
-    curves = tuple(TestCurve(gens[c]) for c in order)
-    return IntersectionMatrix(g, n, curves, tuple(gens), tuple(entries))
+    gens, curves, rows = _dense_rows(g, n, Fraction(0), Fraction)
+    return IntersectionMatrix(g, n, tuple(curves), tuple(gens), tuple(map(tuple, rows)))

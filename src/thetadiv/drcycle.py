@@ -100,7 +100,10 @@ def _join_factors(mono: Monomial, pieces: dict[tuple[Generator, int], str]) -> s
 
 
 def monomial_label(mono: Monomial) -> str:
-    if type(mono) is not tuple:  # before _join_factors, which labels any empty value "1"
+    # before _join_factors, which labels any empty value "1" and unpacks each factor unchecked
+    if type(mono) is not tuple or not all(
+        type(f) is tuple and len(f) == 2 and type(f[0]) is Generator for f in mono
+    ):
         raise ValueError(f"a monomial must be a tuple of (generator, exponent) pairs, got {mono!r}")
     return _join_factors(mono, {})
 

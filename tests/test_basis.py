@@ -1035,6 +1035,22 @@ def test_labels_the_parser_keeps_reading():
         # supported between instances of 'str' and 'int'
         (verify_T, (3, 2, True, 0), "--trials must be an integer, got True"),
         (verify_T, (3, 2, "5", 0), "--trials must be an integer, got '5'"),
+        # TypeError: cannot unpack non-iterable int object, from _join_factors
+        (
+            monomial_label,
+            (((K(1), 1), 5),),
+            "a monomial must be a tuple of (generator, exponent) pairs, got "
+            "((Generator(kind='K', i=1, boundary=None), 1), 5)",
+        ),
+        (monomial_label, ((5,),), "a monomial must be a tuple of (generator, exponent) pairs, got (5,)"),
+        # AttributeError: 'int' object has no attribute 'kind'
+        (monomial_label, (((5, 1),),), "a monomial must be a tuple of (generator, exponent) pairs, got ((5, 1),)"),
+        # None drew from OS entropy and reported "seed": null; "x", 1.5 and
+        # True were hashed into seeds that no report names
+        (verify_T, (3, 2, 2, None), "--seed must be an integer, got None"),
+        (verify_T, (3, 2, 2, "x"), "--seed must be an integer, got 'x'"),
+        (verify_T, (3, 2, 2, 1.5), "--seed must be an integer, got 1.5"),
+        (verify_T, (3, 2, 2, True), "--seed must be an integer, got True"),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )

@@ -20,14 +20,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import thetadiv
+import thetadiv.cli as cli
+from thetadiv.basis import DivisorClass, _boundary_label, basis_generators, generator_label
 from thetadiv.cli import FORMATS, build_parser, main, sample_degree_weights, verify_mueller
+from thetadiv.curves import IntersectionMatrix, build_matrix, curve_label, enumerate_test_curves
 from thetadiv.drcycle import dr_expansion, monomial_label, restrict_to_compact_type
 from thetadiv.solve import SingularMatrixError
-from thetadiv.theta import class_T
+from thetadiv.theta import class_D_direct, class_T, class_Theta, correction_ledger
 
 
 def readme_commands():
@@ -390,6 +393,104 @@ def test_dr_formats_carry_the_expansion(case):
     rows = list(csv.reader(io.StringIO(out["csv"])))
     assert rows[0] == ["monomial", "coefficient"] and [tuple(r) for r in rows[1:]] == want
     assert [tuple(line.rsplit(": ", 1)) for line in out["pretty"].splitlines()] == want
+
+
+def format_outputs(argv):
+    """stdout of ``main(argv)`` in each format, by format."""
+    out = {}
+    for fmt in FORMATS:
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            assert main([*argv, "--format", fmt]) == 0
+        out[fmt] = buf.getvalue()
+    return out
+
+
+@st.composite
+def listing_commands(draw):
+    """(command, g, n, weights) for every command but dr and verify, the
+    weights of the degree and sign the command needs."""
+    command = draw(st.sampled_from(["basis", "curves", "matrix", "class T", "class theta", "class mueller", "ledger"]))
+    g = draw(st.integers(3 if command in ("curves", "matrix") else 1, 4))
+    n = draw(st.integers(2 if command in ("class mueller", "ledger") else 1, 3))
+    head = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+    d = (*head, (0 if command == "class T" else g - 1) - sum(head))
+    assume(command not in ("class mueller", "ledger") or min(d) < 0)
+    return command, g, n, d
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # genus 1 and 2 warn
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=listing_commands())
+def test_formats_carry_the_same_values(case):
+    # each format, parsed back, carries the library's values as str prints them
+    command, g, n, d = case
+    argv = [*command.split(), "--g", str(g), "--n", str(n)]
+    if command.startswith("class") or command == "ledger":
+        argv.append(f"--d={','.join(map(str, d))}")
+    out = format_outputs(argv)
+    doc = json.loads(out["json"])
+    table = [tuple(row) for row in csv.reader(io.StringIO(out["csv"]))]
+    lines = out["pretty"].splitlines()
+    if command == "basis":
+        header, want = "generators", [generator_label(gen) for gen in basis_generators(g, n)]
+    elif command == "curves":
+        header, want = "curves", [curve_label(c) for c in enumerate_test_curves(g, n)]
+    if command in ("basis", "curves"):
+        assert doc == {header: want}
+        assert table == [(header,), *((label,) for label in want)]
+        assert lines == want
+    elif command == "matrix":
+        mat = build_matrix(g, n)
+        cols = [generator_label(gen) for gen in mat.cols]
+        want = [(curve_label(c), *map(str, row)) for c, row in zip(mat.rows, mat.entries)]
+        assert list(doc) == ["g", "n", "rows", "cols", "entries"]
+        assert (doc["g"], doc["n"], doc["cols"]) == (g, n, cols)
+        assert [(label, *row) for label, row in zip(doc["rows"], doc["entries"])] == want
+        assert IntersectionMatrix.from_json_dict(doc) == mat
+        assert table == [("curve", *cols), *want]
+        assert [tuple(line.split("\t")) for line in lines] == table
+    elif command.startswith("class"):
+        divclass = {"T": class_T, "theta": class_Theta, "mueller": class_D_direct}[command[6:]](g, n, d)
+        want = [(generator_label(gen), str(divclass.coeff(gen))) for gen in basis_generators(g, n)]
+        coeffs = doc["coeffs"]
+        assert [
+            ("lambda1", coeffs["lambda1"]),
+            ("delta_irr", coeffs["delta_irr"]),
+            *((f"K{i}", c) for i, c in enumerate(coeffs["K"], 1)),
+            *((_boundary_label("delta", b["h"], tuple(b["P"])), b["c"]) for b in coeffs["boundary"]),
+        ] == want
+        assert DivisorClass.from_json_dict(doc) == divclass
+        assert table == [("generator", "coefficient"), *want]
+        assert [tuple(line.split(" = ")) for line in lines] == want
+    else:
+        ledger = correction_ledger(g, n, d)
+        want = [(t.h, t.P, t.mult) for t in ledger.terms]
+        assert [(t["h"], tuple(t["P"]), t["mult"]) for t in doc["terms"]] == want
+        assert doc["delta_irr_order"] == str(ledger.delta_irr_order)
+        assert table[0] == ("h", "P", "mult")
+        assert [(int(h), tuple(map(int, P.split())), int(mult)) for h, P, mult in table[1:]] == want
+        assert lines[:-1] == [f"{mult} * {_boundary_label('delta', h, P)}" for h, P, mult in want]
+        assert lines[-1] == f"delta_irr order = {ledger.delta_irr_order}"
+
+
+# what json.loads returns, tuples as well, with str keys
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | st.floats() | st.text(),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(value=json_values)
+@example([[], {}, (), [[{}]], {"a": [[]], "": {"": {}}}])
+@example({"k\u00e9\"\\\x00\n\u2028": ["\ud800\U0001f600", -(2**100), 2**64 + 1, True, False, None, "\x1f\t\"\\/"]})
+def test_the_json_writer_is_json_dumps_with_indent_2(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
 # sha256 of the stdout of `thetadiv class` and `thetadiv ledger`, taken
@@ -797,6 +898,20 @@ def test_values_under_the_int_str_limit_print_whole(capsys, int_str_limit):
     code, out, err = run(capsys, "ledger", "--g", "3", "--n", "2", f"--d={M + 2},-{M}")
     assert (code, err) == (0, "")
     assert out == "3 * delta_3^{}\n1 * delta_1^{}\n2 * delta_2^{}\ndelta_irr order = 1/8\n"
+
+
+@pytest.mark.parametrize("place", ["numerator", "denominator"])
+def test_the_digit_check_admits_limit_digits_and_refuses_one_more(int_str_limit, place):
+    # limit digits pass, limit + 1 are refused, whatever the sign; 2**(3 * limit)
+    # is the first value whose bit length makes the check build 10**limit
+    def value(x, sign):
+        return sign * x if place == "numerator" else Fraction(sign, x)
+
+    for sign in (1, -1):
+        cli._check_digits([value(1, sign), value(2 ** (3 * int_str_limit) - 1, sign)])
+        cli._check_digits([value(2 ** (3 * int_str_limit), sign), value(10**int_str_limit - 1, sign)])
+        with pytest.raises(ValueError, match=f"^a value has more than {int_str_limit} digits, "):
+            cli._check_digits([value(3, sign), value(10**int_str_limit, sign)])
 
 
 def package_env():
