@@ -65,7 +65,6 @@ expansion do.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -476,12 +475,44 @@ def _json_reader(read):
     return classmethod(checked)
 
 
-def _write_csv(file, header: list[str], rows: Iterable) -> None:
-    """Write ``header`` and then each row to ``file``, one at a time, as CSV
-    with "\\n" line ends; the package's one CSV dialect."""
-    writer = csv.writer(file, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+_BLOCK = 64  # lines a block
+_WRITE = 8192  # characters a text at most
+
+
+def _blocks(lines: Iterable[str]) -> Iterator[str]:
+    """Each of ``lines`` followed by "\\n", made when read and joined
+    ``_BLOCK`` lines at a time, as texts of at most ``_WRITE`` characters:
+    the package's one writer of line-based output, one write a text.
+    Writes stay small because a write to an unbuffered stdout that a
+    closing reader cuts short raises nothing: only a later write meets the
+    closed pipe, so the last write must not hold most of the output."""
+    lines = iter(lines)
+    while block := list(itertools.islice(lines, _BLOCK)):
+        block.append("")
+        text = "\n".join(block)
+        for start in range(0, len(text), _WRITE):
+            yield text[start : start + _WRITE]
+
+
+def _csv_lines(header: list[str], rows: Iterable[Sequence[str]]) -> Iterator[str]:
+    """The lines, without line ends, of the CSV table ``header`` +
+    ``rows``, a row's line made when the row is read; the package's one
+    CSV dialect.
+
+    They are the lines ``csv.writer(file, lineterminator="\\n")`` writes
+    for every table the package writes, since those keep this contract:
+    every field is a ``str``; no field holds a quote, a "\\r" or a "\\n";
+    only labels (the header fields and each row's first field, such as
+    "node_0^{1,2}" or "K1*delta_0^{1,2}") can hold a comma; and no
+    one-field row is empty.  The standard writer then quotes a field
+    exactly when it holds a comma, so each row here is one join, with its
+    first field quoted when that holds a comma; a row's other fields are
+    not searched."""
+    yield ",".join([f'"{field}"' if "," in field else field for field in header])
+    for row in rows:
+        line = ",".join(row)
+        first = row[0]
+        yield f'"{first}"{line[len(first):]}' if "," in first else line
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ handler; ``class`` and ``verify`` read their choices from the dicts they
 dispatch through.  A call builds only the parser of the command it runs,
 when argparse parses that command (see :class:`_Command`).  Every handler
 writes through :func:`_emit`: JSON is printed whole, CSV and pretty output
-row by row as each row is made.
+a bounded block of lines at a time as the lines are made (see
+:func:`thetadiv.basis._blocks`).
 
 Exit codes: 0 success, 1 verification failure (report still printed),
 2 usage or validation error, 3 internal error (one line on stderr), 141
@@ -43,7 +44,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
-from .basis import _boundary_label, _write_csv, basis_generators, check_work, generator_label
+from .basis import _blocks, _boundary_label, _csv_lines, _texts, basis_generators, check_work, generator_label
 from .curves import _dense_rows, _matrix_size, curve_label, enumerate_test_curves
 from .drcycle import dr_expansion
 from .solve import SingularMatrixError, _solve_units, certify_basis, reconstruct_T, reconstruct_Theta
@@ -166,19 +167,19 @@ def _json_text(value, newline: str = "\n") -> str:
 def _emit(fmt: str, doc, header: list[str], rows, lines) -> int:
     """Write one result to stdout in ``fmt``: the JSON document ``doc()``,
     as ``json.dumps(doc(), indent=2)`` would print it (see
-    :func:`_json_text`), or the CSV table ``header`` + ``rows``, or the
-    pretty ``lines``.  ``rows`` and ``lines`` are lazy iterables, only one
-    of them is read, and each row or line is written as it is made.
+    :func:`_json_text`), or the CSV table ``header`` + ``rows`` of str
+    fields (quoted as :func:`thetadiv.basis._csv_lines` states), or the
+    pretty ``lines``.  ``rows`` and ``lines`` are lazy iterables and only
+    one of them is read: its lines are made as they are read and written
+    a bounded block at a time, one write a text of
+    :func:`thetadiv.basis._blocks`.
     Stdout is flushed before returning, so that a reader that closed it
     early raises here, inside :func:`main`, and not in the interpreter's
     flush at exit."""
     if fmt == "json":
         print(_json_text(doc()))
-    elif fmt == "csv":
-        _write_csv(sys.stdout, header, rows)
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.writelines(_blocks(_csv_lines(header, rows) if fmt == "csv" else lines))
     sys.stdout.flush()
     return 0
 
@@ -224,7 +225,9 @@ def _cmd_matrix(args) -> int:
 def _cmd_class(args) -> int:
     divclass = _CLASSES[args.kind](args.g, args.n, _parse_weights(args.d))
     _check_digits(divclass.coeffs.values())
-    rows = ((generator_label(gen), divclass.coeff(gen)) for gen in basis_generators(args.g, args.n))
+    text = _texts(divclass.coeffs.values())  # each coefficient object printed once
+    coeff = {gen: text[id(c)] for gen, c in divclass.coeffs.items()}.get
+    rows = ((generator_label(gen), coeff(gen, "0")) for gen in basis_generators(args.g, args.n))
     lines = (f"{label} = {c}" for label, c in rows)
     return _emit(args.format, divclass.to_json_dict, ["generator", "coefficient"], rows, lines)
 
@@ -238,7 +241,7 @@ def _cmd_ledger(args) -> int:
         "terms": [{"h": t.h, "P": list(t.P), "mult": t.mult} for t in ledger.terms],
         "delta_irr_order": str(ledger.delta_irr_order),
     }
-    rows = ((t.h, " ".join(map(str, t.P)), t.mult) for t in ledger.terms)
+    rows = ((str(t.h), " ".join(map(str, t.P)), str(t.mult)) for t in ledger.terms)
     lines = (f"{t.mult} * {_boundary_label('delta', t.h, t.P)}" for t in ledger.terms)
     lines = itertools.chain(lines, [f"delta_irr order = {ledger.delta_irr_order}"])
     return _emit(args.format, doc, ["h", "P", "mult"], rows, lines)

@@ -54,7 +54,6 @@ every marking.  The pairing matrix is invertible for g >= 3.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
@@ -68,16 +67,17 @@ from .basis import (
     DivisorClass,
     Generator,
     _basis_table,
+    _blocks,
     _boundary_count,
     _boundary_label,
     _check_generator,
     _check_gn,
     _check_type,
+    _csv_lines,
     _flat,
     _json_coefficients,
     _json_list,
     _json_reader,
-    _write_csv,
     basis_generators,
     canonicalize_boundary,
     check_work,
@@ -246,11 +246,9 @@ class IntersectionMatrix:
     def to_csv(self) -> str:
         """The header ("curve", then the column labels) and one row per
         curve (its label, then its entries), as CSV."""
-        buf = io.StringIO()
         header = ["curve"] + [generator_label(gen) for gen in self.cols]
         rows = ([curve_label(c)] + [str(x) for x in row] for c, row in zip(self.rows, self.entries))
-        _write_csv(buf, header, rows)
-        return buf.getvalue()
+        return "".join(_blocks(_csv_lines(header, rows)))
 
     @_json_reader
     def from_json_dict(cls, data: Mapping) -> "IntersectionMatrix":

@@ -43,7 +43,6 @@ whose power table is estimated above it before any power is built.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,10 +52,12 @@ from .basis import (
     DELTA_IRR,
     DivisorClass,
     Generator,
+    _blocks,
     _check_generator,
     _check_gn,
     _check_permutation,
     _check_type,
+    _csv_lines,
     _exact,
     _json_coefficients,
     _json_list,
@@ -64,7 +65,6 @@ from .basis import (
     _Memo,
     _relabel,
     _texts,
-    _write_csv,
     check_work,
     generator_label,
     generator_sort_key,
@@ -105,6 +105,11 @@ def monomial_label(mono: Monomial) -> str:
         type(f) is tuple and len(f) == 2 and type(f[0]) is Generator for f in mono
     ):
         raise ValueError(f"a monomial must be a tuple of (generator, exponent) pairs, got {mono!r}")
+    for _, e in mono:  # refused as the FormalCycle constructor refuses them
+        if type(e) is not int:
+            raise ValueError(f"monomial exponents must be integers, got {mono!r}")
+        if e < 1:
+            raise ValueError(f"monomial exponents must be >= 1, got {mono!r}")
     return _join_factors(mono, {})
 
 
@@ -228,9 +233,7 @@ class FormalCycle:
         return {"g": self.g, "n": self.n, "terms": terms}
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        _write_csv(buf, ["monomial", "coefficient"], self._labelled_terms())
-        return buf.getvalue()
+        return "".join(_blocks(_csv_lines(["monomial", "coefficient"], self._labelled_terms())))
 
     @_json_reader
     def from_json_dict(cls, data: Mapping) -> "FormalCycle":

@@ -1,12 +1,14 @@
 """Tests for the divisor basis: canonicalization, enumeration, arithmetic."""
 
+import csv
+import io
 import sys
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import thetadiv.basis as basis
@@ -36,6 +38,8 @@ from thetadiv.curves import (
     ELLIPTIC_TAIL,
     IntersectionMatrix,
     build_matrix,
+    curve_label,
+    enumerate_test_curves,
     intersect,
     pair,
     point_curve,
@@ -1051,6 +1055,23 @@ def test_labels_the_parser_keeps_reading():
         (verify_T, (3, 2, 2, "x"), "--seed must be an integer, got 'x'"),
         (verify_T, (3, 2, 2, 1.5), "--seed must be an integer, got 1.5"),
         (verify_T, (3, 2, 2, True), "--seed must be an integer, got True"),
+        # labelled "K1^x", "K1^0" and "K1", where the FormalCycle
+        # constructor refuses each exponent
+        (
+            monomial_label,
+            (((K(1), "x"),),),
+            "monomial exponents must be integers, got ((Generator(kind='K', i=1, boundary=None), 'x'),)",
+        ),
+        (
+            monomial_label,
+            (((K(1), 0),),),
+            "monomial exponents must be >= 1, got ((Generator(kind='K', i=1, boundary=None), 0),)",
+        ),
+        (
+            monomial_label,
+            (((K(1), True),),),
+            "monomial exponents must be integers, got ((Generator(kind='K', i=1, boundary=None), True),)",
+        ),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )
@@ -1084,3 +1105,67 @@ def test_class_arithmetic_defers_to_the_other_operand():
     for op in (lambda: x + 1, lambda: x - 1, lambda: 0.5 * x, lambda: "a" * x):
         with pytest.raises(TypeError):
             op()
+
+
+# the CSV writer against the standard one: labels from the three label
+# grammars (generators, test curves, monomials), with and without commas,
+# and value fields as the tables print them (coefficients, ledger sets)
+LABEL_GN = ((3, 3), (4, 2))
+GENERATORS = [gen for g, n in LABEL_GN for gen in basis_generators(g, n)]
+LABELS = st.one_of(
+    st.sampled_from(GENERATORS).map(basis.generator_label),
+    st.sampled_from([curve_label(c) for g, n in LABEL_GN for c in enumerate_test_curves(g, n)]),
+    st.lists(st.tuples(st.sampled_from(GENERATORS), st.integers(1, 4)), min_size=1, max_size=4)
+    .map(tuple)
+    .map(monomial_label),
+)
+VALUES = st.one_of(
+    st.fractions(max_denominator=10**6).map(str),
+    st.lists(st.integers(1, 12), max_size=4).map(lambda P: " ".join(map(str, P))),  # "" too
+)
+ROW_COUNTS = (0, 1, basis._BLOCK - 1, basis._BLOCK, basis._BLOCK + 1, 2 * basis._BLOCK + 1)
+
+
+def standard_csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def written_csv(header, rows) -> str:
+    texts = list(basis._blocks(basis._csv_lines(header, iter(rows))))
+    assert all(0 < len(text) <= basis._WRITE for text in texts)
+    return "".join(texts)
+
+
+# no shrink phase: a failing example is reported as drawn, where
+# shrinking one took minutes
+@settings(derandomize=True, database=None, max_examples=60, deadline=None, phases=[Phase.generate])
+@given(data=st.data(), width=st.sampled_from((1, 2, 3, 40)), count=st.sampled_from(ROW_COUNTS))
+def test_csv_writer_writes_what_the_standard_writer_writes(data, width, count):
+    # 1-column (basis, curves), 2-column (class, dr) and wide (matrix)
+    # tables: only labels, the header and each row's first field, hold a
+    # comma, so only they are ever quoted.  The rows repeat a pool of a
+    # few: drawing each of 129 wide rows took seconds an example
+    header = data.draw(st.lists(LABELS, min_size=width, max_size=width))
+    pool = data.draw(st.lists(st.tuples(LABELS, *[VALUES] * (width - 1)), min_size=1, max_size=5))
+    rows = [pool[k % len(pool)] for k in range(count)]
+    assert written_csv(header, rows) == standard_csv(header, rows)
+
+
+@pytest.mark.parametrize("g, n, d", [(3, 2, (1, -1)), (3, 4, (1, -2, 3, -2)), (4, 3, (1, -3, 2))])
+def test_a_cycle_csv_is_what_the_standard_writer_writes(g, n, d):
+    cycle = dr_expansion(g, n, d)
+    rows = [(monomial_label(mono), str(c)) for mono, c in cycle.terms.items()]
+    assert cycle.to_csv() == standard_csv(["monomial", "coefficient"], rows)
+
+
+@pytest.mark.parametrize("g, n", [(3, 1), (3, 3), (5, 5)])
+def test_a_matrix_csv_is_what_the_standard_writer_writes(g, n):
+    # at (5, 5) the first block of 64 lines is longer than one write
+    mat = build_matrix(g, n)
+    header = ["curve"] + [basis.generator_label(gen) for gen in mat.cols]
+    rows = [[curve_label(c), *map(str, row)] for c, row in zip(mat.rows, mat.entries)]
+    assert mat.to_csv() == standard_csv(header, rows)

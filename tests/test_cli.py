@@ -940,6 +940,7 @@ def test_whole_process_matches_main(capsys, argv, code):
     "argv",
     [
         "dr --g 3 --n 4 --d 1,-2,3,-2",
+        "dr --g 3 --n 4 --d 1,-2,3,-2 --format csv",
         "matrix --g 6 --n 8 --format csv",
         "class T --g 5 --n 8 --d 1,-1,2,-2,3,-3,0,0 --format json",
     ],
