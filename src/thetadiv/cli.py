@@ -18,11 +18,14 @@ verify rank|T|theta|mueller
 
 Each subcommand is one row of ``_COMMANDS``: its name, help, arguments and
 handler; ``class`` and ``verify`` read their choices from the dicts they
-dispatch through.  A call builds only the parser of the command it runs,
-when argparse parses that command (see :class:`_Command`).  Every handler
-writes through :func:`_emit`: JSON is printed whole, CSV and pretty output
-a bounded block of lines at a time as the lines are made (see
-:func:`thetadiv.basis._blocks`).
+dispatch through.  :func:`main` parses with one top-level parser per
+process, built on its first call and shared by every later call and
+thread; nothing changes it after it is built.  Each call builds only the
+parser of the command it runs, when argparse parses that command (see
+:class:`_Command`), and :func:`build_parser` returns a fresh top-level
+parser.  Every handler writes through :func:`_emit`: JSON is printed
+whole, CSV and pretty output a bounded block of lines at a time as the
+lines are made (see :func:`thetadiv.basis._blocks`).
 
 Exit codes: 0 success, 1 verification failure (report still printed),
 2 usage or validation error, 3 internal error (one line on stderr), 141
@@ -36,6 +39,7 @@ to hit the required total degree.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -83,16 +87,20 @@ def verify_rank(g: int, n: int) -> dict:
     return report
 
 
+def _check_trials(trials) -> None:
+    if type(trials) is not int:  # type(), as in _check_gn: a bool is no count
+        raise ValueError(f"--trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
+
+
 def _sweep(g: int, n: int, trials: int, seed: int, check: str, draw, degree: int, left, right) -> dict:
     """Run ``trials`` comparisons from ``seed`` and report them as ``check``.
     Each trial draws ``d = draw(rng, n, degree)`` and passes when
     ``left(g, n, d) == right(g, n, d)``; a system the test curves cannot
     solve fails it.  Refused before the first draw above the work budget,
     at one solve a trial."""
-    if type(trials) is not int:  # type(), as in _check_gn: a bool is no count
-        raise ValueError(f"--trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {trials}")
+    _check_trials(trials)
     if type(seed) is not int:  # None draws from the OS, "x" and 1.5 hash: no report could be replayed
         raise ValueError(f"--seed must be an integer, got {seed!r}")
     check_work(g, n, trials * _solve_units(n))
@@ -256,6 +264,7 @@ def _cmd_dr(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_trials(args.trials)  # rank runs no sweep, but refuses what the sweeps refuse
     sweep = () if args.target == "rank" else (args.trials, args.seed)
     report = _VERIFIERS[args.target](args.g, args.n, *sweep)
     _emit("json", lambda: report, [], (), ())
@@ -287,26 +296,26 @@ _COMMANDS = (
 
 
 class _Command(argparse.ArgumentParser):
-    """A subcommand's parser, built when it first parses: argparse parses
-    only the subcommand named in argv, so a call builds no other command's
-    parser.  ``__init__`` keeps the options ``add_parser`` passes; the first
-    :meth:`parse_known_args` runs ``ArgumentParser.__init__`` with them,
-    adds the ``_COMMANDS`` row's arguments in table order and sets ``func``
-    to its handler, once.  Until then the parser has no argparse state, so
-    ``repr()`` of it fails: argparse reads only the subparser map's keys
-    and the help pseudo-actions before it dispatches (3.10–3.13)."""
+    """A subcommand's entry in the subparser map, which builds its parser
+    on every parse: argparse parses only the subcommand named in argv, so a
+    call builds no other command's parser.  ``__init__`` keeps the options
+    ``add_parser`` passes; each :meth:`parse_known_args` builds a fresh
+    ``ArgumentParser`` with them, adds the ``_COMMANDS`` row's arguments in
+    table order, sets ``func`` to its handler and parses with it.  No parse
+    changes the entry, so calls and threads can share it without a lock.
+    The entry itself never has argparse state, so ``repr()`` of it fails:
+    argparse reads only the subparser map's keys and the help pseudo-actions
+    before it dispatches (3.10–3.13)."""
 
     def __init__(self, **options):
-        self.pending = options
+        self.options = options
 
     def parse_known_args(self, args=None, namespace=None):
-        if self.pending is not None:
-            super().__init__(**self.pending)
-            for flag, options in self.arguments:
-                self.add_argument(flag, **options)
-            self.set_defaults(func=self.handler)
-            self.pending = None
-        return super().parse_known_args(args, namespace)
+        parser = argparse.ArgumentParser(**self.options)
+        for flag, options in self.arguments:
+            parser.add_argument(flag, **options)
+        parser.set_defaults(func=self.handler)
+        return parser.parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,9 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call rather than at import; a caller
+# that changes what build_parser returns cannot reach it
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:  # the reader closed stdout early, as `| head` does

@@ -3,6 +3,7 @@
 import argparse
 import concurrent.futures
 import contextlib
+import copy
 import csv
 import hashlib
 import io
@@ -123,11 +124,11 @@ def test_a_verify_sweep_builds_its_basis_table_once(capsys, monkeypatch):
 
 
 def test_verify_rejects_nonpositive_trials(capsys):
-    for trials in ("0", "-5"):
-        code, out, err = run(capsys, "verify", "T", "--g", "3", "--n", "2", "--trials", trials)
-        assert code == 2
-        assert out == ""
-        assert "--trials must be at least 1" in err
+    # rank runs no sweep, but takes --trials as every target does
+    for target in sorted(cli._VERIFIERS):
+        for trials in ("0", "-5"):
+            code, out, err = run(capsys, "verify", target, "--g", "3", "--n", "2", "--trials", trials)
+            assert (code, out, err) == (2, "", f"error: --trials must be at least 1, got {trials}\n")
 
 
 def test_byte_identical_output(capsys):
@@ -744,14 +745,19 @@ HELP_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS))
-def test_help_and_usage_output_bytes(capsys, monkeypatch, argv):
-    monkeypatch.setenv("COLUMNS", "80")
+def help_digest(capsys, argv):
+    """sha256 of the exit code, stdout and stderr of ``main(argv.split())``
+    for an argv that ends in ``SystemExit``, as ``HELP_DIGESTS`` holds them."""
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
     out, err = capsys.readouterr()
-    blob = f"{exc.value.code}\0{out}\0{err}"
-    assert hashlib.sha256(blob.encode()).hexdigest() == HELP_DIGESTS[argv]
+    return hashlib.sha256(f"{exc.value.code}\0{out}\0{err}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS))
+def test_help_and_usage_output_bytes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert help_digest(capsys, argv) == HELP_DIGESTS[argv]
 
 
 # each command's argv and the number of arguments its row in the table adds
@@ -768,8 +774,9 @@ COMMAND_ARGV = {
 
 @pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
 def test_a_call_adds_only_the_arguments_of_its_command(capsys, monkeypatch, command):
-    # the top parser's -h, the named command's -h and its own arguments,
-    # not all 35 of every command
+    # the first call adds the top parser's -h, the named command's -h and
+    # its own arguments, not all 35 of every command; a later call finds
+    # the top parser built and adds only the command's -h and its own
     argv, own = COMMAND_ARGV[command]
     calls = []
     add_argument = argparse._ActionsContainer.add_argument
@@ -778,10 +785,13 @@ def test_a_call_adds_only_the_arguments_of_its_command(capsys, monkeypatch, comm
         calls.append(args)
         return add_argument(self, *args, **kwargs)
 
+    cli._shared_parser.cache_clear()
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
-    assert main(argv.split()) == 0
-    assert capsys.readouterr().out
-    assert len(calls) == 2 + own
+    for added in (2 + own, 1 + own):
+        calls.clear()
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out
+        assert len(calls) == added
 
 
 @pytest.mark.parametrize(
@@ -789,7 +799,10 @@ def test_a_call_adds_only_the_arguments_of_its_command(capsys, monkeypatch, comm
     [*((argv, 2, 0) for argv, _own in COMMAND_ARGV.values()), ("--help", 1, 0), ("", 1, 2), ("bogus", 1, 2)],
 )
 def test_a_call_builds_only_the_parser_of_its_command(capsys, monkeypatch, argv, built, code):
-    # the top parser, and the subcommand's only when argparse dispatches to it
+    # the first call builds the top parser and, when argparse dispatches to
+    # a command, that command's: `built` parsers; a later call builds only
+    # the command's, one fewer
+    progs = ["thetadiv"] + [f"thetadiv {argv.partition(' ')[0]}"] * (built - 1)
     inits = []
     init = argparse.ArgumentParser.__init__
 
@@ -797,14 +810,56 @@ def test_a_call_builds_only_the_parser_of_its_command(capsys, monkeypatch, argv,
         inits.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
+    cli._shared_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    try:
-        status = main(argv.split())
-    except SystemExit as exc:
-        status = exc.code
+    for expected in (progs, progs[1:]):
+        inits.clear()
+        try:
+            status = main(argv.split())
+        except SystemExit as exc:
+            status = exc.code
+        capsys.readouterr()
+        assert (status, inits) == (code, expected)
+
+
+def shared_parser_state():
+    """Everything of the parser ``main`` shares that a parse could change:
+    the parser itself, its actions with their attributes, its defaults, the
+    subparser map and each command entry's attributes.  A list, dict or set
+    attribute is copied, and a command entry's attributes deep-copied, so a
+    change made in place shows."""
+    parser = cli._shared_parser()
+    commands = parser._subparsers._group_actions[0]._name_parser_map
+    copied = lambda obj: {k: v.copy() if isinstance(v, (list, dict, set)) else v for k, v in vars(obj).items()}
+    return (
+        parser,
+        [(action, copied(action)) for action in parser._actions],
+        dict(parser._defaults),
+        dict(commands),
+        {name: copy.deepcopy(vars(entry)) for name, entry in commands.items()},
+    )
+
+
+def test_a_parse_never_changes_the_shared_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    before = shared_parser_state()
+    parses = [
+        *((argv, 0) for argv, _own in COMMAND_ARGV.values()),
+        ("basis --g 3", 2),  # a missing argument
+        ("bogus", 2),  # an invalid choice
+        ("basis --g 3 --n 1 --format xml", 2),
+        ("class --help", 0),
+    ]
+    for argv, code in parses:
+        try:
+            status = main(argv.split())
+        except SystemExit as exc:
+            status = exc.code
+        assert status == code, argv
     capsys.readouterr()
-    assert status == code
-    assert len(inits) == built
+    assert shared_parser_state() == before
+    assert {argv: help_digest(capsys, argv) for argv in HELP_DIGESTS} == HELP_DIGESTS
+    assert shared_parser_state() == before
 
 
 def test_one_parser_parses_every_command_as_a_fresh_one_does():
@@ -816,14 +871,15 @@ def test_one_parser_parses_every_command_as_a_fresh_one_does():
 
 
 def test_parsers_in_threads_parse_as_a_sequential_run():
-    # the threads parse first, so that a parser shared between calls would
-    # be built by several threads at once
+    # main's parser is dropped first, so that the threads build it at once
+    # and then parse with the one they share
     argvs = [argv.split() for argv, _own in COMMAND_ARGV.values()] * 10
 
     def parse_all(start):
         start.wait()  # all four threads build and parse at once
-        return [build_parser().parse_args(argv) for argv in argvs]
+        return [cli._shared_parser().parse_args(argv) for argv in argvs]
 
+    cli._shared_parser.cache_clear()
     start = threading.Barrier(4, timeout=60)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads inside each build and parse
@@ -840,17 +896,17 @@ def test_parsers_in_threads_parse_as_a_sequential_run():
 def test_help_after_other_commands_parsed_is_unchanged(capsys, monkeypatch, command):
     monkeypatch.setenv("COLUMNS", "80")
 
-    def help_text(parser):
+    def help_text(parse):
         with pytest.raises(SystemExit) as exc:
-            parser.parse_args([command, "--help"])
+            parse([command, "--help"])
         assert exc.value.code == 0
         return capsys.readouterr().out
 
-    fresh = help_text(build_parser())
-    parser = build_parser()
+    fresh = help_text(build_parser().parse_args)
     for argv, _own in COMMAND_ARGV.values():
-        parser.parse_args(argv.split())
-    assert help_text(parser) == fresh
+        assert main(argv.split()) == 0
+    capsys.readouterr()
+    assert help_text(main) == fresh  # through the parser main shares
 
 
 @pytest.fixture
