@@ -3,9 +3,10 @@
 Evaluates the pullbacks of the universal theta divisors (degrees 0 and
 g-1) under weighted point sections, re-derives them from test-curve
 intersection numbers by exact linear algebra, computes the class of the
-effective-divisor locus by two routes sharing one boundary formula, and
-expands the double ramification cycle formally in degree g.  All
-arithmetic is exact rational; no floating point anywhere.
+effective-divisor locus in one pass, checked against the theta pullback
+less its vanishing ledger, and expands the double ramification cycle
+formally in degree g.  All arithmetic is exact rational; no floating point
+anywhere.
 """
 
 from .basis import (

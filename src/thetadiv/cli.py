@@ -52,7 +52,7 @@ from .basis import _blocks, _boundary_label, _csv_lines, _texts, basis_generator
 from .curves import _dense_rows, _matrix_size, curve_label, enumerate_test_curves
 from .drcycle import dr_expansion
 from .solve import SingularMatrixError, _solve_units, certify_basis, reconstruct_T, reconstruct_Theta
-from .theta import class_D_direct, class_D_from_theta, class_T, class_Theta, correction_ledger
+from .theta import _theta_less_ledger, class_D_direct, class_T, class_Theta, correction_ledger
 
 FORMATS = ("pretty", "json", "csv")
 
@@ -141,11 +141,9 @@ def verify_mueller(g: int, n: int, trials: int, seed: int, plus_convention: str 
     # plus_convention stays for positional callers; "nonneg" is the only one
     if plus_convention != "nonneg":
         raise ValueError(f'plus_convention must be "nonneg", got {plus_convention!r}')
-    report = _sweep(
-        g, n, trials, seed, "mueller", sample_negative_weights, g - 1, class_D_direct, class_D_from_theta
-    )
-    report["plus_convention"] = plus_convention
-    return report
+    return _sweep(
+        g, n, trials, seed, "mueller", sample_negative_weights, g - 1, class_D_direct, _theta_less_ledger
+    ) | {"plus_convention": plus_convention}
 
 
 def _json_text(value, newline: str = "\n") -> str:

@@ -18,14 +18,18 @@ Fix integer weights ``d = (d_1, .., d_n)`` at the marked points and let
   marking on the genus-h side has nonnegative weight and ``h > d_P``
   (Riemann singularity order), and the generic vanishing order along the
   irreducible boundary is 1/8.  :func:`correction_ledger` enumerates those
-  multiplicities.  :func:`class_D_from_theta` subtracts them from the
-  pullback :func:`class_Theta` evaluates, then takes the 1/8 off
-  delta_irr; :func:`class_D_direct` evaluates the same locus class from
-  its own leading terms, ``-lambda1`` and no delta_irr.  Both routes share
-  the pullback and the ledger, so their agreement (``verify mueller``)
-  checks only the ``-lambda1`` and ``delta_irr`` terms.  The derivation
-  of D's lambda1 is a test instead: at weights (g, -1) on M_{g,2}-bar, D
-  is the pullback of Cukierman's Weierstrass divisor.
+  multiplicities.  :func:`class_D_direct` (also named
+  :func:`class_D_from_theta`) evaluates the locus class D in one pass:
+  ``-lambda1`` and no delta_irr, the degree-(g-1) point and boundary
+  terms, each boundary class's vanishing order folded in.  The check of
+  that pass is a second derivation, :func:`_theta_less_ledger`: the class
+  :func:`class_Theta` evaluates, less each ledger term and the 1/8 along
+  delta_irr, as the paper takes them off.  ``verify theta`` checks the
+  Theta pass against the test curves, and ``verify mueller`` checks D
+  against Theta less the ledger, so the two cover the fold-in of the
+  vanishing orders and D's lead pair.  Both D derivations read
+  :func:`_vanishing`; its check is a test: at weights (g, -1) on
+  M_{g,2}-bar, D is the pullback of Cukierman's Weierstrass divisor.
 
 :func:`theta_intersection` gives the intersection numbers of the test
 curves with these pullbacks.  For degree g-1 it raises ``ValueError`` on
@@ -44,7 +48,7 @@ Each class is one O(B) pass of :func:`_pullback` over the boundary
 generators of the basis table for (g, n), which is enumerated once per
 (g, n) and cached in :mod:`thetadiv.basis`; its generators key the
 coefficients as they stand.  The vanishing rule is stated once, in
-:func:`_vanishing`: a D route is that same one pass, which takes each
+:func:`_vanishing`: D is that same one pass, which takes each
 class's order, doubled, off its integer numerator, and the ledger is one
 pass that keeps the classes whose order is nonzero.  Those numbers are
 three int lists indexed by P's bit mask (d_P, ``sum_{i in P} d_i^2`` and
@@ -82,6 +86,7 @@ from .basis import (
     _check_gn,
     _mask_sums,
     canonicalize_boundary,
+    delta,
 )
 from .curves import TestCurve, _check_curve, curve_label
 
@@ -278,27 +283,35 @@ def correction_ledger(g: int, n: int, d: Sequence[int]) -> CorrectionLedger:
     return CorrectionLedger(g, n, tuple(terms))
 
 
-def class_D_from_theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
-    """Class of the closed effective-divisor locus, computed by stripping
-    the identically-vanishing boundary multiplicities (and the 1/8 along
-    the irreducible boundary) off :func:`class_Theta`."""
-    d, negatives = _effective_weights(g, n, d)
-    _warn_small_genus(g)
-    coeffs = _pullback(d, 1, _deltas(g, n), _subset_sums(d), _THETA_LEAD, negatives)
-    coeffs[DELTA_IRR] -= CorrectionLedger.delta_irr_order
-    if not coeffs[DELTA_IRR].numerator:  # Theta's 1/8 is the whole generic order
-        del coeffs[DELTA_IRR]
-    return DivisorClass._trusted(g, n, coeffs)
-
-
 def class_D_direct(g: int, n: int, d: Sequence[int]) -> DivisorClass:
-    """Class of the closed effective-divisor locus, evaluated by its own
-    closed formula: -lambda1, zero delta_irr, d_i(d_i+1)/2 on the point
-    classes, the usual boundary coefficients, minus the vanishing
-    corrections.  Agrees with :func:`class_D_from_theta`."""
+    """Class of the closed effective-divisor locus, in one pass: -lambda1,
+    zero delta_irr, d_i(d_i+1)/2 on the point classes and the degree-(g-1)
+    boundary coefficients, each less its :func:`_vanishing` order.  Also
+    named :func:`class_D_from_theta`; ``verify mueller`` checks it against
+    :func:`_theta_less_ledger`."""
     d, negatives = _effective_weights(g, n, d)
     _warn_small_genus(g)
     return DivisorClass._trusted(g, n, _pullback(d, 1, _deltas(g, n), _subset_sums(d), _D_LEAD, negatives))
+
+
+# D's second public name: one pass, whichever name a caller reads
+class_D_from_theta = class_D_direct
+
+
+def _theta_less_ledger(g: int, n: int, d: Sequence[int]) -> DivisorClass:
+    """D as the paper derives it: the Theta pullback, less delta at each
+    :func:`correction_ledger` term's canonical class times its mult, less
+    delta_irr at the ledger's generic order.  It shares :func:`_vanishing`
+    with :func:`class_D_direct`, but not the fold-in or the lead pair, so
+    the two can disagree on those.  It gives no small-genus warning: the
+    ``verify mueller`` sweep that reads it warns through
+    :func:`class_D_direct`."""
+    d, _ = _effective_weights(g, n, d)
+    ledger = correction_ledger(g, n, d)
+    less = {delta(t.boundary_class(g, n)): Fraction(t.mult) for t in ledger.terms}
+    less[DELTA_IRR] = ledger.delta_irr_order
+    theta = _pullback(d, 1, _deltas(g, n), _subset_sums(d), _THETA_LEAD)
+    return DivisorClass._trusted(g, n, theta) - DivisorClass._trusted(g, n, less)
 
 
 def _theta(dual: Generator, d: Sequence[int], shift: int, g: int) -> int:

@@ -27,8 +27,8 @@ from thetadiv.curves import enumerate_test_curves, intersect
 from thetadiv.drcycle import dr_expansion, evaluate, restrict_to_compact_type
 from thetadiv.solve import certify_basis, reconstruct_T, reconstruct_Theta
 from thetadiv.theta import (
+    _theta_less_ledger,
     class_D_direct,
-    class_D_from_theta,
     class_T,
     class_Theta,
     weight_sum,
@@ -196,8 +196,8 @@ def test_criterion_5_mueller_equivalence():
         rng = random.Random(3000 + 10 * g + n)
         for _ in range(100):
             d = random_negative_weights(rng, n, g - 1)
-            assert class_D_direct(g, n, d) == class_D_from_theta(g, n, d)
-    _pass(5, "effective-locus class agrees along both routes")
+            assert class_D_direct(g, n, d) == _theta_less_ledger(g, n, d)
+    _pass(5, "effective-locus class agrees with Theta less its vanishing ledger")
 
 
 def test_criterion_6_psi_k_round_trip():

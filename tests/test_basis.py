@@ -1022,7 +1022,14 @@ def test_labels_the_parser_keeps_reading():
         (class_T, (3, 2, 5), "weight vector 5 is not iterable"),
         (class_Theta, (3, 2, None), "weight vector None is not iterable"),
         (class_D_direct, (3, 2, None), "weight vector None is not iterable"),
-        (class_D_from_theta, (3, 2, None), "weight vector None is not iterable"),
+        # the same function as the row above, under its second public name,
+        # which __name__ cannot give: the id names it as the row always has
+        pytest.param(
+            class_D_from_theta,
+            (3, 2, None),
+            "weight vector None is not iterable",
+            id="class_D_from_theta-args21-weight vector None is not iterable",
+        ),
         (correction_ledger, (3, 2, None), "weight vector None is not iterable"),
         (theta_intersection, (point_curve(1), None, "T", 3, 2), "weight vector None is not iterable"),
         (reconstruct_T, (3, 2, None), "weight vector None is not iterable"),

@@ -568,7 +568,7 @@ VERIFY_DIGESTS = {
     ("T --g 3 --n 2 --trials 4 --seed 2", "class_T"): "e16831c6473e6708d724b907a3bf091501191fa41629dfd68bf5c7eb5f3d1d2a",
     ("theta --g 3 --n 2 --trials 4 --seed 7", "class_Theta"): "e6ad9a83b7eda6b4b290342b71c0c47532a2ac39ae9ef9e8e76aa98fd2dd198f",
     # seed 7 draws (0, 2) and (2, 0), which the mueller sampler rejects
-    ("mueller --g 3 --n 2 --trials 4 --seed 7", "class_D_from_theta"): "e16d20b649efb1c5767021f183069fcc122ec86d168501ffb9d5e73d9b4df2c7",
+    ("mueller --g 3 --n 2 --trials 4 --seed 7", "class_D_direct"): "e16d20b649efb1c5767021f183069fcc122ec86d168501ffb9d5e73d9b4df2c7",
 }
 
 
@@ -579,13 +579,35 @@ def test_verify_output_bytes(capsys, monkeypatch, argv, broken):
     wrong = {
         "class_T": lambda g, n, d: cli.class_Theta(g, n, (g - 1,) + (0,) * (n - 1)),  # as above
         "class_Theta": lambda g, n, d: thetadiv.DivisorClass.zero(g, n),
-        "class_D_from_theta": lambda g, n, d: thetadiv.DivisorClass.zero(g, n),
+        "class_D_direct": lambda g, n, d: thetadiv.DivisorClass.zero(g, n),
     }
     if broken:
         monkeypatch.setattr(cli, broken, wrong[broken])
     code, out, err = run(capsys, "verify", *argv.split())
     assert (code, err) == (1 if broken else 0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[argv, broken]
+
+
+@pytest.mark.parametrize("step", ["fold-in", "lead"])
+def test_verify_mueller_fails_when_d_loses_its_own_step(capsys, monkeypatch, step):
+    # D's own step is its pass's fold-in of the vanishing orders and its
+    # -lambda1 lead; Theta less the ledger shares neither, so a D pass that
+    # drops its orders or misstates lambda1 fails the sweep
+    import thetadiv.theta as theta
+
+    if step == "fold-in":
+        pullback = theta._pullback
+
+        def no_orders(d, shift, deltas, sums, lead=(), negatives=0):
+            return pullback(d, shift, deltas, sums, lead)
+
+        monkeypatch.setattr(theta, "_pullback", no_orders)
+    else:
+        monkeypatch.setattr(theta, "_D_LEAD", ((thetadiv.LAMBDA1, Fraction(-2)),))
+    code, out, err = run(capsys, "verify", "mueller", "--g", "4", "--n", "3", "--trials", "50", "--seed", "7")
+    report = json.loads(out)
+    assert (code, err, report["ok"]) == (1, "", False)
+    assert report["failed"] == len(report["failures"]) > 0
 
 
 def test_mueller_verify_impossible_at_one_marking(capsys):

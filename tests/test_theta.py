@@ -211,15 +211,15 @@ def test_mueller_class_invariants():
             direct = class_D_direct(g, n, d)
             assert direct.coeff(LAMBDA1) == -1
             assert direct.coeff(DELTA_IRR) == 0
-            assert direct == class_D_from_theta(g, n, d)
+            assert direct == theta._theta_less_ledger(g, n, d)
 
 
 def test_mueller_conventions_match_when_consistent():
     d = (3, 0, -1)
-    assert class_D_direct(3, 3, d) == class_D_from_theta(3, 3, d)
+    assert class_D_direct(3, 3, d) == theta._theta_less_ledger(3, 3, d)
 
 
-@pytest.mark.parametrize("route", [class_D_direct, class_D_from_theta])
+@pytest.mark.parametrize("route", [class_D_direct, class_D_from_theta], ids=["class_D_direct", "class_D_from_theta"])
 @pytest.mark.parametrize("g", range(3, 10))
 def test_effective_locus_is_the_weierstrass_pullback(g, route):
     # For distinct p_1, p_2, g p_1 - p_2 is effective iff p_1 is a
@@ -227,9 +227,10 @@ def test_effective_locus_is_the_weierstrass_pullback(g, route):
     # forgetting p_2 of the Weierstrass divisor on M_{g,1}-bar,
     # W = -lambda1 + C(g+1, 2) psi - sum_h C(g-h+1, 2) delta_h (Cukierman,
     # Duke Math. J. 58 (1989)); in this basis psi becomes K1 and delta_h
-    # the two classes delta_h^{1} and delta_h^{1,2}.  The two routes share
-    # the ledger and the boundary coefficients; this derivation shares
-    # neither, and it is the one check of D's lambda1.
+    # the two classes delta_h^{1} and delta_h^{1,2}.  ``route`` is the one
+    # D pass under each of its names.  This derivation shares neither the
+    # ledger nor the boundary coefficients: it checks _vanishing, which
+    # verify mueller's two sides share, and it derives D's lambda1.
     coeffs = {LAMBDA1: Fraction(-1), K(1): Fraction(math.comb(g + 1, 2))}
     for h in range(1, g):
         for P in ((1,), (1, 2)):
