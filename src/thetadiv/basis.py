@@ -258,8 +258,9 @@ def generator_sort_key(gen: Generator) -> tuple:
     delta_irr, then ``(h, len(P), P)`` with K_i read as the unstable class
     (0, {i}), which comes before every stable class.  Only the order is
     a contract, not the key's values."""
-    # K_i as (0, {i}): written out here, in curves._row and in theta._theta,
-    # as a shared helper call measured slower on every solve
+    # K_i as (0, {i}): written out here, in curves._row, in theta._theta and
+    # (as the mask of {i}) in theta._theta_column, as a shared helper call
+    # measured slower on every solve
     h, P = gen.boundary or (0, (gen.i,))
     return (_KIND_ORDER[gen.kind], h, len(P), P)
 

@@ -21,7 +21,9 @@ column, and generators appear only in the result.
   form is n + 1 integers over one denominator, in lowest terms with the
   denominator positive, and eliminating a column costs one pass of
   integer multiply-subtracts over the lcm of the two denominators:
-  O(B n^2) integer operations in all, no Fraction on the way.
+  O(B n^2) integer operations in all, no Fraction on the way.  Each pass
+  is a ``map`` over the two lists; an entry 1 whose form has the row's
+  running denominator, most node entries, is one ``operator.sub`` pass.
 * The point rows then leave an n x n system in the K's, and the last two
   rows a 2 x 2 system in ``lambda1`` and ``delta_irr``, each row scaled
   to integers: a point row by its form's denominator, a last row by the
@@ -38,27 +40,31 @@ column, and generators appear only in the result.
       det = (product of the node diagonals) * det(n x n) * det(2 x 2).
 
 :func:`certify_basis` reports rank and determinant with the elliptic-tail
-and irreducible-node rows last.  :func:`reconstruct_T` and
-:func:`reconstruct_Theta` check the weights once and read every right
-side from ``theta._theta``, which also serves
-:func:`thetadiv.theta.theta_intersection` after its checks, independently
-of the closed formulas.  There are no degree-(g-1) numbers for the
-elliptic-tail and irreducible-node families, so ``reconstruct_Theta``
-ends with the pins ``lambda1 = -1`` and ``lambda1 + 12 delta_irr = 1/2``
-instead.
+and irreducible-node rows last, solving with a zero right side.
+:func:`reconstruct_T` and :func:`reconstruct_Theta` check the weights once
+and take every right side from one column, ``theta._theta_column``,
+built after the work-budget check: the number of each family indexed by
+the column of its dual generator, with d_P read by P's bit mask from a
+list of its own, not from the subset sums the closed formulas read.  It
+states ``e^2 (g - h)`` through the same helper as
+:func:`thetadiv.theta.theta_intersection`.  There are no degree-(g-1)
+numbers for the elliptic-tail and irreducible-node families, so
+``reconstruct_Theta`` ends with the pins ``lambda1 = -1`` and
+``lambda1 + 12 delta_irr = 1/2`` instead.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
 from .basis import DivisorClass, _boundary_count, _Memo, check_work, generator_label
 from .curves import TestCurve, _rows, curve_label
-from .theta import _theta, check_weights
+from .theta import _theta_column, check_weights
 
 
 class SingularMatrixError(ValueError):
@@ -86,12 +92,15 @@ def _reduce(row: dict, value, solved: list, n: int) -> tuple[list[int], int]:
     for c, a in row.items():
         if c <= n + 1:
             vec[c - 2] += a * den
-        else:
-            form, f = solved[c]
-            f *= a.denominator
-            lcm = math.lcm(den, f)
-            s, t = lcm // den, a.numerator * (lcm // f)
-            vec, den = [s * x - t * y for x, y in zip(vec, form)], lcm
+            continue
+        form, f = solved[c]
+        if a == 1 and f == den:  # most node entries: one subtraction pass
+            vec = list(map(operator.sub, vec, form))
+            continue
+        f *= a.denominator
+        lcm = math.lcm(den, f)
+        s, t = lcm // den, a.numerator * (lcm // f)
+        vec, den = list(map(operator.sub, map(s.__mul__, vec), map(t.__mul__, form))), lcm
     return vec, den
 
 
@@ -136,19 +145,22 @@ def _solve_units(n: int) -> int:
     return 8 + n * n // 4
 
 
-def _eliminate(g: int, n: int, rhs, pins=None) -> tuple[Fraction, list[str], list, dict | None]:
-    """Solve the test-curve system for (g, n) whose rows have right sides
-    ``rhs(dual generator)``; the last two rows are the elliptic-tail and
-    irreducible-node rows, or the ``pins``, each (label, sparse row by
-    column, right side).  Returns the determinant, the labels of the rows
-    and the generators of the columns left without a pivot, and the
-    solution without its zeros (None when a column has no pivot).  Refused,
-    before any work, above the work budget at :func:`_solve_units` a
-    boundary class."""
+def _eliminate(g: int, n: int, column, pins=None) -> tuple[Fraction, list[str], list, dict | None]:
+    """Solve the test-curve system for (g, n) whose right sides are
+    ``column()``, one sequence indexed by column, the right side of the row
+    dual to each column's generator; the last two rows are the
+    elliptic-tail and irreducible-node rows, or the ``pins``, each (label,
+    sparse row by column, right side).  Returns the determinant, the labels
+    of the rows and the generators of the columns left without a pivot, and
+    the solution without its zeros (None when a column has no pivot).
+    Refused, before any work, above the work budget at :func:`_solve_units`
+    a boundary class: ``column`` is called after that check and the
+    genus check, so a refused (g, n) builds no right side."""
     check_work(g, n, _solve_units(n))
     gens, row_of = _rows(g, n)
+    rhs = column()
     m = len(gens)
-    last = pins or [(curve_label(TestCurve(gens[c])), row_of(c), rhs(gens[c])) for c in (0, 1)]
+    last = pins or [(curve_label(TestCurve(gens[c])), row_of(c), rhs[c]) for c in (0, 1)]
     det = 1
     # by column: a boundary column's node row over [K_1..K_n, right side],
     # divided by its diagonal, every other boundary column eliminated, as
@@ -158,14 +170,14 @@ def _eliminate(g: int, n: int, rhs, pins=None) -> tuple[Fraction, list[str], lis
         row = row_of(c)
         diagonal = row.pop(c)
         det *= diagonal
-        vec, den = _reduce(row, rhs(gens[c]), solved, n)
+        vec, den = _reduce(row, rhs[c], solved, n)
         den *= diagonal  # node rows are integer
         divisor = math.gcd(den, *vec) if den > 0 else -math.gcd(den, *vec)
         solved[c] = [x // divisor for x in vec], den // divisor
 
     k_block, scale = [], 1
     for c in range(2, n + 2):
-        vec, den = _reduce(row_of(c), rhs(gens[c]), solved, n)
+        vec, den = _reduce(row_of(c), rhs[c], solved, n)
         k_block.append(vec)  # the row times den: same solution, det times den
         scale *= den
     det_k, failed_k, missing_k = _gauss(k_block)
@@ -204,7 +216,7 @@ def certify_basis(g: int, n: int) -> dict:
     n + B + 2, a nonzero-determinant certificate, and the labels of any
     rows left without a pivot (empty when the certificate holds).
     """
-    det, failed, _, _ = _eliminate(g, n, lambda gen: 0)
+    det, failed, _, _ = _eliminate(g, n, lambda: defaultdict(int))  # a zero right side at every column
     size = n + _boundary_count(g, n) + 2
     return {
         "g": g,
@@ -217,10 +229,10 @@ def certify_basis(g: int, n: int) -> dict:
     }
 
 
-def _solve_class(g: int, n: int, rhs, pins=None) -> DivisorClass:
+def _solve_class(g: int, n: int, column, pins=None) -> DivisorClass:
     """The class with the given pairings, or :class:`SingularMatrixError`
     naming the first column without a pivot."""
-    _, _, missing, values = _eliminate(g, n, rhs, pins)
+    _, _, missing, values = _eliminate(g, n, column, pins)
     if missing:
         raise SingularMatrixError(generator_label(missing[0]))
     return DivisorClass._trusted(g, n, values)
@@ -230,7 +242,7 @@ def reconstruct_T(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     """Recover the degree-0 theta pullback class by solving the full
     test-curve system (every family contributes a row)."""
     d = check_weights(g, n, d, degree=0)
-    return _solve_class(g, n, lambda gen: _theta(gen, d, 0, g))
+    return _solve_class(g, n, lambda: _theta_column(g, n, d, 0))
 
 
 def reconstruct_Theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
@@ -242,4 +254,4 @@ def reconstruct_Theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
         ("pin: lambda1 = -1", {0: 1}, Fraction(-1)),
         ("pin: lambda1 + 12*delta_irr = 1/2", {0: 1, 1: 12}, Fraction(1, 2)),
     ]
-    return _solve_class(g, n, lambda gen: _theta(gen, d, 1, g), pins)
+    return _solve_class(g, n, lambda: _theta_column(g, n, d, 1), pins)

@@ -34,7 +34,13 @@ Fix integer weights ``d = (d_1, .., d_n)`` at the marked points and let
 :func:`theta_intersection` gives the intersection numbers of the test
 curves with these pullbacks.  For degree g-1 it raises ``ValueError`` on
 the elliptic-tail and irreducible-node families, whose numbers the theory
-does not supply.
+does not supply.  A node family (h, P) gives ``e^2 (g - h)`` with
+``e = d_P - shift * h``, stated once in :func:`_node_number`:
+:func:`_theta` reads it for one family after the checks, with d_P from
+:func:`weight_sum`, and :func:`_theta_column` for every family at once,
+as the test-curve solver's right sides, with d_P by bit mask from a list
+built apart from the closed forms' subset sums, so that the solver stays
+a second derivation.
 
 Boundary sums run over canonical class representatives: classes whose
 canonical form has h = 0 take the ``-(d_P^2 - sum_{i in P} d_i^2)/2``
@@ -101,13 +107,19 @@ def _warn_small_genus(g: int) -> None:
         )
 
 
+def _tuple(values: Iterable, what: str) -> tuple:
+    """``tuple(values)``, or ``ValueError`` naming ``what`` when it is not
+    iterable (None or an int, say, as canonicalize_boundary refuses a P)."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{what} {values!r} is not iterable") from None
+
+
 def check_weights(g: int, n: int, d: Sequence[int], degree: int) -> tuple[int, ...]:
     """Validate a weight vector and its total degree; returns it as a tuple."""
     _check_gn(g, n)
-    try:
-        d = tuple(d)
-    except TypeError:  # None or an int, say, as canonicalize_boundary refuses a P
-        raise ValueError(f"weight vector {d!r} is not iterable") from None
+    d = _tuple(d, "weight vector")
     if len(d) != n:
         raise ValueError(f"expected {n} weights, got {len(d)}")
     if not all(type(w) is int for w in d):
@@ -118,13 +130,18 @@ def check_weights(g: int, n: int, d: Sequence[int], degree: int) -> tuple[int, .
 
 
 def weight_sum(d: Sequence[int], P: Iterable[int]) -> int:
-    """d_P: the total weight carried by the markings in P."""
+    """d_P: the total weight carried by the markings in P, each an int in
+    1..len(d); any other marking is refused, not read at another index."""
+    P = _tuple(P, "marking set")
+    for i in P:  # type(), as in canonicalize_boundary: a bool or a float is no marking
+        if type(i) is not int or not 1 <= i <= len(d):
+            raise ValueError(f"markings must be integers in 1..{len(d)}, got {i!r}")
     return sum(d[i - 1] for i in P)
 
 
 def plus_set(d: Sequence[int]) -> frozenset[int]:
     """Markings with nonnegative weight; a weight-0 marking counts."""
-    return frozenset(i for i, w in enumerate(d, start=1) if w >= 0)
+    return frozenset(i for i, w in enumerate(_tuple(d, "weight vector"), start=1) if w >= 0)
 
 
 def _subset_sums(d: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
@@ -314,18 +331,38 @@ def _theta_less_ledger(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     return DivisorClass._trusted(g, n, theta) - DivisorClass._trusted(g, n, less)
 
 
+def _node_number(dP: int, h: int, shift: int, g: int) -> int:
+    """The theta number of the node family (h, P) whose P carries d_P:
+    ``e^2 (g - h)`` with ``e = d_P - shift * h``; shift 0 for kind "T",
+    1 for "Theta".  The point family of K_i is the node family of
+    (0, {i}), so it gives d_i^2 * g for both kinds."""
+    return (dP - shift * h) ** 2 * (g - h)
+
+
 def _theta(dual: Generator, d: Sequence[int], shift: int, g: int) -> int:
-    """:func:`theta_intersection` of the family dual to ``dual``, unchecked;
-    shift 0 for kind "T", 1 for "Theta".  A node family (h, P) gives
-    ``e * e * (g - h)`` with ``e = d_P - shift * h``; the point family of
-    K_i is the node family of (0, {i}), so it gives d_i^2 * g for both
-    kinds."""
+    """:func:`theta_intersection` of the family dual to ``dual``, unchecked."""
     if dual.kind not in ("K", "delta"):
         return 0  # T is constant along the elliptic tail and the irreducible node
     # K_i: the node curve of (0, {i}), read as basis.generator_sort_key reads it
     h, P = dual.boundary or (0, (dual.i,))
-    e = weight_sum(d, P) - shift * h
-    return e * e * (g - h)
+    return _node_number(weight_sum(d, P), h, shift, g)
+
+
+def _theta_column(g: int, n: int, d: tuple[int, ...], shift: int) -> list[int]:
+    """:func:`_theta` of every family for (g, n), unchecked, as one list
+    indexed by the column of its dual generator in the basis table: 0 at
+    lambda1 and delta_irr, then K_1..K_n at the masks of {1}..{n}, then
+    the boundary classes at the table's masks.  d_P at a mask is d_P at
+    the mask less its lowest bit plus that marking's weight, a derivation
+    apart from :func:`thetadiv.basis._mask_sums`, which the closed forms
+    read.  Callers check the work budget first: this is O(2^n + B)."""
+    gens, _, masks = _basis_table(g, n)
+    dPs = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        dPs[mask] = dPs[mask & mask - 1] + d[(mask & -mask).bit_length() - 1]
+    points = [_node_number(dPs[1 << i], 0, shift, g) for i in range(n)]
+    nodes = [_node_number(dPs[mask], gen.boundary.h, shift, g) for gen, mask in zip(gens[n + 2 :], masks)]
+    return [0, 0, *points, *nodes]
 
 
 def theta_intersection(

@@ -61,7 +61,9 @@ from thetadiv.theta import (
     class_T,
     class_Theta,
     correction_ledger,
+    plus_set,
     theta_intersection,
+    weight_sum,
 )
 
 CUBE = FormalCycle(3, 2, {((K(1), 3),): 1})  # K1^3 at g = 3
@@ -428,6 +430,10 @@ def test_slow_inputs_refused_before_any_work(monkeypatch):
     for call, estimate in (
         (lambda: certify_basis(100, 12), 9100740),  # B = 206,835: 8 + 12^2/4 units a class
         (lambda: class_T(10**6, 1, (0,)), 7999992),  # B = 999,999: 8 units a class
+        # B = 1,048,556: 8 + 19^2/4 units a class, refused before the right
+        # sides are built (at 8 units a class, the basis table refuses 8,388,448)
+        (lambda: reconstruct_T(3, 19, (0,) * 19), 102758488),
+        (lambda: reconstruct_Theta(3, 19, (2,) + (0,) * 18), 102758488),
     ):
         start = time.perf_counter()
         with pytest.raises(ValueError) as info:
@@ -1079,6 +1085,16 @@ def test_labels_the_parser_keeps_reading():
             (((K(1), True),),),
             "monomial exponents must be integers, got ((Generator(kind='K', i=1, boundary=None), True),)",
         ),
+        # 0 and -1 wrapped round to the weight of marking 3 or 2, 4 raised
+        # IndexError, True read marking 1, and 1.0 and None raised TypeError
+        (weight_sum, ((1, 2, 3), (0,)), "markings must be integers in 1..3, got 0"),
+        (weight_sum, ((1, 2, 3), (-1,)), "markings must be integers in 1..3, got -1"),
+        (weight_sum, ((1, 2, 3), (4,)), "markings must be integers in 1..3, got 4"),
+        (weight_sum, ((1, 2, 3), (True,)), "markings must be integers in 1..3, got True"),
+        (weight_sum, ((1, 2, 3), (1.0,)), "markings must be integers in 1..3, got 1.0"),
+        (weight_sum, ((1, 2, 3), None), "marking set None is not iterable"),
+        # TypeError: 'NoneType' object is not iterable
+        (plus_set, (None,), "weight vector None is not iterable"),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )

@@ -11,12 +11,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thetadiv.curves as curves
 import thetadiv.solve as solve
 from thetadiv.basis import DELTA_IRR, LAMBDA1, DivisorClass, K
 from thetadiv.cli import main
 from thetadiv.curves import _rows, build_matrix
 from thetadiv.solve import SingularMatrixError, certify_basis, reconstruct_T, reconstruct_Theta
-from thetadiv.theta import class_T, class_Theta, theta_intersection
+from thetadiv.theta import _theta_column, class_T, class_Theta, theta_intersection
 
 ORACLE_SIZES = [(g, n) for g in (3, 4, 5) for n in (1, 2, 3)] + [(4, 4)]
 
@@ -105,20 +106,42 @@ def test_reconstruction_matches_dense_oracle(g, n):
     assert reconstruct_Theta(g, n, d) == expected
 
 
-def fractional_right_sides(curves, seed):
+@pytest.mark.parametrize(
+    "g, n, d0, d1",
+    [
+        (3, 1, (0,), (2,)),
+        (4, 3, (2, 0, -2), (4, 0, -1)),
+        (5, 4, (3, -1, 0, -2), (0, 5, -3, 2)),
+        (3, 5, (1, 0, -3, 4, -2), (0, 2, -1, 3, -2)),
+    ],
+)
+def test_the_right_side_column_is_the_public_theta_numbers(g, n, d0, d1):
+    gens = _rows(g, n)[0]
+    column = _theta_column(g, n, d0, 0)
+    assert len(column) == len(gens) and column[:2] == [0, 0]  # the elliptic tail and irreducible node
+    assert column == [theta_intersection(curves.TestCurve(gen), d0, "T", g, n) for gen in gens]
+    # Theta has no numbers for those two families: the pins stand in their rows
+    column = _theta_column(g, n, d1, 1)
+    assert len(column) == len(gens)
+    assert column[2:] == [theta_intersection(curves.TestCurve(gen), d1, "Theta", g, n) for gen in gens[2:]]
+
+
+def fractional_right_sides(mat, seed):
     """Right sides with denominators 1, 3, 4 and 9, so that the node forms
-    need more than their diagonals in their denominators; keyed by the
-    dual generator of each curve, as the solver asks for them."""
+    need more than their diagonals in their denominators: drawn by curve,
+    keyed by the dual generator of each, and as the solver takes them, one
+    column indexed by the position of that generator."""
     rng = random.Random(seed)
-    return {c.dual: Fraction(rng.randint(-30, 30), rng.choice((1, 3, 4, 9))) for c in curves}
+    rhs = {c.dual: Fraction(rng.randint(-30, 30), rng.choice((1, 3, 4, 9))) for c in mat.rows}
+    return rhs, [rhs[gen] for gen in mat.cols]
 
 
 @pytest.mark.parametrize("g, n", ORACLE_SIZES + [(6, 4)])
 def test_eliminate_matches_dense_oracle_on_fractional_right_sides(g, n):
     mat = build_matrix(g, n)
     for seed in range(3):
-        rhs = fractional_right_sides(mat.rows, 100 * seed + 10 * g + n)
-        det, failed, missing, values = solve._eliminate(g, n, rhs.__getitem__)
+        rhs, column = fractional_right_sides(mat, 100 * seed + 10 * g + n)
+        det, failed, missing, values = solve._eliminate(g, n, lambda: column)
         assert det != 0 and failed == missing == []
         expected = zip(mat.cols, naive_gauss(mat.entries, [rhs[c.dual] for c in mat.rows]))
         assert values == {gen: x for gen, x in expected if x}  # the solver drops its zeros
@@ -133,8 +156,8 @@ def test_node_forms_are_in_lowest_terms_over_a_positive_denominator(monkeypatch)
 
     reduce_forms = solve._reduce
     monkeypatch.setattr(solve, "_reduce", reduce)
-    rhs = fractional_right_sides(build_matrix(5, 4).rows, 7)
-    solve._eliminate(5, 4, rhs.__getitem__)
+    _, column = fractional_right_sides(build_matrix(5, 4), 7)
+    solve._eliminate(5, 4, lambda: column)
     # indexed by column: lambda1, delta_irr and K_1..K_4 have no node form
     solved = seen[-1]
     assert len(solved) == 49 and solved[:6] == [None] * 6
