@@ -97,6 +97,15 @@ def _check_type(value, cls: type) -> None:
         raise ValueError(f"expected a {cls.__name__}, got {value!r}")
 
 
+def _tuple(values: Iterable, what: str) -> tuple:
+    """``tuple(values)``, or ``ValueError`` naming ``what`` when it is not
+    iterable (None or an int, say, given as a marking set or weights)."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{what} {values!r} is not iterable") from None
+
+
 def _subsets(n: int) -> Iterator[tuple[int, ...]]:
     """Subsets of {1..n} as sorted tuples, ordered by size then lexicographically."""
     for size in range(n + 1):
@@ -199,10 +208,7 @@ def canonicalize_boundary(h: int, P: Iterable[int], g: int, n: int) -> BoundaryI
     _check_gn(g, n)
     if n > BUDGET.bit_length():  # B(g, n) > BUDGET: one comparison before any O(n) work
         check_work(g, n, 8)
-    try:
-        pts = tuple(P)
-    except TypeError:  # an int or None, say
-        raise ValueError(f"marking set {P!r} is not iterable") from None
+    pts = _tuple(P, "marking set")
     for p in pts:  # type(), as in _check_gn: a bool or a float is no marking
         if type(p) is not int:
             raise ValueError(f"markings must be integers, got {p!r}")
@@ -258,9 +264,10 @@ def generator_sort_key(gen: Generator) -> tuple:
     delta_irr, then ``(h, len(P), P)`` with K_i read as the unstable class
     (0, {i}), which comes before every stable class.  Only the order is
     a contract, not the key's values."""
-    # K_i as (0, {i}): written out here, in curves._row, in theta._theta and
-    # (as the mask of {i}) in theta._theta_column, as a shared helper call
-    # measured slower on every solve
+    # K_i as (0, {i}): written out here, in curves._row, in
+    # theta.theta_intersection and (as the mask of {i}) in
+    # theta._theta_column, as a shared helper call measured slower on every
+    # solve
     h, P = gen.boundary or (0, (gen.i,))
     return (_KIND_ORDER[gen.kind], h, len(P), P)
 

@@ -148,7 +148,8 @@ def _row(dual: Generator, g: int, n: int, column: list | dict) -> dict:
     no self-intersection entry, so a point row is K_i's 2g - 2, then
     (0, {i, j}) by j."""
     if dual.kind in ("K", "delta"):
-        # K_i: the node curve of (0, {i}), read as basis.generator_sort_key reads it
+        # K_i: the node curve of (0, {i}), read as basis.generator_sort_key
+        # and theta.theta_intersection read it
         h, P = dual.boundary or (0, (dual.i,))
         own = _flat(h, P, n)
         comp = [j for j in range(n) if not own >> j & 1]  # bit j: the marking j + 1

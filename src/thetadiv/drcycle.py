@@ -70,7 +70,7 @@ from .basis import (
     generator_sort_key,
     parse_generator_label,
 )
-from .theta import _class_T, _warn_small_genus, check_weights
+from .theta import _pullback, _warn_small_genus, check_weights
 
 Monomial = tuple[tuple[Generator, int], ...]
 
@@ -265,7 +265,7 @@ def dr_expansion(g: int, n: int, d: Sequence[int]) -> FormalCycle:
     the product of the c_j^e_j / e_j! over its factors."""
     d = check_weights(g, n, d, degree=0)
     _warn_small_genus(g)
-    coeffs = _class_T(g, n, d).coeffs  # in basis order, with no delta_irr: see the module notes
+    coeffs = _pullback(g, n, d, 0).coeffs  # in basis order, with no delta_irr: see the module notes
     check_work(g, n, 8, 10 * g * math.comb(len(coeffs) + g - 1, g))  # 0 monomials for T = 0
     # row j, column e >= 1: the factor (gen_j, e) and c_j^e / e! as
     # (numerator, denominator); column 0 is unused

@@ -36,11 +36,11 @@ curves with these pullbacks.  For degree g-1 it raises ``ValueError`` on
 the elliptic-tail and irreducible-node families, whose numbers the theory
 does not supply.  A node family (h, P) gives ``e^2 (g - h)`` with
 ``e = d_P - shift * h``, stated once in :func:`_node_number`:
-:func:`_theta` reads it for one family after the checks, with d_P from
-:func:`weight_sum`, and :func:`_theta_column` for every family at once,
-as the test-curve solver's right sides, with d_P by bit mask from a list
-built apart from the closed forms' subset sums, so that the solver stays
-a second derivation.
+:func:`theta_intersection` reads it for one family after its checks,
+with d_P from :func:`weight_sum`, and :func:`_theta_column` for every
+family at once, as the test-curve solver's right sides, with d_P by bit
+mask from a list built apart from the closed forms' subset sums, so that
+the solver stays a second derivation.
 
 Boundary sums run over canonical class representatives: classes whose
 canonical form has h = 0 take the ``-(d_P^2 - sum_{i in P} d_i^2)/2``
@@ -50,9 +50,10 @@ the split is well defined.
 
 Every coefficient depends on (h, P) only through h, d_P and
 ``sum_{i in P} d_i^2``, and the ledger also on the negative weights in P.
-Each class is one O(B) pass of :func:`_pullback` over the boundary
-generators of the basis table for (g, n), which is enumerated once per
-(g, n) and cached in :mod:`thetadiv.basis`; its generators key the
+Each class is one call of :func:`_pullback`, the one closed-form entry:
+it reads the basis table for (g, n), which is enumerated once per (g, n)
+and cached in :mod:`thetadiv.basis`, builds the subset sums of d and
+makes one O(B) pass over the table's boundary generators, which key the
 coefficients as they stand.  The vanishing rule is stated once, in
 :func:`_vanishing`: D is that same one pass, which takes each
 class's order, doubled, off its integer numerator, and the ledger is one
@@ -91,6 +92,7 @@ from .basis import (
     _basis_table,
     _check_gn,
     _mask_sums,
+    _tuple,
     canonicalize_boundary,
     delta,
 )
@@ -107,23 +109,22 @@ def _warn_small_genus(g: int) -> None:
         )
 
 
-def _tuple(values: Iterable, what: str) -> tuple:
-    """``tuple(values)``, or ``ValueError`` naming ``what`` when it is not
-    iterable (None or an int, say, as canonicalize_boundary refuses a P)."""
-    try:
-        return tuple(values)
-    except TypeError:
-        raise ValueError(f"{what} {values!r} is not iterable") from None
+def _weights(d: Iterable[int], n: int | None = None) -> tuple[int, ...]:
+    """``d`` as a tuple, refused with ``ValueError`` unless it is iterable,
+    has ``n`` entries (any number when n is None) and holds only ints, in
+    that order; type(), as in _check_gn: a bool or a float is no weight."""
+    d = _tuple(d, "weight vector")
+    if n is not None and len(d) != n:
+        raise ValueError(f"expected {n} weights, got {len(d)}")
+    if not all(type(w) is int for w in d):
+        raise ValueError(f"weights must be integers, got {d!r}")
+    return d
 
 
 def check_weights(g: int, n: int, d: Sequence[int], degree: int) -> tuple[int, ...]:
     """Validate a weight vector and its total degree; returns it as a tuple."""
     _check_gn(g, n)
-    d = _tuple(d, "weight vector")
-    if len(d) != n:
-        raise ValueError(f"expected {n} weights, got {len(d)}")
-    if not all(type(w) is int for w in d):
-        raise ValueError(f"weights must be integers, got {d!r}")
+    d = _weights(d, n)
     if sum(d) != degree:
         raise ValueError(f"weights {d} have total degree {sum(d)}, expected {degree}")
     return d
@@ -131,25 +132,29 @@ def check_weights(g: int, n: int, d: Sequence[int], degree: int) -> tuple[int, .
 
 def weight_sum(d: Sequence[int], P: Iterable[int]) -> int:
     """d_P: the total weight carried by the markings in P, each an int in
-    1..len(d); any other marking is refused, not read at another index."""
-    P = _tuple(P, "marking set")
+    1..len(d) and none repeated; any other marking is refused, not read at
+    another index, and so are weights that are not ints."""
+    d, P = _weights(d), _tuple(P, "marking set")
     for i in P:  # type(), as in canonicalize_boundary: a bool or a float is no marking
         if type(i) is not int or not 1 <= i <= len(d):
             raise ValueError(f"markings must be integers in 1..{len(d)}, got {i!r}")
+    if len(set(P)) != len(P):
+        raise ValueError(f"marking set {P} repeats a marking")
     return sum(d[i - 1] for i in P)
 
 
 def plus_set(d: Sequence[int]) -> frozenset[int]:
     """Markings with nonnegative weight; a weight-0 marking counts."""
-    return frozenset(i for i, w in enumerate(_tuple(d, "weight vector"), start=1) if w >= 0)
+    return frozenset(i for i, w in enumerate(_weights(d), start=1) if w >= 0)
 
 
 def _subset_sums(d: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
     """Three int lists over the subsets P of the markings, each indexed by
     P's bit mask (bit i - 1 for marking i, as the basis table's masks):
     d_P, sum_{i in P} d_i^2 and the number of negative weights in P.
-    Callers read the basis table first, so the work budget refuses before
-    these 3 * 2^n entries are built."""
+    Its callers, :func:`_pullback` and :func:`correction_ledger`, read the
+    basis table first, so the work budget refuses before these 3 * 2^n
+    entries are built."""
     return _mask_sums(d), _mask_sums([w * w for w in d]), _mask_sums([int(w < 0) for w in d])
 
 
@@ -168,33 +173,33 @@ def _vanishing(h: int, dP: int, neg: int, negatives: int) -> int:
 
 
 def _pullback(
-    d: tuple[int, ...], shift: int, deltas: Iterable[tuple[Generator, int]], sums: tuple, lead: tuple = (),
-    negatives: int = 0,
-) -> dict[Generator, Fraction]:
-    """Point and boundary coefficients of the theta pullback, after the
-    (generator, coefficient) pairs ``lead``, in one fresh dict with no
-    zeros: shift 0 for degree 0 (K_i: d_i^2/2, delta_h^P: -d_P^2/2),
-    shift 1 for degree g-1 (K_i: d_i(d_i+1)/2, delta_h^P:
-    -(d_P-h)(d_P-h+1)/2).  Genus-0 classes take
-    -(d_P^2 - sum_{i in P} d_i^2)/2 either way.  ``deltas`` are the
-    boundary generators in enumeration order, each paired with its P's bit
-    mask, as :func:`_deltas` gives them, and ``sums`` is
-    :func:`_subset_sums` of d, read at those masks.  A nonzero
+    g: int, n: int, d: tuple[int, ...], shift: int, lead: tuple = (), negatives: int = 0
+) -> DivisorClass:
+    """The theta pullback class for checked weights d on (g, n), with no
+    warning (a caller warns itself, so that the warning names its own
+    caller): the (generator, coefficient) pairs ``lead``, then the point
+    and boundary coefficients, with no zeros: shift 0 for degree 0 (K_i:
+    d_i^2/2, delta_h^P: -d_P^2/2), shift 1 for degree g-1 (K_i:
+    d_i(d_i+1)/2, delta_h^P: -(d_P-h)(d_P-h+1)/2).  Genus-0 classes take
+    -(d_P^2 - sum_{i in P} d_i^2)/2 either way.  It reads the basis table
+    first, so the work budget refuses before :func:`_subset_sums` of d is
+    built, and reads those sums at the table's masks.  A nonzero
     ``negatives``, the number of negative weights in d, makes this the
     effective-locus class: each class's :func:`_vanishing` order, doubled,
     comes off its integer numerator before any Fraction is made.
 
-    The dict holds its keys in basis order: the ``lead`` pairs, then K_i
-    by i, then the boundary classes in the order of ``deltas``.
+    The class holds its keys in basis order: the ``lead`` pairs, then K_i
+    by i, then the boundary classes in enumeration order.
     :func:`thetadiv.drcycle.dr_expansion` reads T in that order, with no
     sort."""
+    deltas = _deltas(g, n)
+    dPs, squares, negs = _subset_sums(d)
     coeffs = dict(lead)
     for i, w in enumerate(d, start=1):
         if w * (w + shift):
             coeffs[K(i)] = Fraction(w * (w + shift), 2)
     # a plain dict, not a _Memo: its hits cost 98 ns to 72 ns, 6-25% slower pullbacks
     halves: dict[int, Fraction] = {}  # one Fraction per distinct numerator
-    dPs, squares, negs = sums
     for gen, mask in deltas:
         h = gen.boundary.h
         dP = dPs[mask]
@@ -210,7 +215,7 @@ def _pullback(
             if c is None:
                 c = halves[num] = Fraction(num, 2)
             coeffs[gen] = c
-    return coeffs
+    return DivisorClass._trusted(g, n, coeffs)
 
 
 def _deltas(g: int, n: int) -> Iterator[tuple[Generator, int]]:
@@ -231,13 +236,7 @@ def class_T(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     the zero section) under s_d, for weights of total degree 0."""
     d = check_weights(g, n, d, degree=0)
     _warn_small_genus(g)
-    return _class_T(g, n, d)
-
-
-def _class_T(g: int, n: int, d: tuple[int, ...]) -> DivisorClass:
-    """:func:`class_T` for checked weights, with no warning: a caller that
-    checks them warns itself, so that the warning names its own caller."""
-    return DivisorClass._trusted(g, n, _pullback(d, 0, _deltas(g, n), _subset_sums(d)))
+    return _pullback(g, n, d, 0)
 
 
 def class_Theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
@@ -245,7 +244,7 @@ def class_Theta(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     weights of total degree g-1."""
     d = check_weights(g, n, d, degree=g - 1)
     _warn_small_genus(g)
-    return DivisorClass._trusted(g, n, _pullback(d, 1, _deltas(g, n), _subset_sums(d), _THETA_LEAD))
+    return _pullback(g, n, d, 1, _THETA_LEAD)
 
 
 @dataclass(frozen=True)
@@ -308,7 +307,7 @@ def class_D_direct(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     :func:`_theta_less_ledger`."""
     d, negatives = _effective_weights(g, n, d)
     _warn_small_genus(g)
-    return DivisorClass._trusted(g, n, _pullback(d, 1, _deltas(g, n), _subset_sums(d), _D_LEAD, negatives))
+    return _pullback(g, n, d, 1, _D_LEAD, negatives)
 
 
 # D's second public name: one pass, whichever name a caller reads
@@ -327,8 +326,7 @@ def _theta_less_ledger(g: int, n: int, d: Sequence[int]) -> DivisorClass:
     ledger = correction_ledger(g, n, d)
     less = {delta(t.boundary_class(g, n)): Fraction(t.mult) for t in ledger.terms}
     less[DELTA_IRR] = ledger.delta_irr_order
-    theta = _pullback(d, 1, _deltas(g, n), _subset_sums(d), _THETA_LEAD)
-    return DivisorClass._trusted(g, n, theta) - DivisorClass._trusted(g, n, less)
+    return _pullback(g, n, d, 1, _THETA_LEAD) - DivisorClass._trusted(g, n, less)
 
 
 def _node_number(dP: int, h: int, shift: int, g: int) -> int:
@@ -339,23 +337,15 @@ def _node_number(dP: int, h: int, shift: int, g: int) -> int:
     return (dP - shift * h) ** 2 * (g - h)
 
 
-def _theta(dual: Generator, d: Sequence[int], shift: int, g: int) -> int:
-    """:func:`theta_intersection` of the family dual to ``dual``, unchecked."""
-    if dual.kind not in ("K", "delta"):
-        return 0  # T is constant along the elliptic tail and the irreducible node
-    # K_i: the node curve of (0, {i}), read as basis.generator_sort_key reads it
-    h, P = dual.boundary or (0, (dual.i,))
-    return _node_number(weight_sum(d, P), h, shift, g)
-
-
 def _theta_column(g: int, n: int, d: tuple[int, ...], shift: int) -> list[int]:
-    """:func:`_theta` of every family for (g, n), unchecked, as one list
-    indexed by the column of its dual generator in the basis table: 0 at
-    lambda1 and delta_irr, then K_1..K_n at the masks of {1}..{n}, then
-    the boundary classes at the table's masks.  d_P at a mask is d_P at
-    the mask less its lowest bit plus that marking's weight, a derivation
-    apart from :func:`thetadiv.basis._mask_sums`, which the closed forms
-    read.  Callers check the work budget first: this is O(2^n + B)."""
+    """:func:`theta_intersection` of every family for (g, n), unchecked,
+    as one list indexed by the column of its dual generator in the basis
+    table: 0 at lambda1 and delta_irr, then K_1..K_n at the masks of
+    {1}..{n}, then the boundary classes at the table's masks.  d_P at a
+    mask is d_P at the mask less its lowest bit plus that marking's
+    weight, a derivation apart from :func:`thetadiv.basis._mask_sums`,
+    which the closed forms read.  Callers check the work budget first:
+    this is O(2^n + B)."""
     gens, _, masks = _basis_table(g, n)
     dPs = [0] * (1 << n)
     for mask in range(1, 1 << n):
@@ -383,6 +373,10 @@ def theta_intersection(
     shift = 0 if kind == "T" else 1
     d = check_weights(g, n, d, degree=shift * (g - 1))
     _check_curve(curve, g, n)
-    if shift and curve.dual.kind not in ("K", "delta"):
-        raise ValueError(f"no degree-(g-1) theta intersection number for the {curve_label(curve)} family")
-    return Fraction(_theta(curve.dual, d, shift, g))
+    if curve.dual.kind not in ("K", "delta"):
+        if shift:
+            raise ValueError(f"no degree-(g-1) theta intersection number for the {curve_label(curve)} family")
+        return Fraction(0)  # T is constant along the elliptic tail and the irreducible node
+    # K_i: the node curve of (0, {i}), read as basis.generator_sort_key reads it
+    h, P = curve.dual.boundary or (0, (curve.dual.i,))
+    return Fraction(_node_number(weight_sum(d, P), h, shift, g))

@@ -172,14 +172,15 @@ def test_criteria_3_and_4_hold_for_every_weight_vector():
     coefficient is -(d_P - s h)(d_P - s h + s)/2 or, in genus 0,
     -(d_P^2 - sum_{i in P} d_i^2)/2, and lambda1 and delta_irr are constants.
     Every coefficient of a reconstruction is one too: the solution is
-    linear in the right sides, which ``theta._theta`` gives as quadratics in
-    d (Theta's two pins are constants), and the matrix does not depend on d.
-    The difference of the two is therefore a polynomial of degree at most 2
-    in k = n-1 variables, and such a polynomial that vanishes on the
-    principal lattice {0, e_i, 2 e_i, e_i + e_j} vanishes everywhere: the
-    C(k + 2, 2) lattice points are unisolvent for degree 2 (Chung and Yao,
-    SIAM J. Numer. Anal. 14, 1977).  The argument holds while both sides
-    stay polynomial in d, so the sampled sweeps above stay as they are.
+    linear in the right sides, which ``theta._theta_column`` gives as
+    quadratics in d (Theta's two pins are constants), and the matrix does
+    not depend on d.  The difference of the two is therefore a polynomial
+    of degree at most 2 in k = n-1 variables, and such a polynomial that
+    vanishes on the principal lattice {0, e_i, 2 e_i, e_i + e_j} vanishes
+    everywhere: the C(k + 2, 2) lattice points are unisolvent for degree 2
+    (Chung and Yao, SIAM J. Numer. Anal. 14, 1977).  The argument holds
+    while both sides stay polynomial in d, so the sampled sweeps above stay
+    as they are.
     """
     for g, n in [(g, n) for g in range(3, 7) for n in range(1, 8)] + [(5, 8)]:
         points = list(principal_lattice(n - 1))

@@ -1095,6 +1095,18 @@ def test_labels_the_parser_keeps_reading():
         (weight_sum, ((1, 2, 3), None), "marking set None is not iterable"),
         # TypeError: 'NoneType' object is not iterable
         (plus_set, (None,), "weight vector None is not iterable"),
+        # a repeated marking was read twice: 2, where canonicalize_boundary
+        # refuses the set
+        (weight_sum, ((1, 2, 3), (1, 1)), "marking set (1, 1) repeats a marking"),
+        # TypeError: object of type 'NoneType' has no len()
+        (weight_sum, (None, (1,)), "weight vector None is not iterable"),
+        # returned 2: the weights were read only at the markings of P
+        (weight_sum, (("a", 2), (2,)), "weights must be integers, got ('a', 2)"),
+        # TypeError: '>=' not supported between instances of 'str' and 'int';
+        # 1.5 and True were read as weights
+        (plus_set, (("a",),), "weights must be integers, got ('a',)"),
+        (plus_set, ((1.5,),), "weights must be integers, got (1.5,)"),
+        (plus_set, ((True,),), "weights must be integers, got (True,)"),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )

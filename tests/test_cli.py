@@ -598,8 +598,8 @@ def test_verify_mueller_fails_when_d_loses_its_own_step(capsys, monkeypatch, ste
     if step == "fold-in":
         pullback = theta._pullback
 
-        def no_orders(d, shift, deltas, sums, lead=(), negatives=0):
-            return pullback(d, shift, deltas, sums, lead)
+        def no_orders(g, n, d, shift, lead=(), negatives=0):
+            return pullback(g, n, d, shift, lead)
 
         monkeypatch.setattr(theta, "_pullback", no_orders)
     else:

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -470,12 +471,9 @@ def test_closed_forms_match_the_subset_loop(case):
     d0 = head + (-sum(head),)
     d1 = head + (g - 1 - sum(head),)
     for d, shift in ((d0, 0), (d1, 1)):
-        table = theta._subset_sums(d)
-        # each P's bit mask, bit i - 1 for marking i, made from P itself
-        deltas = [(delta(b), sum(1 << (i - 1) for i in b.P)) for b in enumerate_boundary(g, n)]
         # _pullback drops its zeros where they arise: compare without them
         expected = {gen: c for gen, c in reference_pullback(g, n, d, shift).items() if c != 0}
-        assert theta._pullback(d, shift, deltas, table) == expected
+        assert theta._pullback(g, n, d, shift).coeffs == expected
     if min(d1) >= 0:
         return
     ledger = correction_ledger(g, n, d1)
@@ -504,3 +502,32 @@ def test_subset_sums_are_indexed_by_bit_mask(d):
             assert sums[mask] == weight_sum(d, P), P
             assert squares[mask] == sum(d[i - 1] ** 2 for i in P), P
             assert negatives[mask] == sum(d[i - 1] < 0 for i in P), P
+
+
+def no_sums(*args, **kwargs):
+    raise AssertionError("built subset sums")
+
+
+@pytest.mark.parametrize(
+    "call, d",
+    [
+        (class_T, (1,) + (0,) * 17 + (-1,)),
+        (class_Theta, (2,) + (0,) * 18),
+        (class_D_direct, (3,) + (0,) * 17 + (-1,)),
+        (correction_ledger, (3,) + (0,) * 17 + (-1,)),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_closed_forms_refuse_before_any_subset_sum(monkeypatch, call, d):
+    # the 3 * 2^19 subset sums come after the basis table's budget check:
+    # B(3, 19) = 1,048,556 classes at 8 units a class
+    import thetadiv.basis as basis
+
+    monkeypatch.delenv("THETADIV_BUDGET", raising=False)
+    monkeypatch.setattr(theta, "_mask_sums", no_sums)
+    monkeypatch.setattr(basis, "_subsets", no_sums)
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        call(3, 19, d)
+    assert time.perf_counter() - start < 0.5
+    assert str(info.value).startswith("(g=3, n=19) is estimated at 8388448 units of work, above the budget")
