@@ -23,8 +23,9 @@ Conventions, for a fixed genus ``g >= 1`` and marking set ``I = {1, .., n}``:
   are the same key, whatever object holds them.  Lookup-only paths
   (:meth:`DivisorClass.coeff`, the assignment keys of
   :func:`thetadiv.drcycle.evaluate`) therefore match an equal plain tuple
-  too; every check that validates a generator or a boundary index still
-  refuses one.
+  too, and :meth:`DivisorClass.coeff` reads 0 at any other hashable key
+  and refuses an unhashable one as no generator; every check that
+  validates a generator or a boundary index still refuses a plain tuple.
 * A :class:`DivisorClass` is validated once, where input enters: its
   constructor, :meth:`DivisorClass.from_json_dict`, the factor of
   :meth:`DivisorClass.scale`, :meth:`DivisorClass.zero` and the index of
@@ -278,6 +279,7 @@ def _boundary_label(prefix: str, h: int, P: Iterable[int]) -> str:
 
 
 def generator_label(gen: Generator) -> str:
+    _check_type(gen, Generator)
     if gen.kind == "lambda1":
         return "lambda1"
     if gen.kind == "delta_irr":
@@ -560,7 +562,11 @@ class DivisorClass:
         return cls(g, n, {})
 
     def coeff(self, gen: Generator) -> Fraction:
-        return self.coeffs.get(gen, Fraction(0))
+        try:
+            return self.coeffs.get(gen, Fraction(0))
+        except TypeError:  # unhashable: no generator of the basis, as each one hashes
+            _check_generator(gen, self.g, self.n)
+            raise
 
     def _check_same_space(self, other: "DivisorClass") -> None:
         if (self.g, self.n) != (other.g, other.n):

@@ -44,12 +44,11 @@ j - 1 set.  A point row's (0, {i, j}) is canonical, at the flat key
 elliptic-tail or irreducible-node row.  :func:`intersect` is
 :func:`pair` of a class of one generator.  :func:`pair` refuses anything
 but a :class:`DivisorClass`, validates the curve once, by the generator
-check of its dual, and reads its one row with each class (h, P) keyed by
-the complement ``~k`` of its flat key k, below every position, building
-no O(B) list; like
-:func:`thetadiv.basis.canonicalize_boundary`, it first refuses an n whose
-boundary enumeration the work budget refuses, since a point row visits
-every marking.  The pairing matrix is invertible for g >= 3.
+check of its dual, then reads its one row as :func:`_rows` does, through
+the basis table, and looks up only that row's columns in the class, so
+it never walks the class's coefficients.  It is therefore refused where
+the basis table is, at 8 units a boundary class.  The pairing matrix is
+invertible for g >= 3.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
 from .basis import (
-    BUDGET,
     DELTA_IRR,
     K,
     LAMBDA1,
@@ -110,6 +108,7 @@ def boundary_curve(b: BoundaryIndex) -> TestCurve:
 
 
 def curve_label(curve: TestCurve) -> str:
+    _check_type(curve, TestCurve)
     gen = curve.dual
     if gen.kind == "K":
         return f"point{gen.i}"
@@ -139,11 +138,13 @@ def enumerate_test_curves(g: int, n: int) -> list[TestCurve]:
     return [TestCurve(gen) for gen in gens[2:] + gens[:2]]
 
 
-def _row(dual: Generator, g: int, n: int, column: list | dict) -> dict:
+def _row(dual: Generator, g: int, n: int, column: list) -> dict:
     """The pairings of the family dual to a valid generator with the basis
-    for (g, n) that can be nonzero, keyed as the module notes say, with
-    the canonical class (h, P) at ``column[k]`` for its flat key k
-    (:func:`_flat`); absent keys pair to 0.  One branch states the node
+    for (g, n) that can be nonzero, keyed by column position as the module
+    notes say: ``column`` is the basis table's list of each canonical
+    class's column at its flat key (:func:`_flat`), so the class (h, P) of
+    flat key k sits at ``column[k]``; absent columns pair to 0.  At most
+    2n + 1 entries.  One branch states the node
     and point families: ``K_i`` reads as (h, P) = (0, {i}), whose row has
     no self-intersection entry, so a point row is K_i's 2g - 2, then
     (0, {i, j}) by j."""
@@ -181,20 +182,6 @@ def _rows(g: int, n: int) -> tuple[tuple[Generator, ...], Callable[[int], dict]]
     return gens, lambda c: _row(gens[c], g, n, column)
 
 
-class _ByClass(dict):
-    def __missing__(self, key):  # a row read on its own: flat key k at ~k < 0
-        return ~key
-
-
-def _key(gen: Generator, n: int) -> int:
-    """Where a generator sits in a row placed by :class:`_ByClass`: its
-    column position, or ``~k`` for a boundary class of flat key k, which
-    no position can equal."""
-    if gen.kind == "delta":
-        return ~_flat(*gen.boundary, n)
-    return 1 + gen.i if gen.kind == "K" else int(gen == DELTA_IRR)
-
-
 def intersect(curve: TestCurve, gen: Generator, g: int, n: int) -> Fraction:
     """Exact intersection number of a test-curve family with a basis
     divisor: :func:`pair` with the class of ``gen`` alone.  ``gen`` is
@@ -206,14 +193,16 @@ def intersect(curve: TestCurve, gen: Generator, g: int, n: int) -> Fraction:
 
 
 def pair(curve: TestCurve, divclass: DivisorClass) -> Fraction:
-    """Intersection number of a test curve with an arbitrary divisor class."""
+    """Intersection number of a test curve with an arbitrary divisor
+    class: the curve's row, read through the basis table as :func:`_rows`
+    reads it, dotted with the class's coefficients at that row's columns
+    alone.  Refused as the basis table is, after the curve is checked."""
     _check_type(divclass, DivisorClass)
-    if divclass.n > BUDGET.bit_length():  # one comparison before the O(n) point row
-        check_work(divclass.g, divclass.n, 8)
-    _check_curve(curve, divclass.g, divclass.n)
-    row = _row(curve.dual, divclass.g, divclass.n, _ByClass())
-    n = divclass.n
-    return sum((c * row.get(_key(gen, n), 0) for gen, c in divclass.coeffs.items()), Fraction(0))
+    g, n = divclass.g, divclass.n
+    _check_curve(curve, g, n)
+    gens, column, _ = _basis_table(g, n)
+    row = _row(curve.dual, g, n, column)
+    return sum((a * divclass.coeffs.get(gens[c], 0) for c, a in row.items()), Fraction(0))
 
 
 def relabel_curve(curve: TestCurve, sigma: tuple[int, ...], g: int, n: int) -> TestCurve:

@@ -62,7 +62,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
-from .basis import DivisorClass, _boundary_count, _Memo, check_work, generator_label
+from .basis import DivisorClass, _boundary_count, _check_gn, _Memo, check_work, generator_label
 from .curves import TestCurve, _rows, curve_label
 from .theta import _theta_column, check_weights
 
@@ -156,6 +156,7 @@ def _eliminate(g: int, n: int, column, pins=None) -> tuple[Fraction, list[str], 
     Refused, before any work, above the work budget at :func:`_solve_units`
     a boundary class: ``column`` is called after that check and the
     genus check, so a refused (g, n) builds no right side."""
+    _check_gn(g, n)  # before _solve_units squares n
     check_work(g, n, _solve_units(n))
     gens, row_of = _rows(g, n)
     rhs = column()

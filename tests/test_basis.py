@@ -278,6 +278,8 @@ def test_generators_are_tuples_compared_by_value():
     x = DivisorClass(3, 2, {K(1): 3, delta(b): 5})
     assert x.coeff(("K", 1, None)) == 3
     assert x.coeff(("delta", 0, (0, (1, 2)))) == 5
+    # and any other hashable key reads 0
+    assert [x.coeff(key) for key in ("K1", 5, None, ("K", 2, None))] == [0] * 4
 
 
 def not_a_generator(gen) -> str:
@@ -1107,6 +1109,16 @@ def test_labels_the_parser_keeps_reading():
         (plus_set, (("a",),), "weights must be integers, got ('a',)"),
         (plus_set, ((1.5,),), "weights must be integers, got (1.5,)"),
         (plus_set, ((True,),), "weights must be integers, got (True,)"),
+        # TypeError: the solve's work units were n * n before n was checked
+        (certify_basis, (3, None), "number of marked points must be an integer >= 1, got None"),
+        (certify_basis, (3, "ab"), "number of marked points must be an integer >= 1, got 'ab'"),
+        # AttributeError: 'NoneType' object has no attribute 'kind', and 'int'
+        (basis.generator_label, (None,), "expected a Generator, got None"),
+        (curve_label, (5,), "expected a TestCurve, got 5"),
+        # TypeError: unhashable type: 'list'
+        (DivisorClass.zero(3, 2).coeff, ([1],), "expected a Generator, got [1]"),
+        (DivisorClass.zero(3, 2).coeff, (([1],),), "expected a Generator, got ([1],)"),
+        (DivisorClass.zero(3, 2).coeff, (Generator("K", [1]),), "point index must be a positive integer, got [1]"),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )

@@ -2,6 +2,7 @@
 
 import json
 import operator
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thetadiv.basis as basis
 from thetadiv.basis import (
     DELTA_IRR,
     LAMBDA1,
@@ -34,6 +36,7 @@ from thetadiv.curves import (
     point_curve,
     relabel_curve,
 )
+from thetadiv.theta import class_T
 
 
 def bgen(g, n, h, P):
@@ -329,7 +332,6 @@ def test_matrix_json_reads_entries_as_coefficients(value):
 
 def test_matrix_json_parses_each_distinct_entry_once(monkeypatch):
     # every entry was parsed: 9,409 parses for 15 distinct strings at (5, 5)
-    import thetadiv.basis as basis
     from thetadiv.curves import IntersectionMatrix
 
     mat = build_matrix(5, 5)
@@ -376,6 +378,52 @@ def test_pair_refuses_a_curve_that_is_no_test_curve():
     # kills the mutant without _check_curve's type test: AttributeError on .dual
     with pytest.raises(ValueError, match=r"^expected a TestCurve, got Generator\(kind='K'"):
         pair(K(1), DivisorClass(3, 2, {K(1): 1}))
+
+
+class Unwalked(dict):
+    """Coefficients that count the keys looked up and refuse to be walked."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+    def items(self):
+        raise AssertionError("walked the class")
+
+    def __iter__(self):
+        raise AssertionError("walked the class")
+
+
+def test_pair_reads_only_the_curves_row_of_the_class():
+    # a row has at most 2n + 1 entries; T at (5, 5) has hundreds of terms
+    g, n = 5, 5
+    plain = class_T(g, n, (1, -2, 3, 0, -2))
+    for curve in enumerate_test_curves(g, n):
+        coeffs = Unwalked(plain.coeffs)
+        assert pair(curve, DivisorClass._trusted(g, n, coeffs)) == pair(curve, plain), curve_label(curve)
+        assert coeffs.gets <= 2 * n + 1
+
+
+def no_subsets(*args, **kwargs):
+    raise AssertionError("enumerated subsets")
+
+
+def test_pair_and_intersect_are_refused_where_the_basis_table_is(monkeypatch):
+    # a point row at (3, 19) has 19 entries, but pair reads the basis table:
+    # B(3, 19) = 1,048,556 classes at 8 units a class
+    monkeypatch.delenv("THETADIV_BUDGET", raising=False)
+    monkeypatch.setattr(basis, "_subsets", no_subsets)
+    for call in (
+        lambda: pair(point_curve(1), DivisorClass(3, 19, {K(1): 1})),
+        lambda: intersect(point_curve(1), K(1), 3, 19),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            call()
+        assert time.perf_counter() - start < 0.5
+        assert str(info.value).startswith("(g=3, n=19) is estimated at 8388448 units of work, above the budget")
 
 
 def test_matrix_json_refuses_columns_out_of_basis_order():
